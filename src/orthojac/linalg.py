@@ -2,7 +2,14 @@
 
 Matrices are row-major C-contiguous float64 ``numpy.ndarray`` objects and
 vectors are 1-D float64 arrays.  The helpers here add the shape/finiteness
-validation the rest of the package relies on; products delegate to numpy.
+validation the rest of the package relies on.
+
+``svd_values`` is a one-sided Jacobi SVD over one matrix or a stack of
+them.  Each sweep tests all column pairs at once through a Gram product
+and finishes the matrices that pass; the rest get one round-robin sweep
+(Brent & Luk 1985) in which every round rotates disjoint column pairs of
+the whole stack together.  Jacobi is kept over LAPACK-style QR iteration
+for its accuracy on small singular values (Demmel & Veselic 1992).
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from .rng import SplitMix64
 
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
+# matrices of a stack rotated together; bounds the temporaries of long stacks
+JACOBI_BLOCK = 16
 
 
 def as_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -42,36 +51,14 @@ def as_vector(obj, size: int | None = None) -> np.ndarray:
     return v
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit inner-dimension check."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("matmul expects two matrices")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with explicit dimension check."""
-    if a.ndim != 2 or x.ndim != 1:
-        raise DimensionError("matvec expects a matrix and a vector")
-    if a.shape[1] != x.shape[0]:
-        raise DimensionError(f"incompatible shapes: {a.shape} @ {x.shape}")
-    return a @ x
-
-
-def transpose(a: np.ndarray) -> np.ndarray:
-    """Transposed copy (keeps results C-contiguous)."""
-    if a.ndim != 2:
-        raise DimensionError("transpose expects a matrix")
-    return np.ascontiguousarray(a.T)
-
-
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """alpha * x + y for same-shaped arrays."""
-    if x.shape != y.shape:
-        raise DimensionError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return alpha * x + y
+def _as_matrix_stack(obj) -> np.ndarray:
+    """Validate and convert ``obj`` to a 3-D finite float64 stack of matrices."""
+    s = np.asarray(obj, dtype=np.float64)
+    if s.ndim != 3:
+        raise DimensionError(f"expected a matrix or a stack, got ndim={s.ndim}")
+    if not np.all(np.isfinite(s)):
+        raise DimensionError("matrix stack contains non-finite entries")
+    return s
 
 
 def frobenius_defect(m: np.ndarray) -> float:
@@ -125,6 +112,113 @@ def random_orthogonal(n: int, seed: int) -> np.ndarray:
     return np.ascontiguousarray(q * signs[np.newaxis, :])
 
 
+
+
+def _round_robin_step(n: int) -> np.ndarray:
+    """Column permutation that moves a round-robin pairing on by one round.
+
+    ``n`` is even and column ``i`` is paired with column ``n/2 + i``.
+    Applying the permutation ``n - 1`` times pairs every column with every
+    other exactly once (the circle method; Brent & Luk 1985).
+    """
+    half = n // 2
+
+    def slot(player: int) -> int:
+        # circle position -> column: the top row, then the bottom row reversed
+        return player if player < half else half + n - 1 - player
+
+    # one player stays put while the others move one seat round the circle
+    step = np.empty(n, dtype=np.intp)
+    step[slot(0)] = slot(0)
+    step[slot(1)] = slot(n - 1)
+    for player in range(2, n):
+        step[slot(player)] = slot(player - 1)
+    return step
+
+
+def _worst_off_diagonal(w: np.ndarray) -> np.ndarray:
+    """Per ``w[b]``, the largest ``|a_p . a_q| / (||a_p|| ||a_q||)`` over rows ``p != q``.
+
+    Pairs with a zero row count as 0, as the rotation test passes them.
+    """
+    gram = w @ w.transpose(0, 2, 1)
+    sq = np.diagonal(gram, axis1=1, axis2=2)
+    inv = np.divide(1.0, np.sqrt(sq), out=np.zeros_like(sq), where=sq > 0.0)
+    diag = np.arange(w.shape[1])
+    gram[:, diag, diag] = 0.0
+    gram *= inv[:, :, np.newaxis]
+    gram *= inv[:, np.newaxis, :]
+    return np.max(np.abs(gram, out=gram), axis=(1, 2))
+
+
+def _sweep(w: np.ndarray, tol: float, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One round-robin Jacobi sweep over the rows of every ``w[b]``.
+
+    Each of the ``n - 1`` rounds rotates the disjoint row pairs ``(i, n/2 + i)``
+    of the whole stack together; a pair that passes the test gets
+    ``cs = 1, sn = 0`` and is left unchanged.  Returns the rotated stack
+    and, per matrix, whether any pair was rotated.
+    """
+    half = w.shape[1] // 2
+    rotated = np.zeros(len(w), dtype=bool)
+    # zeta is inf or nan only on pairs that are not rotated
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(w.shape[1] - 1):
+            p, q = w[:, :half], w[:, half:]
+            app = np.einsum("bij,bij->bi", p, p)
+            aqq = np.einsum("bij,bij->bi", q, q)
+            apq = np.einsum("bij,bij->bi", p, q)
+            rotate = np.abs(apq) > tol * np.sqrt(app * aqq)
+            rotated |= rotate.any(axis=1)
+            zeta = (aqq - app) / (2.0 * apq)
+            t = np.copysign(1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta)
+            t = np.where(rotate, t, 0.0)
+            cs = 1.0 / np.hypot(1.0, t)
+            sn = (cs * t)[:, :, np.newaxis]
+            cs = cs[:, :, np.newaxis]
+            new_p = cs * p - sn * q
+            w[:, half:] = sn * p + cs * q
+            w[:, :half] = new_p
+            w = w[:, step]
+    return w, rotated
+
+
+def _jacobi_block(w: np.ndarray, tol: float, max_sweeps: int, offset: int) -> np.ndarray:
+    """Final row norms of every ``w[b]``, after its rows are made orthogonal.
+
+    ``w`` has an even number of rows; it is overwritten.  ``offset`` is the
+    stack index of ``w[0]``, used to name a matrix that does not converge.
+    """
+    norms = np.empty(w.shape[:2])
+    live = np.arange(len(w))
+    step = _round_robin_step(w.shape[1])
+
+    def finish(done):
+        nonlocal w, live
+        rows = w[done]
+        norms[live[done]] = np.sqrt(np.einsum("bij,bij->bi", rows, rows))
+        w, live = w[~done], live[~done]
+
+    for _ in range(max_sweeps):
+        # a matrix whose every pair already passes needs no rotation at all
+        finish(_worst_off_diagonal(w) <= tol)
+        if not len(live):
+            break
+        w, rotated = _sweep(w, tol, step)
+        finish(~rotated)
+        if not len(live):
+            break
+    else:
+        residual = _worst_off_diagonal(w)
+        worst = int(np.argmax(residual))
+        raise ConvergenceError(
+            f"one-sided Jacobi SVD of matrix {offset + live[worst]} did not"
+            f" converge in {max_sweeps} sweeps",
+            float(residual[worst]),
+        )
+    return norms
+
+
 def svd_values(
     m: np.ndarray,
     tol: float = JACOBI_TOL,
@@ -132,51 +226,40 @@ def svd_values(
 ) -> np.ndarray:
     """Singular values by one-sided Jacobi, sorted descending.
 
-    Columns are rotated pairwise until every off-diagonal inner product
-    satisfies ``|a_p . a_q| <= tol * ||a_p|| * ||a_q||``; singular values
-    are the final column norms.  Raises ConvergenceError (carrying the
-    worst relative off-diagonal) if the sweep cap is hit.
+    ``m`` is one ``(rows, cols)`` matrix, giving a vector of
+    ``min(rows, cols)`` values, or a ``(B, rows, cols)`` stack, giving a
+    ``(B, min(rows, cols))`` array.  Each matrix's values are bitwise the
+    same whether it is passed alone or in a stack.
+
+    The columns of the taller orientation are rotated pairwise until every
+    off-diagonal inner product satisfies
+    ``|a_p . a_q| <= tol * ||a_p|| * ||a_q||``; singular values are the
+    final column norms.  Each sweep first tests all pairs at once through
+    one Gram product, and a matrix that passes is finished without
+    rotating (an orthogonal matrix costs one small matmul).  Otherwise the
+    sweep runs ``n - 1`` round-robin rounds (Brent & Luk 1985), each
+    rotating ``n/2`` disjoint column pairs of the whole stack together; an
+    odd ``n`` gets a zero column that no rotation touches.  A matrix stops
+    when a sweep rotates nothing.  The stack is processed in blocks of
+    ``JACOBI_BLOCK`` matrices.  Raises ConvergenceError (naming the
+    matrix and carrying its worst relative off-diagonal) if a matrix still
+    rotates after ``max_sweeps`` sweeps.
     """
-    a = as_matrix(m).copy()
-    if a.shape[0] < a.shape[1]:
-        a = np.ascontiguousarray(a.T)
-    rows, cols = a.shape
+    single = np.ndim(m) == 2
+    a = as_matrix(m)[np.newaxis] if single else _as_matrix_stack(m)
+    if a.shape[1] < a.shape[2]:
+        a = a.transpose(0, 2, 1)
+    count, rows, cols = a.shape
+    values = np.empty((count, cols))
     if cols == 0:
-        return np.empty(0)
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                ap = a[:, p]
-                aq = a[:, q]
-                app = float(ap @ ap)
-                aqq = float(aq @ aq)
-                apq = float(ap @ aq)
-                if abs(apq) <= tol * np.sqrt(app * aqq):
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                cs = 1.0 / np.sqrt(1.0 + t * t)
-                sn = cs * t
-                new_p = cs * ap - sn * aq
-                new_q = sn * ap + cs * aq
-                a[:, p] = new_p
-                a[:, q] = new_q
-        if not rotated:
-            break
-    else:
-        worst = 0.0
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                denom = np.sqrt(float(a[:, p] @ a[:, p]) * float(a[:, q] @ a[:, q]))
-                if denom > 0.0:
-                    worst = max(worst, abs(float(a[:, p] @ a[:, q])) / denom)
-        raise ConvergenceError(
-            f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps", worst
-        )
-    values = np.sqrt(np.sum(a * a, axis=0))
-    return np.sort(values)[::-1].copy()
+        return values[0] if single else values
+    pad = cols % 2
+    for start in range(0, count, JACOBI_BLOCK):
+        block = a[start:start + JACOBI_BLOCK]
+        # the columns of each matrix become the rows of w, for contiguous dots
+        w = np.zeros((len(block), cols + pad, rows))
+        w[:, :cols] = block.transpose(0, 2, 1)
+        norms = _jacobi_block(w, tol, max_sweeps, start)
+        # a pad column keeps norm 0, so after the descending sort it is last
+        values[start:start + len(block)] = np.sort(norms, axis=1)[:, ::-1][:, :cols]
+    return values[0] if single else values

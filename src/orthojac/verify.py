@@ -56,16 +56,6 @@ def _as_stack(target) -> list:
     return list(target) if isinstance(target, (list, tuple)) else [target]
 
 
-def stack_kink_distance(stack: list, x: np.ndarray) -> float:
-    """Smallest kink distance over the stack, each layer at its own input."""
-    dist = np.inf
-    cur = x
-    for layer in stack:
-        dist = min(dist, layer.kink_distance(cur))
-        cur = layer.forward(cur)
-    return float(dist)
-
-
 def stack_jacobian(stack: list, x: np.ndarray, margin: float = DEFAULT_MARGIN):
     """Chained Jacobian of a layer stack at ``x``."""
     cur = x
@@ -170,6 +160,36 @@ class VerifyReport:
         )
 
 
+def _probe_jacobians(stack: list, n_probes: int, seed: int, input_scale: float,
+                     margin: float, jacobian) -> tuple[list, np.ndarray]:
+    """The Jacobians of a stack at the probes of one run, away from kinks.
+
+    Probe ``i`` is the ``i``-th Gaussian input of the stream derived from
+    ``seed``; probes within ``margin`` of a kink are dropped.
+    ``jacobian(stack, x, margin)`` is ``stack_jacobian`` through the
+    caller's own binding of it.  Returns the kept probe indices in order
+    and their Jacobians as one ``(kept, n, n)`` array; raises
+    NoValidProbeError when no probe is kept.
+    """
+    width = stack[0].width
+    stream = SplitMix64(derive_seed(seed, 0x50))
+    # pages of the rows left unfilled are never touched
+    jacs = np.empty((n_probes, width, width))
+    kept = []
+    for index in range(n_probes):
+        x = input_scale * stream.gaussian(width)
+        try:
+            jacs[len(kept)] = jacobian(stack, x, margin)
+        except NearKinkError:
+            continue
+        kept.append(index)
+    if not kept:
+        raise NoValidProbeError(
+            f"all {n_probes} probes fell within the kink margin {margin}"
+        )
+    return kept, jacs[:len(kept)]
+
+
 def spectrum_probe(
     target,
     n_probes: int,
@@ -189,8 +209,10 @@ def spectrum_probe(
     requires every singular value to lie in [1-epsilon-tol, 1+epsilon+tol];
     "none" records measurements without judging them.
 
-    ``compute_sv=False`` skips singular values (sv fields become nan),
-    which the defect-only criteria never read.
+    ``compute_sv=False`` skips singular values (sv fields become None),
+    which the defect-only criteria never read.  Otherwise the singular
+    values of every kept probe come from one ``svd_values`` call on the
+    stack of their Jacobians.
 
     Returns the VerifyReport; with ``collect_values=True`` returns
     ``(report, list_of_sv_arrays)`` for downstream histograms.
@@ -198,35 +220,18 @@ def spectrum_probe(
     if criterion == "sv_interval" and not compute_sv:
         raise DimensionError("sv_interval criterion needs compute_sv=True")
     stack = _as_stack(target)
-    width = stack[0].width
-    stream = SplitMix64(derive_seed(seed, 0x50))
-    used = 0
-    skipped = 0
-    max_orth = 0.0
-    max_partial = 0.0
-    sv_min = np.inf
-    sv_max = -np.inf
+    kept, jacs = _probe_jacobians(stack, n_probes, seed, input_scale, margin,
+                                  stack_jacobian)
+    max_orth = max(orthogonality_defect(jac) for jac in jacs)
+    max_partial = max(partial_isometry_defect(jac) for jac in jacs)
+    sv_min = sv_max = None
     values: list[np.ndarray] = []
-    for _ in range(n_probes):
-        x = input_scale * stream.gaussian(width)
-        try:
-            jac = stack_jacobian(stack, x, margin)
-        except NearKinkError:
-            skipped += 1
-            continue
-        used += 1
-        max_orth = max(max_orth, orthogonality_defect(jac))
-        max_partial = max(max_partial, partial_isometry_defect(jac))
-        if compute_sv:
-            sv = svd_values(jac)
-            sv_min = min(sv_min, float(sv[-1]))
-            sv_max = max(sv_max, float(sv[0]))
-            if collect_values:
-                values.append(sv)
-    if used == 0:
-        raise NoValidProbeError(
-            f"all {n_probes} probes fell within the kink margin {margin}"
-        )
+    if compute_sv:
+        sv = svd_values(jacs)
+        sv_min = float(np.min(sv[:, -1]))
+        sv_max = float(np.max(sv[:, 0]))
+        if collect_values:
+            values = list(sv)
     if criterion == "orthogonal":
         passed = bool(max_orth <= tol)
     elif criterion == "partial":
@@ -240,19 +245,19 @@ def spectrum_probe(
     else:
         raise DimensionError(f"unknown criterion {criterion!r}")
     report = VerifyReport(
-        probes=used,
+        probes=len(kept),
         max_orth_defect=max_orth,
         max_partial_defect=max_partial,
-        sv_min=float(sv_min) if compute_sv else None,
-        sv_max=float(sv_max) if compute_sv else None,
+        sv_min=sv_min,
+        sv_max=sv_max,
         bound_epsilon=epsilon,
         passed=passed,
-        skipped_near_kink=skipped,
+        skipped_near_kink=n_probes - len(kept),
         criterion=criterion,
         tol=tol,
         seed=seed,
         kind=type(stack[0]).__name__ if len(stack) == 1 else "stack",
-        width=width,
+        width=stack[0].width,
         depth=len(stack),
     )
     return (report, values) if collect_values else report

@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import functools
 import json
 
 import pytest
 
+from orthojac import linalg, verify
 from orthojac.cli import main
+from orthojac.layers import layer_from_json
 from orthojac.train import METRICS_HEADER
 
 RELU = {"breakpoints": [0.0], "slopes": [0.0, 1.0], "anchor_value": 0.0}
@@ -154,6 +157,20 @@ def test_verify_rerun_byte_identical(tmp_path):
             == (out_b / "verify_reflection.json").read_bytes())
 
 
+def test_verify_svd_convergence_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # the default sweep cap is bound when svd_values is defined, so patch the
+    # binding verify calls rather than the constant
+    monkeypatch.setattr(verify, "svd_values",
+                        functools.partial(linalg.svd_values, max_sweeps=1))
+    layer = dict(reflection_layer(seed=15), strict=False, sigma=LEAKY)
+    config = {"seed": 3, "probes": 4,
+              "layers": [{"name": "leaky", "layer": layer,
+                          "criterion": "sv_interval", "epsilon": 0.7}]}
+    code, _ = run(tmp_path, "verify", config)
+    assert code == 1
+    assert "did not converge in 1 sweeps" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
@@ -186,6 +203,26 @@ def test_spectrum_all_probes_skipped_exits_1(tmp_path, capsys):
     code, _ = run(tmp_path, "spectrum", spectrum_config(probes=5, margin=1e9))
     assert code == 1
     assert "probes" in capsys.readouterr().err
+
+
+def test_spectrum_agrees_with_spectrum_probe(tmp_path):
+    # a margin that rejects some probes, so the kept indices have gaps
+    config = spectrum_config(probes=60, margin=0.02)
+    code, out_dir = run(tmp_path, "spectrum", config)
+    assert code == 0
+    lines = (out_dir / "spectrum_probes.csv").read_text().splitlines()[2:]
+    rows = [line.split(",") for line in lines]
+    stack = [layer_from_json(spec) for spec in config["layers"]]
+    report, values = verify.spectrum_probe(stack, 60, seed=5, margin=0.02,
+                                           collect_values=True)
+    assert 0 < report.skipped_near_kink < 60
+    assert len(rows) == len(values) == report.probes
+    kept, _ = verify._probe_jacobians(stack, 60, 5, 1.0, 0.02, verify.stack_jacobian)
+    assert [int(row[0]) for row in rows] == kept
+    for (_, lo, hi), sv in zip(rows, values):
+        assert (float(lo), float(hi)) == (sv.min(), sv.max())
+    assert min(float(row[1]) for row in rows) == report.sv_min
+    assert max(float(row[2]) for row in rows) == report.sv_max
 
 
 # ---------------------------------------------------------------------------

@@ -94,24 +94,109 @@ def test_svd_values_convergence_error_carries_residual():
     assert exc.value.residual > 0.0
 
 
-def test_matmul_rejects_nonconformable():
+def test_round_robin_pairs_every_column_once_per_sweep():
+    for n in range(2, 66, 2):
+        step = linalg._round_robin_step(n)
+        order = np.arange(n)
+        pairs = set()
+        for _ in range(n - 1):
+            pairs.update(map(frozenset, zip(order[:n // 2], order[n // 2:])))
+            order = order[step]
+        assert len(pairs) == n * (n - 1) // 2, n
+
+
+def _assert_matches_lapack(got, m):
+    ref = np.linalg.svd(m, compute_uv=False)
+    assert got.shape == ref.shape
+    scale = ref[0] if ref.size and ref[0] > 0.0 else 1.0
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * scale
+
+
+def _assert_stack_matches_singles(stack):
+    values = linalg.svd_values(stack)
+    assert values.shape == (len(stack), min(stack.shape[1:]))
+    for m, got in zip(stack, values):
+        assert np.array_equal(got, linalg.svd_values(m))
+        _assert_matches_lapack(got, m)
+
+
+def test_svd_values_shapes_widths_and_orientations():
+    gen = SplitMix64(31)
+    for rows, cols in [(1, 1), (1, 6), (6, 1), (5, 5), (6, 6), (3, 8), (8, 3),
+                       (7, 4), (4, 7), (33, 33)]:
+        stack = np.stack([gen.gaussian_matrix(rows, cols) for _ in range(3)])
+        _assert_stack_matches_singles(stack)
+
+
+def test_svd_values_zero_and_rank_deficient():
+    gen = SplitMix64(32)
+    u, v = gen.gaussian(7), gen.gaussian(5)
+    dup = gen.gaussian_matrix(6, 6)
+    dup[:, 3] = dup[:, 1]
+    rank2 = np.outer(u, v) + np.outer(gen.gaussian(7), gen.gaussian(5))
+    stack = [np.zeros((7, 5)), np.outer(u, v), rank2]
+    _assert_stack_matches_singles(np.stack(stack))
+    _assert_stack_matches_singles(dup[np.newaxis])
+    assert np.all(linalg.svd_values(np.zeros((4, 3, 3))) == 0.0)
+    rank1 = linalg.svd_values(np.outer(u, v))
+    assert rank1[1:].max() <= 1e-12 * rank1[0]
+
+
+def test_svd_values_stack_longer_than_a_block():
+    gen = SplitMix64(33)
+    count = 2 * linalg.JACOBI_BLOCK + 3
+    _assert_stack_matches_singles(np.stack([gen.gaussian_matrix(6, 6)
+                                            for _ in range(count)]))
+
+
+def test_svd_values_empty_and_bad_stacks():
+    assert linalg.svd_values(np.zeros((0, 3, 3))).shape == (0, 3)
+    assert linalg.svd_values(np.zeros((2, 4, 0))).shape == (2, 0)
     with pytest.raises(DimensionError):
-        linalg.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matvec_rejects_nonconformable():
+        linalg.svd_values(np.zeros((2, 2, 2, 2)))
     with pytest.raises(DimensionError):
-        linalg.matvec(np.ones((2, 3)), np.ones(2))
+        linalg.svd_values(np.full((2, 3, 3), np.inf))
 
 
-def test_axpy_and_transpose():
-    x = np.array([1.0, 2.0])
-    y = np.array([10.0, 20.0])
-    assert np.array_equal(linalg.axpy(3.0, x, y), [13.0, 26.0])
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(linalg.transpose(m), m.T)
-    with pytest.raises(DimensionError):
-        linalg.axpy(1.0, x, np.ones(3))
+_ENTRIES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stack=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=_ENTRIES)
+    )
+)
+def test_svd_values_stack_property(stack):
+    # integer entries make zero and rank-deficient matrices common
+    _assert_stack_matches_singles(stack)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**63), n=st.integers(1, 40), count=st.integers(1, 3))
+def test_svd_values_orthogonal_inputs_take_the_gram_skip(seed, n, count):
+    def no_sweep(*args):
+        raise AssertionError("an orthogonal input was rotated")
+
+    stack = np.stack([linalg.random_orthogonal(n, seed + k) for k in range(count)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_sweep", no_sweep)
+        values = linalg.svd_values(stack)
+    assert np.max(np.abs(values - 1.0)) <= 1e-14
+
+
+def test_svd_values_one_unconverged_matrix_in_a_stack():
+    count = linalg.JACOBI_BLOCK + 4
+    stack = np.stack([linalg.random_orthogonal(8, k) for k in range(count)])
+    stack[-2] = SplitMix64(2).gaussian_matrix(8, 8)
+    with pytest.raises(ConvergenceError, match=f"matrix {count - 2} ") as exc:
+        linalg.svd_values(stack, max_sweeps=1)
+    assert exc.value.residual > 0.0
+    # without the unconverged matrix the same stack passes
+    assert np.max(np.abs(linalg.svd_values(stack[:-2], max_sweeps=1) - 1.0)) <= 1e-14
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -119,17 +204,6 @@ def test_as_matrix_rejects_nonfinite():
         linalg.as_matrix([[1.0, np.nan]])
     with pytest.raises(DimensionError):
         linalg.as_vector([np.inf])
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    a=arrays(np.float64, (4, 3), elements=st.floats(-10, 10)),
-    b=arrays(np.float64, (3, 5), elements=st.floats(-10, 10)),
-)
-def test_matmul_transpose_identity(a, b):
-    left = linalg.transpose(linalg.matmul(a, b))
-    right = linalg.matmul(linalg.transpose(b), linalg.transpose(a))
-    assert np.allclose(left, right, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
