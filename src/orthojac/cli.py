@@ -296,9 +296,8 @@ def _load_train_data(section: dict, seed: int, data_root) -> tuple:
                 f" has {full.size}"
             )
         perm = SplitMix64(derive_seed(seed, 0xDC)).permutation(full.size)
-        train_set = full.subset(perm[:train_size], tag="train")
-        val_set = full.subset(perm[train_size:train_size + val_size], tag="val")
-        return train_set, val_set
+        return (full.subset(perm[:train_size]),
+                full.subset(perm[train_size:train_size + val_size]))
     raise ConfigError(f"data section: unknown kind {kind!r}")
 
 
@@ -316,7 +315,6 @@ def cmd_train(config: dict, out_dir: str, digest: str, data_root) -> int:
     network = make_network(config["model"], width, depth,
                            train_set.class_count, train_set.dim, seed)
     train_cfg = TrainConfig(
-        depth=depth,
         lr0=float(config["lr0"]),
         total_epochs=_positive_int(config["epochs"], "epochs"),
         batch_size=_positive_int(config.get("batch_size", 512), "batch_size"),

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import DataFormatError, DimensionError, InvalidFractionError
 from .linalg import random_orthogonal
 from .rng import SplitMix64, derive_seed
-from .serial import load_arrays, save_arrays
 
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
@@ -25,12 +24,11 @@ IMAGE_SIDE = 28
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature/label pairs with a split tag."""
+    """Immutable feature/label pairs."""
 
     features: np.ndarray
     labels: np.ndarray
     class_count: int
-    tag: str = "full"
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -56,9 +54,8 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: np.ndarray, tag: str) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices],
-                       self.class_count, tag)
+    def subset(self, indices: np.ndarray) -> "Dataset":
+        return Dataset(self.features[indices], self.labels[indices], self.class_count)
 
 
 def _read_header(raw: bytes, path, field_count: int):
@@ -70,7 +67,7 @@ def _read_header(raw: bytes, path, field_count: int):
     return struct.unpack(f">{1 + field_count}i", raw[:need])
 
 
-def load_idx(images_path, labels_path, tag: str = "full") -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label file pair into a Dataset.
 
     Pixel bytes are scaled to [0, 1].  The class count is inferred from
@@ -122,7 +119,7 @@ def load_idx(images_path, labels_path, tag: str = "full") -> Dataset:
     features = features.reshape(img_count, IMAGE_SIDE * IMAGE_SIDE) / 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8).astype(np.int64)
     class_count = int(labels.max()) + 1 if lab_count else 0
-    return Dataset(features, labels, class_count, tag)
+    return Dataset(features, labels, class_count)
 
 
 def train_val_split(dataset: Dataset, val_fraction: float, seed: int):
@@ -135,7 +132,7 @@ def train_val_split(dataset: Dataset, val_fraction: float, seed: int):
             f"fraction {val_fraction} of {dataset.size} samples leaves an empty split"
         )
     perm = SplitMix64(derive_seed(seed, 0x5)).permutation(dataset.size)
-    return dataset.subset(perm[n_val:], "train"), dataset.subset(perm[:n_val], "val")
+    return dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
 
 
 def synthetic_blobs(classes: int, dim: int, per_class: int, spread: float,
@@ -158,7 +155,7 @@ def synthetic_blobs(classes: int, dim: int, per_class: int, spread: float,
     features = np.repeat(centers, per_class, axis=0)
     features = features + spread * gen.gaussian_matrix(classes * per_class, dim)
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
-    return Dataset(features, labels, classes, "synthetic")
+    return Dataset(features, labels, classes)
 
 
 def batches(dataset: Dataset, batch_size: int, epoch_seed: int):
@@ -172,24 +169,3 @@ def batches(dataset: Dataset, batch_size: int, epoch_seed: int):
     for start in range(0, dataset.size, batch_size):
         idx = perm[start : start + batch_size]
         yield dataset.features[idx], dataset.labels[idx]
-
-
-def save_dataset(path, dataset: Dataset) -> None:
-    save_arrays(
-        path,
-        {"features": dataset.features, "labels": dataset.labels.astype(np.float64)},
-        meta={"class_count": dataset.class_count, "tag": dataset.tag},
-    )
-
-
-def load_dataset(path) -> Dataset:
-    arrays, meta = load_arrays(path)
-    for key in ("features", "labels"):
-        if key not in arrays:
-            raise DataFormatError(f"{path}: container missing array {key!r}")
-    return Dataset(
-        arrays["features"],
-        arrays["labels"].astype(np.int64),
-        int(meta.get("class_count", 0)),
-        str(meta.get("tag", "full")),
-    )

@@ -100,6 +100,17 @@ def _core_vjp(ell, d, A, B, b, sigma, X, V):
     return dX, gA, gB, gb
 
 
+def _forward_one(self, x):
+    """``forward`` of every layer class: ``forward_batch`` on one sample."""
+    return self.forward_batch(np.asarray(x)[np.newaxis])[0]
+
+
+def _vjp_one(self, x, v):
+    """``vjp`` of every layer class: ``vjp_batch`` on one sample."""
+    dX, grads = self.vjp_batch(np.asarray(x)[np.newaxis], np.asarray(v)[np.newaxis])
+    return dX[0], grads
+
+
 # ---------------------------------------------------------------------------
 # layer families
 # ---------------------------------------------------------------------------
@@ -140,8 +151,7 @@ class CaseILayer:
     def width(self) -> int:
         return self.B.shape[0]
 
-    def forward(self, x):
-        return self.forward_batch(np.asarray(x)[np.newaxis])[0]
+    forward = _forward_one
 
     def forward_batch(self, X):
         return _core_forward(0.0, self.c, self.d, self.A, self.B, self.b, self.sigma, X)
@@ -154,9 +164,7 @@ class CaseILayer:
         _check_margin(self.kink_distance(x), margin)
         return _core_jacobian(0.0, self.d, self.A, self.B, self.b, self.sigma, x)
 
-    def vjp(self, x, v):
-        dX, grads = self.vjp_batch(np.asarray(x)[np.newaxis], np.asarray(v)[np.newaxis])
-        return dX[0], grads
+    vjp = _vjp_one
 
     def vjp_batch(self, X, V):
         dX, gA, gB, gb = _core_vjp(0.0, self.d, self.A, self.B, self.b, self.sigma, X, V)
@@ -211,8 +219,7 @@ class CaseIILayer:
     def width(self) -> int:
         return self.B.shape[0]
 
-    def forward(self, x):
-        return self.forward_batch(np.asarray(x)[np.newaxis])[0]
+    forward = _forward_one
 
     def forward_batch(self, X):
         return _core_forward(
@@ -227,9 +234,7 @@ class CaseIILayer:
         _check_margin(self.kink_distance(x), margin)
         return _core_jacobian(self.ell, self.d, self.B, self.B, self.b, self.sigma, x)
 
-    def vjp(self, x, v):
-        dX, grads = self.vjp_batch(np.asarray(x)[np.newaxis], np.asarray(v)[np.newaxis])
-        return dX[0], grads
+    vjp = _vjp_one
 
     def vjp_batch(self, X, V):
         dX, gA, gB, gb = _core_vjp(
@@ -287,8 +292,7 @@ class GatedLayer:
     def _signs(self, X):
         return _sign_pos(X @ self.gate)
 
-    def forward(self, x):
-        return self.forward_batch(np.asarray(x)[np.newaxis])[0]
+    forward = _forward_one
 
     def forward_batch(self, X):
         inner = _core_forward(1.0, 0.0, -2.0, self.B, self.B, self.b, self.sigma, X)
@@ -304,9 +308,7 @@ class GatedLayer:
         s = float(_sign_pos(np.asarray([self.gate @ x]))[0])
         return s * _core_jacobian(1.0, -2.0, self.B, self.B, self.b, self.sigma, x)
 
-    def vjp(self, x, v):
-        dX, grads = self.vjp_batch(np.asarray(x)[np.newaxis], np.asarray(v)[np.newaxis])
-        return dX[0], grads
+    vjp = _vjp_one
 
     def vjp_batch(self, X, V):
         scaled = self._signs(X)[:, np.newaxis] * V
@@ -352,8 +354,7 @@ class ComposedLayer:
     def width(self) -> int:
         return self.inner.width
 
-    def forward(self, x):
-        return self.forward_batch(np.asarray(x)[np.newaxis])[0]
+    forward = _forward_one
 
     def forward_batch(self, X):
         return self.inner.forward_batch(X) @ self.rotation.T
@@ -364,9 +365,7 @@ class ComposedLayer:
     def jacobian(self, x, margin: float = DEFAULT_MARGIN):
         return self.rotation @ self.inner.jacobian(x, margin)
 
-    def vjp(self, x, v):
-        dX, grads = self.vjp_batch(np.asarray(x)[np.newaxis], np.asarray(v)[np.newaxis])
-        return dX[0], grads
+    vjp = _vjp_one
 
     def vjp_batch(self, X, V):
         return self.inner.vjp_batch(X, V @ self.rotation)
@@ -418,7 +417,9 @@ class PartitionedLayer:
     Cells are cut by signed hyperplanes (sign(0) = +1); each reachable
     sign vector needs coefficients (or a declared default).  Strict mode
     enforces, per region, the case-i slope set when ell = 0 and the
-    case-ii slope set plus shared A = B when ell != 0.
+    case-ii slope set plus shared weights when ell != 0.  A and B are
+    shared when they are one array (``make_partitioned`` ties equal
+    arrays), and then train as one parameter.
     """
 
     A: np.ndarray
@@ -450,16 +451,16 @@ class PartitionedLayer:
         if self.strict:
             _require_orthogonal(self.A, "A")
             _require_orthogonal(self.B, "B")
-            shared = bool(np.max(np.abs(self.A - self.B), initial=0.0) <= SLOPE_TOL)
             for coeffs in coeff_list:
                 if coeffs.d == 0.0:
                     raise SlopeMismatchError("region needs d != 0", 0.0)
                 if coeffs.ell == 0.0:
                     allowed = (-1.0 / coeffs.d, 1.0 / coeffs.d)
                 else:
-                    if not shared:
+                    if not self.shared_weights:
                         raise MixedCaseError(
                             "regions with a skip term (ell != 0) require A = B"
+                            " (one shared array)"
                         )
                     allowed = (
                         (1.0 - coeffs.ell) / coeffs.d,
@@ -500,8 +501,7 @@ class PartitionedLayer:
         for key in sorted(seen):
             yield key, np.asarray(seen[key])
 
-    def forward(self, x):
-        return self.forward_batch(np.asarray(x)[np.newaxis])[0]
+    forward = _forward_one
 
     def forward_batch(self, X):
         out = np.empty_like(X)
@@ -525,9 +525,7 @@ class PartitionedLayer:
         co = self._coeffs(self.sign_vector(x))
         return _core_jacobian(co.ell, co.d, self.A, self.B, self.b, co.sigma, x)
 
-    def vjp(self, x, v):
-        dX, grads = self.vjp_batch(np.asarray(x)[np.newaxis], np.asarray(v)[np.newaxis])
-        return dX[0], grads
+    vjp = _vjp_one
 
     def vjp_batch(self, X, V):
         n = self.width
@@ -782,8 +780,7 @@ class LimitLayer:
     def _bias_pull(self) -> np.ndarray:
         return self.B.T @ self.b
 
-    def forward(self, x):
-        return self.forward_batch(np.asarray(x)[np.newaxis])[0]
+    forward = _forward_one
 
     def forward_batch(self, X):
         Z = X @ self.B.T + self.b
@@ -811,9 +808,7 @@ class LimitLayer:
         jac -= np.outer(self._bias_pull(), grad_m)
         return jac
 
-    def vjp(self, x, v):
-        dX, grads = self.vjp_batch(np.asarray(x)[np.newaxis], np.asarray(v)[np.newaxis])
-        return dX[0], grads
+    vjp = _vjp_one
 
     def vjp_batch(self, X, V):
         Z = X @ self.B.T + self.b

@@ -241,9 +241,13 @@ def svd_values(
     rotating ``n/2`` disjoint column pairs of the whole stack together; an
     odd ``n`` gets a zero column that no rotation touches.  A matrix stops
     when a sweep rotates nothing.  The stack is processed in blocks of
-    ``JACOBI_BLOCK`` matrices.  Raises ConvergenceError (naming the
-    matrix and carrying its worst relative off-diagonal) if a matrix still
-    rotates after ``max_sweeps`` sweeps.
+    ``JACOBI_BLOCK`` matrices.  Each matrix is scaled by the power of two
+    that brings its largest entry into [0.5, 1), and its values are scaled
+    back, so entries far outside the normal range (around 1e-160 or 1e200)
+    lose no accuracy; the scaling is exact, so it changes no value of a
+    matrix whose squared column norms were in range.  Raises
+    ConvergenceError (naming the matrix and carrying its worst relative
+    off-diagonal) if a matrix still rotates after ``max_sweeps`` sweeps.
     """
     single = np.ndim(m) == 2
     a = as_matrix(m)[np.newaxis] if single else _as_matrix_stack(m)
@@ -256,10 +260,15 @@ def svd_values(
     pad = cols % 2
     for start in range(0, count, JACOBI_BLOCK):
         block = a[start:start + JACOBI_BLOCK]
+        # an exact power of two brings each matrix's largest entry into
+        # [0.5, 1), so squared column norms neither underflow nor overflow
+        _, exp = np.frexp(np.max(np.abs(block), axis=(1, 2)))
         # the columns of each matrix become the rows of w, for contiguous dots
         w = np.zeros((len(block), cols + pad, rows))
-        w[:, :cols] = block.transpose(0, 2, 1)
+        np.ldexp(block.transpose(0, 2, 1), -exp[:, np.newaxis, np.newaxis],
+                 out=w[:, :cols])
         norms = _jacobi_block(w, tol, max_sweeps, start)
         # a pad column keeps norm 0, so after the descending sort it is last
-        values[start:start + len(block)] = np.sort(norms, axis=1)[:, ::-1][:, :cols]
+        values[start:start + len(block)] = np.ldexp(
+            np.sort(norms, axis=1)[:, ::-1][:, :cols], exp[:, np.newaxis])
     return values[0] if single else values

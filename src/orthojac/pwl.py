@@ -74,19 +74,6 @@ class PwlScalar:
             vals[1:] = self.anchor_value + np.cumsum(sl[1:-1] * np.diff(bp))
         object.__setattr__(self, "_bp_values", vals)
 
-    @property
-    def leftmost_slope(self) -> float:
-        return self.slopes[0]
-
-    @property
-    def slope_values(self) -> tuple[float, ...]:
-        """Distinct slopes in order of first appearance."""
-        seen: list[float] = []
-        for s in self.slopes:
-            if not any(abs(s - t) <= SLOPE_TOL for t in seen):
-                seen.append(s)
-        return tuple(seen)
-
     def _piece(self, x):
         return np.searchsorted(np.asarray(self.breakpoints), x, side="right")
 
@@ -175,34 +162,6 @@ def make_two_slope(
     first, second = (alpha, beta) if start_with_alpha else (beta, alpha)
     slopes = tuple(first if i % 2 == 0 else second for i in range(len(nodes) + 1))
     return PwlScalar(tuple(nodes), slopes, anchor_value)
-
-
-def make_three_slope(
-    slope_values: Sequence[float],
-    nodes: Sequence[float],
-    assignment: Sequence[float],
-    anchor_value: float = 0.0,
-) -> PwlScalar:
-    """Function over an up-to-three-value slope set with explicit assignment.
-
-    ``assignment`` gives the slope of each piece left to right and every
-    entry must match one of ``slope_values`` to within ``SLOPE_TOL``.
-    """
-    values = tuple(float(v) for v in slope_values)
-    if len(values) != 3:
-        raise DegenerateSlopesError(f"need exactly 3 slope values, got {len(values)}")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if abs(values[i] - values[j]) <= SLOPE_TOL:
-                raise DegenerateSlopesError(
-                    f"slope values {values[i]!r} and {values[j]!r} coincide"
-                )
-    for s in assignment:
-        if not any(abs(s - v) <= SLOPE_TOL for v in values):
-            raise InvalidAssignmentError(
-                f"assigned slope {s!r} is not in the slope set {values}"
-            )
-    return PwlScalar(tuple(nodes), tuple(float(s) for s in assignment), anchor_value)
 
 
 def slope_violation(

@@ -15,7 +15,6 @@ aside).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -45,6 +44,11 @@ from .rng import SplitMix64, derive_seed
 from .serial import load_arrays, save_arrays
 
 MAX_EPOCHS = 400
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# rows evaluated per forward pass
+EVAL_CHUNK = 1024
 METRICS_HEADER = "epoch,train_loss,train_acc,val_acc,lr,grad_ratio,ms_per_sample"
 
 MODEL_NAMES = (
@@ -119,16 +123,13 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
 class AdamState:
     """First/second moment accumulators, keyed like the param dict."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict, beta1=0.9, beta2=0.999, eps=1e-8):
-        state = cls(beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params: dict):
+        state = cls()
         for name, arr in params.items():
             state.m[name] = np.zeros_like(arr)
             state.v[name] = np.zeros_like(arr)
@@ -139,8 +140,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update, applied to the arrays in place."""
     state.step += 1
     t = state.step
-    scale1 = 1.0 - state.beta1**t
-    scale2 = 1.0 - state.beta2**t
+    scale1 = 1.0 - ADAM_BETA1**t
+    scale2 = 1.0 - ADAM_BETA2**t
     for name in sorted(params):
         g = grads[name]
         if g.shape != params[name].shape:
@@ -150,11 +151,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
             )
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        params[name] -= lr * (m / scale1) / (np.sqrt(v / scale2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        params[name] -= lr * (m / scale1) / (np.sqrt(v / scale2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,6 @@ class InputAdapter:
     kind: str
     raw_dim: int
     width: int
-    seed: int = 0
     matrix: np.ndarray | None = None
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -190,10 +190,6 @@ class InputAdapter:
             return out
         return X @ self.matrix.T
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "raw_dim": self.raw_dim,
-                "width": self.width, "seed": self.seed}
-
 
 def make_input_adapter(raw_dim: int, width: int, seed: int = 0) -> InputAdapter:
     if width == raw_dim:
@@ -201,7 +197,7 @@ def make_input_adapter(raw_dim: int, width: int, seed: int = 0) -> InputAdapter:
     if width > raw_dim:
         return InputAdapter("pad", raw_dim, width)
     matrix = random_orthogonal(raw_dim, derive_seed(seed, 0xAD))[:width]
-    return InputAdapter("project", raw_dim, width, seed, matrix)
+    return InputAdapter("project", raw_dim, width, matrix)
 
 
 class Network:
@@ -284,14 +280,14 @@ class Network:
         return grads, cot, cot_out
 
 
-def evaluate(network: Network, dataset: Dataset, chunk: int = 1024) -> float:
+def evaluate(network: Network, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions (ties go to the lowest class)."""
     if dataset.size == 0:
         raise DimensionError("cannot evaluate on an empty dataset")
     correct = 0
-    for start in range(0, dataset.size, chunk):
-        X = dataset.features[start : start + chunk]
-        y = dataset.labels[start : start + chunk]
+    for start in range(0, dataset.size, EVAL_CHUNK):
+        X = dataset.features[start : start + EVAL_CHUNK]
+        y = dataset.labels[start : start + EVAL_CHUNK]
         logits = network.forward_batch(X)
         correct += int(np.sum(np.argmax(logits, axis=1) == y))
     return correct / dataset.size
@@ -363,16 +359,12 @@ def make_network(model: str, width: int, depth: int, class_count: int,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    depth: int
     lr0: float
     total_epochs: int
     batch_size: int = 512
     alpha: float = 0.0
     patience: int = 10
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.lr0 <= 0:
@@ -387,8 +379,6 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.depth < 0:
-            raise ConfigError(f"depth must be >= 0, got {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -442,9 +432,6 @@ class Metrics:
             },
         }
 
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), sort_keys=True, indent=2) + "\n"
-
 
 def _batch_grad_ratio(cot_in: np.ndarray, cot_out: np.ndarray) -> float:
     """Mean per-sample ||input cotangent|| / ||output cotangent||."""
@@ -467,7 +454,7 @@ def train(network: Network, config: TrainConfig, train_set: Dataset,
     if train_set.size == 0 or val_set.size == 0:
         raise DimensionError("datasets must be non-empty")
     params = network.params()
-    state = AdamState.for_params(params, config.beta1, config.beta2, config.eps)
+    state = AdamState.for_params(params)
     batches_per_epoch = -(-train_set.size // config.batch_size)
     total_steps = config.total_epochs * batches_per_epoch
     global_step = 0

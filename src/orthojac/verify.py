@@ -9,7 +9,6 @@ exactly when J J^T is a projection).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -94,29 +93,20 @@ def gradient_norm_ratio(
     return float(np.sqrt(grad @ grad)) / v_norm
 
 
-def _opt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    return repr(float(value))
-
-
 @dataclass
 class VerifyReport:
     """Aggregated probe results with a declared pass criterion.
 
     ``probes`` counts inputs actually measured; margin rejections land
-    in ``skipped_near_kink``.  Singular-value fields are None when the
-    run skipped spectra, and ``bound_epsilon`` is None unless the pass
+    in ``skipped_near_kink``.  ``bound_epsilon`` is None unless the pass
     criterion is an interval around 1.
     """
 
     probes: int
     max_orth_defect: float
     max_partial_defect: float
-    sv_min: float | None
-    sv_max: float | None
+    sv_min: float
+    sv_max: float
     bound_epsilon: float | None
     passed: bool | None
     skipped_near_kink: int
@@ -127,37 +117,15 @@ class VerifyReport:
     width: int
     depth: int
 
-    CSV_HEADER = (
-        "probes,max_orth_defect,max_partial_defect,sv_min,sv_max,"
-        "bound_epsilon,pass,skipped_near_kink"
-    )
-
     def __post_init__(self):
-        if self.sv_min is not None and self.sv_max is not None:
-            if self.sv_min > self.sv_max:
-                raise DimensionError("sv_min exceeds sv_max")
+        if self.sv_min > self.sv_max:
+            raise DimensionError("sv_min exceeds sv_max")
 
     def to_json(self) -> dict:
         out = asdict(self)
         out["pass"] = out.pop("passed")
         return out
 
-    def json_dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    def csv_row(self) -> str:
-        return ",".join(
-            (
-                str(self.probes),
-                repr(float(self.max_orth_defect)),
-                repr(float(self.max_partial_defect)),
-                _opt(self.sv_min),
-                _opt(self.sv_max),
-                _opt(self.bound_epsilon),
-                _opt(self.passed),
-                str(self.skipped_near_kink),
-            )
-        )
 
 
 def _probe_jacobians(stack: list, n_probes: int, seed: int, input_scale: float,
@@ -199,39 +167,24 @@ def spectrum_probe(
     criterion: str = "orthogonal",
     tol: float = PASS_TOL,
     epsilon: float | None = None,
-    collect_values: bool = False,
-    compute_sv: bool = True,
-):
+) -> VerifyReport:
     """Probe Jacobian spectra of a layer or stack at Gaussian inputs.
 
     ``criterion`` decides the pass flag: "orthogonal" and "partial"
     compare the respective worst defect against ``tol``; "sv_interval"
     requires every singular value to lie in [1-epsilon-tol, 1+epsilon+tol];
-    "none" records measurements without judging them.
-
-    ``compute_sv=False`` skips singular values (sv fields become None),
-    which the defect-only criteria never read.  Otherwise the singular
+    "none" records measurements without judging them.  The singular
     values of every kept probe come from one ``svd_values`` call on the
     stack of their Jacobians.
-
-    Returns the VerifyReport; with ``collect_values=True`` returns
-    ``(report, list_of_sv_arrays)`` for downstream histograms.
     """
-    if criterion == "sv_interval" and not compute_sv:
-        raise DimensionError("sv_interval criterion needs compute_sv=True")
     stack = _as_stack(target)
     kept, jacs = _probe_jacobians(stack, n_probes, seed, input_scale, margin,
                                   stack_jacobian)
     max_orth = max(orthogonality_defect(jac) for jac in jacs)
     max_partial = max(partial_isometry_defect(jac) for jac in jacs)
-    sv_min = sv_max = None
-    values: list[np.ndarray] = []
-    if compute_sv:
-        sv = svd_values(jacs)
-        sv_min = float(np.min(sv[:, -1]))
-        sv_max = float(np.max(sv[:, 0]))
-        if collect_values:
-            values = list(sv)
+    sv = svd_values(jacs)
+    sv_min = float(np.min(sv[:, -1]))
+    sv_max = float(np.max(sv[:, 0]))
     if criterion == "orthogonal":
         passed = bool(max_orth <= tol)
     elif criterion == "partial":
@@ -244,7 +197,7 @@ def spectrum_probe(
         passed = None
     else:
         raise DimensionError(f"unknown criterion {criterion!r}")
-    report = VerifyReport(
+    return VerifyReport(
         probes=len(kept),
         max_orth_defect=max_orth,
         max_partial_defect=max_partial,
@@ -260,7 +213,6 @@ def spectrum_probe(
         width=stack[0].width,
         depth=len(stack),
     )
-    return (report, values) if collect_values else report
 
 
 def check_dynamical_isometry(
@@ -313,18 +265,6 @@ class _CellQuantizedField:
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         return self.base.eval_batch(self._snap(X))
 
-    def grad_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.zeros_like(X)
-
-    def kink_distance(self, x) -> float:
-        return np.inf
-
-    def params(self) -> dict:
-        return {}
-
-    def param_grads_batch(self, X, coeff) -> dict:
-        return {}
-
 
 @dataclass
 class DensityReport:
@@ -336,17 +276,6 @@ class DensityReport:
     seed: int
     measured_gap: float
     theoretical_bound: float
-
-    CSV_HEADER = "resolution,domain_radius,n_probes,seed,measured_gap,theoretical_bound"
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.resolution},{float(self.domain_radius)!r},{self.n_probes},"
-            f"{self.seed},{float(self.measured_gap)!r},{float(self.theoretical_bound)!r}"
-        )
 
 
 def density_gap(

@@ -366,13 +366,13 @@ def test_criterion8_fashion_mnist_trainability():
                     os.path.join(FASHION_ROOT, "train-labels-idx1-ubyte"))
     seed = 0
     perm = SplitMix64(derive_seed(seed, 0xDC)).permutation(full.size)
-    train_set = full.subset(perm[:10000], tag="train")
-    val_set = full.subset(perm[10000:12000], tag="val")
+    train_set = full.subset(perm[:10000])
+    val_set = full.subset(perm[10000:12000])
 
     def run(model: str, alpha: float):
         net = make_network(model, 64, 50, train_set.class_count,
                            train_set.dim, seed)
-        cfg = TrainConfig(depth=50, lr0=5e-5, total_epochs=60, batch_size=512,
+        cfg = TrainConfig(lr0=5e-5, total_epochs=60, batch_size=512,
                           alpha=alpha, patience=10, seed=seed)
         return train(net, cfg, train_set, val_set)
 

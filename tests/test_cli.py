@@ -15,6 +15,15 @@ LEAKY = {"breakpoints": [0.0], "slopes": [0.3, 1.0], "anchor_value": 0.0}
 SIGMA3 = {"breakpoints": [-1.0, 0.0, 1.0], "slopes": [1.0, -1.0, 1.0, -1.0],
           "anchor_value": 1.0}
 
+# artifact formats, pinned: verify_<name>.json and summary.json are written
+# with sorted keys
+VERIFY_KEYS = ("bound_epsilon", "config_sha256", "criterion", "depth", "kind",
+               "max_orth_defect", "max_partial_defect", "name", "pass", "probes",
+               "seed", "skipped_near_kink", "sv_max", "sv_min", "tol", "width")
+SUMMARY_KEYS = ("best_epoch", "best_val_acc", "config_sha256", "epochs_run",
+                "final_val_acc", "model", "stopped_early", "wall_clock",
+                "weight_defect_final", "weight_defect_initial", "weight_defect_max")
+
 
 def reflection_layer(n=8, seed=11, bias=0.1):
     return {"type": "case_ii", "n": n, "B": {"seed": seed}, "b": [bias] * n,
@@ -102,6 +111,8 @@ def test_verify_strict_layer_passes(tmp_path, capsys):
     assert code == 0
     assert "reflection: pass" in capsys.readouterr().out
     report = json.loads((out_dir / "verify_reflection.json").read_text())
+    assert tuple(report) == VERIFY_KEYS
+    assert report["kind"] == "CaseIILayer"
     assert report["pass"] is True
     assert report["max_orth_defect"] <= 1e-10
     assert report["probes"] == 200
@@ -126,6 +137,8 @@ def test_verify_isometry_criterion(tmp_path):
     code, out_dir = run(tmp_path, "verify", config)
     assert code == 0
     report = json.loads((out_dir / "verify_bump.json").read_text())
+    assert tuple(report) == VERIFY_KEYS
+    assert report["kind"] == "LimitLayer"
     assert report["criterion"] == "sv_interval"
     assert report["bound_epsilon"] is not None
     assert 1.0 - report["bound_epsilon"] <= report["sv_min"]
@@ -189,8 +202,10 @@ def test_spectrum_strict_stack_single_bin(tmp_path):
     assert lines[0].startswith("# config_sha256=")
     assert lines[1] == "probe,sv_min,sv_max"
     assert len(lines) == 102
-    hist = [line.split(",") for line
-            in (out_dir / "spectrum_histogram.csv").read_text().splitlines()[2:]]
+    hist_lines = (out_dir / "spectrum_histogram.csv").read_text().splitlines()
+    assert hist_lines[0] == lines[0]
+    assert hist_lines[1] == "bin_low,bin_high,count"
+    hist = [line.split(",") for line in hist_lines[2:]]
     assert len(hist) == 64
     nonzero = [(float(lo), float(hi), int(c)) for lo, hi, c in hist if int(c) > 0]
     assert len(nonzero) == 1
@@ -213,11 +228,12 @@ def test_spectrum_agrees_with_spectrum_probe(tmp_path):
     lines = (out_dir / "spectrum_probes.csv").read_text().splitlines()[2:]
     rows = [line.split(",") for line in lines]
     stack = [layer_from_json(spec) for spec in config["layers"]]
-    report, values = verify.spectrum_probe(stack, 60, seed=5, margin=0.02,
-                                           collect_values=True)
+    report = verify.spectrum_probe(stack, 60, seed=5, margin=0.02)
     assert 0 < report.skipped_near_kink < 60
+    kept, jacs = verify._probe_jacobians(stack, 60, 5, 1.0, 0.02,
+                                         verify.stack_jacobian)
+    values = linalg.svd_values(jacs)
     assert len(rows) == len(values) == report.probes
-    kept, _ = verify._probe_jacobians(stack, 60, 5, 1.0, 0.02, verify.stack_jacobian)
     assert [int(row[0]) for row in rows] == kept
     for (_, lo, hi), sv in zip(rows, values):
         assert (float(lo), float(hi)) == (sv.min(), sv.max())
@@ -235,8 +251,10 @@ def test_density_constant_fields_measure_zero(tmp_path):
     config = {"seed": 7, "probes": 50, "radius": 1.5, "layer": layer}
     code, out_dir = run(tmp_path, "density", config)
     assert code == 0
-    rows = [line.split(",") for line
-            in (out_dir / "density.csv").read_text().splitlines()[2:]]
+    lines = (out_dir / "density.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_sha256=")
+    assert lines[1] == "resolution,measured_gap,theoretical_bound"
+    rows = [line.split(",") for line in lines[2:]]
     assert [int(r[0]) for r in rows] == [2, 4, 8, 16]
     assert all(float(r[1]) == 0.0 for r in rows)
 
@@ -278,11 +296,14 @@ def test_train_blobs_smoke(tmp_path, capsys):
     assert code == 0
     assert "best_val_acc=" in capsys.readouterr().out
     summary = json.loads((out_dir / "summary.json").read_text())
+    assert tuple(summary) == SUMMARY_KEYS
+    assert tuple(summary["wall_clock"]) == ("ms_per_sample_mean",)
     assert summary["best_val_acc"] >= 0.95
     assert summary["model"] == "resnet_relu"
     lines = (out_dir / "metrics.csv").read_text().splitlines()
     assert lines[0].startswith("# config_sha256=")
-    assert lines[1] == METRICS_HEADER
+    assert lines[1] == METRICS_HEADER == (
+        "epoch,train_loss,train_acc,val_acc,lr,grad_ratio,ms_per_sample")
     assert (out_dir / "snapshot.bin").exists()
 
 
@@ -336,3 +357,4 @@ def test_train_unknown_data_kind_exits_2(tmp_path):
 
 def test_train_unknown_model_exits_2(tmp_path):
     assert run(tmp_path, "train", train_config(model="mystery"))[0] == 2
+

@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from orthojac.data import (
     Dataset,
     batches,
-    load_dataset,
     load_idx,
-    save_dataset,
     synthetic_blobs,
     train_val_split,
 )
@@ -182,11 +180,10 @@ def blob_fixture(n_per_class=25, seed=7):
     return synthetic_blobs(4, 8, n_per_class, 0.3, seed)
 
 
-def test_split_sizes_and_tags():
+def test_split_sizes_and_class_count():
     ds = blob_fixture()
     train, val = train_val_split(ds, 0.2, seed=3)
     assert (train.size, val.size) == (80, 20)
-    assert train.tag == "train" and val.tag == "val"
     assert train.class_count == val.class_count == 4
 
 
@@ -343,18 +340,6 @@ def test_batches_cover_property(n, batch_size, seed):
 # ---------------------------------------------------------------------------
 # dataset container round-trip
 # ---------------------------------------------------------------------------
-
-
-def test_dataset_save_load_roundtrip(tmp_path):
-    ds = blob_fixture()
-    path = tmp_path / "blobs.bin"
-    save_dataset(path, ds)
-    back = load_dataset(path)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
-    assert back.class_count == ds.class_count
-    assert back.tag == ds.tag
-    assert back.labels.dtype == np.int64
 
 
 def test_container_byte_identical():

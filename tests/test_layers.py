@@ -382,6 +382,22 @@ def test_partitioned_mixed_case_requires_shared_weights():
     ly.make_partitioned(orth(2), orth(2), np.zeros(N), [], regions)
 
 
+def test_partitioned_nearly_equal_weights_are_not_shared():
+    # A within 1e-13 of B is still a second array that would train apart from
+    # B, so strict mode rejects a skip-term region on it
+    B = random_orthogonal(4, 1)
+    A = B + 1e-13
+    regions = {(): ly.RegionCoeffs(1.0, 0.0, -2.0, RELU)}
+    with pytest.raises(MixedCaseError):
+        ly.make_partitioned(A, B, np.zeros(4), [], regions)
+    loose = ly.make_partitioned(A, B, np.zeros(4), [], regions, strict=False)
+    assert sorted(loose.params()) == ["A", "B", "b"]
+    # an exactly equal copy is tied to B and trains as one parameter
+    tied = ly.make_partitioned(B.copy(), B, np.zeros(4), [], regions)
+    assert tied.A is tied.B
+    assert sorted(tied.params()) == ["B", "b"]
+
+
 def test_partitioned_missing_region():
     gate = np.zeros(N)
     gate[0] = 1.0

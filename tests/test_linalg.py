@@ -149,6 +149,24 @@ def test_svd_values_stack_longer_than_a_block():
                                             for _ in range(count)]))
 
 
+def test_svd_values_entries_far_outside_the_normal_range():
+    # unscaled, squared column norms go subnormal near 1e-160 and overflow
+    # near 1e200
+    gen = SplitMix64(34)
+    for m in (np.array([[1.0, 2.0], [3.0, 4.0]]), gen.gaussian_matrix(6, 4)):
+        for scale in (1e-160, 1e200):
+            got = linalg.svd_values(scale * m)
+            ref = np.linalg.svd(scale * m, compute_uv=False)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12
+    # a power-of-two scale passes through exactly, alone or in a stack
+    m = gen.gaussian_matrix(5, 5)
+    values = linalg.svd_values(np.stack([m, np.ldexp(m, -600), np.ldexp(m, 600)]))
+    assert np.array_equal(values[0], linalg.svd_values(m))
+    assert np.array_equal(values[1], np.ldexp(values[0], -600))
+    assert np.array_equal(values[2], np.ldexp(values[0], 600))
+
+
 def test_svd_values_empty_and_bad_stacks():
     assert linalg.svd_values(np.zeros((0, 3, 3))).shape == (0, 3)
     assert linalg.svd_values(np.zeros((2, 4, 0))).shape == (2, 0)

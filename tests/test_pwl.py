@@ -12,7 +12,6 @@ from orthojac.pwl import (
     PwlScalar,
     make_relu_k,
     make_sigma_k,
-    make_three_slope,
     make_two_slope,
     slope_violation,
 )
@@ -109,19 +108,6 @@ def test_constructor_rejections():
         PwlScalar((0.0, 1.0), (1.0, 1.0, 0.0), 0.0)  # flat kink
 
 
-def test_three_slope_validation():
-    f = make_three_slope([-1.0, 0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0, 1.0])
-    assert f(-2.0) == pytest.approx(1.0)
-    assert f(0.5) == pytest.approx(0.0)
-    assert f(2.0) == pytest.approx(1.0)
-    with pytest.raises(InvalidAssignmentError):
-        make_three_slope([-1.0, 0.0, 1.0], [-1.0, 1.0], [-1.0, 0.5, 1.0])
-    with pytest.raises(DegenerateSlopesError):
-        make_three_slope([-1.0, 0.0, 0.0], [-1.0, 1.0], [-1.0, 0.0, -1.0])
-    with pytest.raises(DegenerateSlopesError):
-        make_three_slope([0.0, 1.0], [0.0], [0.0, 1.0])
-
-
 def test_scale():
     f = make_relu_k([0.0]).scale(2.0)
     assert f(3.0) == 6.0 and f(-3.0) == 0.0
@@ -140,12 +126,6 @@ def test_slope_violation_helper():
     f = make_two_slope(0.3, 1.0, [0.0])
     assert slope_violation(f, [0.0, 1.0]) == 0.3
     assert slope_violation(f, [0.3, 1.0]) is None
-
-
-def test_slope_values_and_leftmost():
-    f = make_relu_k([-1.0, 0.0, 1.5])
-    assert f.slope_values == (0.0, 1.0)
-    assert f.leftmost_slope == 0.0
 
 
 @settings(max_examples=50, deadline=None)

@@ -355,7 +355,7 @@ def blobs_split(classes=2, dim=8, per_class=100, spread=0.1, seed=5):
 
 
 def test_config_validation():
-    good = dict(depth=1, lr0=0.1, total_epochs=5)
+    good = dict(lr0=0.1, total_epochs=5)
     TrainConfig(**good)
     with pytest.raises(ConfigError):
         TrainConfig(**{**good, "lr0": 0.0})
@@ -369,14 +369,12 @@ def test_config_validation():
         TrainConfig(**{**good, "patience": 0})
     with pytest.raises(ConfigError):
         TrainConfig(**{**good, "alpha": -0.1})
-    with pytest.raises(ConfigError):
-        TrainConfig(**{**good, "depth": -1})
 
 
 def test_head_only_learns_separable_blobs():
     train_set, val_set = blobs_split()
     net = make_network("resnet_relu", 8, 0, 2, 8, seed=7)
-    cfg = TrainConfig(depth=0, lr0=0.05, total_epochs=20, batch_size=32, seed=8)
+    cfg = TrainConfig(lr0=0.05, total_epochs=20, batch_size=32, seed=8)
     metrics = train(net, cfg, train_set, val_set)
     assert metrics.best_val_acc >= 0.99
 
@@ -386,7 +384,7 @@ def test_training_deterministic():
 
     def run():
         net = make_network("resnet_relu", 8, 3, 3, 8, seed=13)
-        cfg = TrainConfig(depth=3, lr0=0.01, total_epochs=4, batch_size=64,
+        cfg = TrainConfig(lr0=0.01, total_epochs=4, batch_size=64,
                           seed=14, alpha=0.001)
         return train(net, cfg, train_set, val_set)
 
@@ -401,7 +399,7 @@ def test_training_deterministic():
 def test_early_stopping_and_best_restore():
     train_set, val_set = blobs_split(per_class=60, seed=17)
     net = make_network("resnet_relu", 8, 1, 2, 8, seed=18)
-    cfg = TrainConfig(depth=1, lr0=0.05, total_epochs=200, batch_size=32,
+    cfg = TrainConfig(lr0=0.05, total_epochs=200, batch_size=32,
                       seed=19, patience=5)
     metrics = train(net, cfg, train_set, val_set)
     assert metrics.stopped_early
@@ -419,7 +417,7 @@ def test_early_stopping_and_best_restore():
 def test_divergence_raises_with_location():
     train_set, val_set = blobs_split(seed=23)
     net = make_network("resnet_AB_baseline", 8, 30, 2, 8, seed=24)
-    cfg = TrainConfig(depth=30, lr0=1e6, total_epochs=3, batch_size=32, seed=25)
+    cfg = TrainConfig(lr0=1e6, total_epochs=3, batch_size=32, seed=25)
     with pytest.raises(TrainingDivergedError) as err:
         train(net, cfg, train_set, val_set)
     assert err.value.epoch >= 1
@@ -431,7 +429,7 @@ def test_regularizer_slows_orthogonality_drift():
         ds = synthetic_blobs(3, 8, 80, 0.1, seed=27)
         train_set, val_set = train_val_split(ds, 0.2, seed=28)
         net = make_network("resnet_relu", 8, 3, 3, 8, seed=28)
-        cfg = TrainConfig(depth=3, lr0=1e-3, total_epochs=12, batch_size=32,
+        cfg = TrainConfig(lr0=1e-3, total_epochs=12, batch_size=32,
                           seed=29, alpha=alpha)
         return train(net, cfg, train_set, val_set)
 
@@ -444,7 +442,7 @@ def test_regularizer_slows_orthogonality_drift():
 def test_metrics_csv_shape():
     train_set, val_set = blobs_split(seed=31)
     net = make_network("ff_sigma1", 8, 1, 2, 8, seed=32)
-    cfg = TrainConfig(depth=1, lr0=0.01, total_epochs=3, batch_size=64, seed=33)
+    cfg = TrainConfig(lr0=0.01, total_epochs=3, batch_size=64, seed=33)
     metrics = train(net, cfg, train_set, val_set)
     lines = metrics.to_csv().splitlines()
     assert lines[0] == METRICS_HEADER
@@ -452,14 +450,13 @@ def test_metrics_csv_shape():
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[4]) == pytest.approx(0.01)  # first-epoch lr is lr0
-    blob = metrics.summary_json()
-    assert '"best_epoch"' in blob
+    assert metrics.summary()["best_epoch"] == metrics.best_epoch
 
 
 def test_single_batch_epoch_grad_ratio_at_init():
     train_set, val_set = blobs_split(classes=4, dim=8, per_class=40, seed=35)
     net = make_network("resnet_relu3", 16, 25, 4, 8, seed=36)
-    cfg = TrainConfig(depth=25, lr0=1e-5, total_epochs=1, batch_size=1024,
+    cfg = TrainConfig(lr0=1e-5, total_epochs=1, batch_size=1024,
                       seed=37)
     metrics = train(net, cfg, train_set, val_set)
     assert abs(metrics.rows[0].grad_ratio - 1.0) <= 1e-8
@@ -470,7 +467,7 @@ def test_train_rejects_empty_dataset():
     net = make_network("resnet_relu", 8, 1, 2, 8, seed=38)
     empty = Dataset(np.zeros((0, 8)), np.zeros(0, np.int64), 2)
     full = synthetic_blobs(2, 8, 5, 0.1, 39)
-    cfg = TrainConfig(depth=1, lr0=0.01, total_epochs=1)
+    cfg = TrainConfig(lr0=0.01, total_epochs=1)
     with pytest.raises(DimensionError):
         train(net, cfg, empty, full)
     with pytest.raises(DimensionError):
