@@ -134,6 +134,10 @@ def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
             raise ConfigError(
                 f"layer entry {name!r}: criterion must be one of {CRITERIA}"
             )
+        if criterion == "sv_interval" and opts["epsilon"] is None:
+            raise ConfigError(
+                f"layer entry {name!r}: sv_interval criterion needs epsilon"
+            )
         layer = layer_from_json(entry["layer"])
         probes = _positive_int(opts["probes"], f"{name}.probes")
 

@@ -28,7 +28,6 @@ from .errors import (
     TrainingDivergedError,
 )
 from .layers import (
-    CaseILayer,
     ConstantField,
     GaussianBumpField,
     make_case_i,
@@ -336,8 +335,8 @@ def _make_layer(model: str, width: int, seed: int):
     if model == "gaussian_ff_baseline":
         W = SplitMix64(derive_seed(seed, 3)).gaussian_matrix(width, width)
         W /= np.sqrt(width)
-        return CaseILayer(np.eye(width), W, b, c=0.0, d=1.0, sigma=_relu(),
-                          strict=False)
+        return make_case_i(np.eye(width), W, b, c=0.0, d=1.0, sigma=_relu(),
+                           strict=False)
     raise ConfigError(f"unknown model {model!r} (choose from {', '.join(MODEL_NAMES)})")
 
 

@@ -177,6 +177,10 @@ def spectrum_probe(
     values of every kept probe come from one ``svd_values`` call on the
     stack of their Jacobians.
     """
+    if criterion not in ("orthogonal", "partial", "sv_interval", "none"):
+        raise DimensionError(f"unknown criterion {criterion!r}")
+    if criterion == "sv_interval" and epsilon is None:
+        raise DimensionError("sv_interval criterion needs epsilon")
     stack = _as_stack(target)
     kept, jacs = _probe_jacobians(stack, n_probes, seed, input_scale, margin,
                                   stack_jacobian)
@@ -190,13 +194,9 @@ def spectrum_probe(
     elif criterion == "partial":
         passed = bool(max_partial <= tol)
     elif criterion == "sv_interval":
-        if epsilon is None:
-            raise DimensionError("sv_interval criterion needs epsilon")
         passed = bool(sv_min >= 1.0 - epsilon - tol and sv_max <= 1.0 + epsilon + tol)
-    elif criterion == "none":
-        passed = None
     else:
-        raise DimensionError(f"unknown criterion {criterion!r}")
+        passed = None
     return VerifyReport(
         probes=len(kept),
         max_orth_defect=max_orth,
@@ -209,7 +209,7 @@ def spectrum_probe(
         criterion=criterion,
         tol=tol,
         seed=seed,
-        kind=type(stack[0]).__name__ if len(stack) == 1 else "stack",
+        kind=stack[0].kind if len(stack) == 1 else "stack",
         width=stack[0].width,
         depth=len(stack),
     )

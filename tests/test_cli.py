@@ -5,13 +5,14 @@ import json
 
 import pytest
 
-from orthojac import linalg, verify
+from orthojac import cli, linalg, verify
 from orthojac.cli import main
 from orthojac.layers import layer_from_json
 from orthojac.train import METRICS_HEADER
 
 RELU = {"breakpoints": [0.0], "slopes": [0.0, 1.0], "anchor_value": 0.0}
 LEAKY = {"breakpoints": [0.0], "slopes": [0.3, 1.0], "anchor_value": 0.0}
+ABS = {"breakpoints": [0.0], "slopes": [-1.0, 1.0], "anchor_value": 0.0}
 SIGMA3 = {"breakpoints": [-1.0, 0.0, 1.0], "slopes": [1.0, -1.0, 1.0, -1.0],
           "anchor_value": 1.0}
 
@@ -182,6 +183,51 @@ def test_verify_svd_convergence_failure_exits_1(tmp_path, capsys, monkeypatch):
     code, _ = run(tmp_path, "verify", config)
     assert code == 1
     assert "did not converge in 1 sweeps" in capsys.readouterr().err
+
+
+def test_verify_sv_interval_without_epsilon_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("the entry was built or probed before it was checked")
+
+    monkeypatch.setattr(cli, "layer_from_json", never)
+    monkeypatch.setattr(verify, "stack_jacobian", never)
+    config = {"probes": 50, "layers": [{"name": "leaky", "layer": reflection_layer(),
+                                        "criterion": "sv_interval"}]}
+    code, _ = run(tmp_path, "verify", config)
+    assert code == 2
+    assert "sv_interval criterion needs epsilon" in capsys.readouterr().err
+
+
+def test_verify_report_kind_of_every_family(tmp_path):
+    n = 8
+    b = [0.1] * n
+    skip = {"ell": 1.0, "c": 0.0, "d": -2.0, "sigma": RELU}
+    layers = {
+        "case_i": {"type": "case_i", "n": n, "A": {"seed": 1}, "B": {"seed": 2},
+                   "b": b, "c": 0.0, "d": 1.0, "sigma": ABS},
+        "case_ii": reflection_layer(),
+        "gated": {"type": "gated", "n": n, "B": {"seed": 3}, "b": b,
+                  "gate": [1.0] + [0.5] * (n - 1), "sigma": RELU},
+        "composed": {"type": "composed", "n": n, "rotation": {"seed": 4},
+                     "inner": reflection_layer()},
+        "partitioned": {"type": "partitioned", "n": n, "A": {"seed": 5},
+                        "B": {"seed": 5}, "b": b,
+                        "hyperplanes": [{"normal": [1.0] * n, "offset": 0.0}],
+                        "regions": [dict(skip, signs=[1]),
+                                    {"signs": [-1], "ell": 0.0, "c": 0.0, "d": 1.0,
+                                     "sigma": ABS}]},
+        "limit": bump_limit(),
+    }
+    entries = [{"name": name, "layer": layer} for name, layer in layers.items()]
+    entries[-1]["criterion"] = "isometry"
+    code, out_dir = run(tmp_path, "verify", {"seed": 2, "probes": 8, "layers": entries})
+    assert code == 0
+    kinds = {name: json.loads((out_dir / f"verify_{name}.json").read_text())["kind"]
+             for name in layers}
+    assert kinds == {"case_i": "CaseILayer", "case_ii": "CaseIILayer",
+                     "gated": "GatedLayer", "composed": "ComposedLayer",
+                     "partitioned": "PartitionedLayer", "limit": "LimitLayer"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -529,3 +531,133 @@ def test_layer_from_json_seeded_weights():
     }
     layer = ly.layer_from_json(spec)
     assert np.array_equal(layer.B, random_orthogonal(6, 19))
+
+
+def test_layer_from_json_builds_each_seed_once(monkeypatch):
+    calls = []
+
+    def counted(n, seed):
+        calls.append(seed)
+        return random_orthogonal(n, seed)
+
+    monkeypatch.setattr(ly, "random_orthogonal", counted)
+    regions = [{"signs": [], "ell": 1.0, "c": 0.0, "d": -2.0, "sigma": RELU.to_json()}]
+    part = ly.layer_from_json({"type": "partitioned", "n": 6, "A": {"seed": 7},
+                               "B": {"seed": 7}, "regions": regions})
+    assert calls == [7]
+    assert part.A is part.B
+    assert sorted(part.params()) == ["B", "b"]
+    # case-i trains A and B apart even when one seed gives both
+    calls.clear()
+    case_i = ly.layer_from_json({"type": "case_i", "n": 6, "A": {"seed": 7},
+                                 "B": {"seed": 7}, "d": 1.0, "sigma": ABS.to_json()})
+    assert calls == [7]
+    assert case_i.A is not case_i.B
+    assert np.array_equal(case_i.A, case_i.B)
+    assert sorted(case_i.params()) == ["A", "B", "b"]
+    calls.clear()
+    ly.layer_from_json({"type": "case_i", "n": 6, "A": {"seed": 7}, "B": {"seed": 8},
+                        "d": 1.0, "sigma": ABS.to_json()})
+    assert calls == [7, 8]
+
+
+def explicit_specs(n=4):
+    """An explicit-weight spec of each region-affine family, keys in order."""
+    A, B = orth(1, n).tolist(), orth(2, n).tolist()
+    b = bias(3, n).tolist()
+    gate = SplitMix64(11).gaussian(n).tolist()
+    return {
+        "case_i": {"type": "case_i", "n": n, "A": A, "B": B, "b": b, "c": 0.5,
+                   "d": 1.0, "sigma": ABS.to_json(), "strict": True},
+        "case_ii": {"type": "case_ii", "n": n, "B": B, "b": b, "ell": 1.0, "c": 0.0,
+                    "d": -2.0, "sigma": RELU3.to_json(), "strict": True},
+        "gated": {"type": "gated", "n": n, "B": B, "b": b, "gate": gate,
+                  "sigma": RELU.to_json(), "strict": False},
+        "partitioned": {
+            "type": "partitioned", "n": n, "A": B, "B": B, "b": b,
+            "hyperplanes": [{"normal": gate, "offset": 0.25}],
+            "regions": [
+                {"signs": [-1], "ell": 0.0, "c": 1.0, "d": 1.0, "sigma": ABS.to_json()},
+                {"signs": [1], "ell": 1.0, "c": 0.0, "d": -2.0,
+                 "sigma": RELU.to_json()},
+            ],
+            "default": None,
+            "strict": True,
+        },
+    }
+
+
+@pytest.mark.parametrize("family", ["case_i", "case_ii", "gated", "partitioned"])
+def test_to_json_gives_back_the_explicit_spec(family):
+    spec = explicit_specs()[family]
+    back = ly.layer_from_json(spec).to_json()
+    assert back == spec
+    assert list(back) == list(spec)
+
+
+def test_families_are_region_affine_layers():
+    fams = every_family()
+    for name in ("case_i_abs", "case_ii_relu", "gated", "partitioned"):
+        assert isinstance(fams[name], ly.PartitionedLayer)
+    assert ly.CaseILayer is ly.CaseIILayer is ly.GatedLayer is ly.PartitionedLayer
+    kinds = {name: layer.kind for name, layer in fams.items()}
+    assert kinds == {
+        "case_i_abs": "CaseILayer", "case_i_sigma3": "CaseILayer",
+        "case_ii_relu": "CaseIILayer", "case_ii_relu3": "CaseIILayer",
+        "gated": "GatedLayer", "composed": "ComposedLayer",
+        "partitioned": "PartitionedLayer", "limit": "LimitLayer",
+    }
+
+
+def three_plane_layer(default=True, missing=()):
+    """A strict shared-weight layer on 3 hyperplanes; cells in ``missing`` are
+    left undeclared, and the rest come from ``default`` when it is set."""
+    normals = SplitMix64(21).gaussian_matrix(3, N)
+    planes = list(zip(normals, (0.0, 0.3, -0.2)))
+    declared = {
+        (1, 1, 1): ly.RegionCoeffs(1.0, 0.0, -2.0, RELU),
+        (-1, 1, -1): ly.RegionCoeffs(0.0, 0.5, 1.0, ABS),
+        (1, -1, 1): ly.RegionCoeffs(-1.0, 0.0, 2.0, RELU),
+    }
+    if not default:
+        for key in itertools.product((-1, 1), repeat=3):
+            declared.setdefault(key, ly.RegionCoeffs(0.0, -0.5, -1.0, ABS))
+    regions = {k: co for k, co in declared.items() if k not in missing}
+    fallback = ly.RegionCoeffs(1.0, 0.1, -2.0, RELU3) if default else None
+    B = orth(2)
+    return ly.make_partitioned(B, B, bias(3), planes, regions, default=fallback)
+
+
+def test_grouped_rows_match_single_samples():
+    layer = three_plane_layer()
+    X = SplitMix64(22).gaussian_matrix(64, N)
+    V = SplitMix64(23).gaussian_matrix(64, N)
+    keys = {layer.sign_vector(x) for x in X}
+    assert len(keys) >= 4 and keys - set(layer.regions)  # some rows use the default
+    out = layer.forward_batch(X)
+    dX, grads = layer.vjp_batch(X, V)
+    summed = {name: np.zeros_like(g) for name, g in grads.items()}
+    for i in range(len(X)):
+        assert np.max(np.abs(out[i] - layer.forward(X[i]))) <= 1e-12
+        dx, row_grads = layer.vjp(X[i], V[i])
+        assert np.max(np.abs(dX[i] - dx)) <= 1e-12
+        for name, g in row_grads.items():
+            summed[name] += g
+    assert sorted(grads) == ["B", "b"]
+    for name, g in grads.items():
+        assert np.max(np.abs(g - summed[name])) <= 1e-12, name
+
+
+def test_grouped_rows_name_the_undeclared_cell():
+    probe = three_plane_layer()
+    X = SplitMix64(22).gaussian_matrix(64, N)
+    hole = probe.sign_vector(X[5])
+    layer = three_plane_layer(default=False, missing=(hole,))
+    assert len({layer.sign_vector(x) for x in X}) >= 4
+    for call in (lambda: layer.forward_batch(X), lambda: layer.vjp_batch(X, X)):
+        with pytest.raises(MissingRegionError) as exc:
+            call()
+        assert exc.value.sign_vector == hole
+    # a batch that avoids the hole goes through
+    rows = [i for i, x in enumerate(X) if layer.sign_vector(x) != hole]
+    assert layer.forward_batch(X[rows]).shape == (len(rows), N)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthojac import verify
 from orthojac.errors import (
     DimensionError,
     NearKinkError,
@@ -229,6 +230,18 @@ def test_spectrum_probe_sv_interval_requires_epsilon():
     with pytest.raises(DimensionError):
         spectrum_probe(layer, 10, seed=44, criterion="sv_interval")
     with pytest.raises(DimensionError):
+        spectrum_probe(layer, 10, seed=44, criterion="bogus")
+
+
+def test_spectrum_probe_checks_criterion_before_probing(monkeypatch):
+    def never(*args):
+        raise AssertionError("a probe ran before the criterion was checked")
+
+    monkeypatch.setattr(verify, "stack_jacobian", never)
+    layer = strict_case_ii(8, 43)
+    with pytest.raises(DimensionError, match="needs epsilon"):
+        spectrum_probe(layer, 10, seed=44, criterion="sv_interval")
+    with pytest.raises(DimensionError, match="unknown criterion"):
         spectrum_probe(layer, 10, seed=44, criterion="bogus")
 
 
