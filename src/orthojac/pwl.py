@@ -4,7 +4,8 @@ A function is stored as its strictly increasing breakpoints, one slope per
 piece (``len(breakpoints) + 1`` pieces), and the value at the first
 breakpoint.  Values anywhere follow by integrating the slopes, so
 continuity holds by construction.  Derivatives at breakpoints take the
-right-hand slope.
+right-hand slope, and NaN takes the rightmost slope (the piece
+``searchsorted(..., side="right")`` gives it).
 """
 
 from __future__ import annotations
@@ -80,11 +81,17 @@ class PwlScalar:
     def value(self, x):
         """Evaluate at a scalar or array ``x``."""
         x = np.asarray(x, dtype=np.float64)
-        p = self._piece(x)
-        base = np.maximum(p - 1, 0)
-        bp = np.asarray(self.breakpoints)
-        sl = np.asarray(self.slopes)
-        out = self._bp_values[base] + sl[p] * (x - bp[base])
+        if len(self.breakpoints) == 1:
+            # one comparison picks the piece; the arithmetic below is the
+            # general formula's with base 0, so the bits are the same
+            t = self.breakpoints[0]
+            out = self.anchor_value + np.where(x < t, *self.slopes) * (x - t)
+        else:
+            p = self._piece(x)
+            base = np.maximum(p - 1, 0)
+            bp = np.asarray(self.breakpoints)
+            sl = np.asarray(self.slopes)
+            out = self._bp_values[base] + sl[p] * (x - bp[base])
         return float(out) if out.ndim == 0 else out
 
     __call__ = value
@@ -92,7 +99,10 @@ class PwlScalar:
     def deriv(self, x):
         """Right-hand derivative at a scalar or array ``x``."""
         x = np.asarray(x, dtype=np.float64)
-        out = np.asarray(self.slopes)[self._piece(x)]
+        if len(self.breakpoints) == 1:
+            out = np.where(x < self.breakpoints[0], *self.slopes)
+        else:
+            out = np.asarray(self.slopes)[self._piece(x)]
         return float(out) if out.ndim == 0 else out
 
     def distance_to_breakpoint(self, x):

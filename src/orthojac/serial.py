@@ -2,13 +2,16 @@
 
 Layout: a 4-byte little-endian header length, a compact JSON header
 listing array names and shapes (sorted by name), then each array's
-C-order float64 little-endian payload in header order.  Writing the
-same mapping twice produces byte-identical files.
+C-order float64 little-endian payload in header order, and nothing
+after it.  Writing the same mapping twice produces byte-identical files;
+reading anything else (another version, a malformed entry, a repeated
+name, a short or overlong payload) raises ``DataFormatError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -48,24 +51,39 @@ def parse_arrays(raw: bytes):
         header = json.loads(raw[4 : 4 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"bad JSON header at byte offset 4: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataFormatError("header at byte offset 4 is not a JSON object")
     if header.get("format") != FORMAT_NAME:
         raise DataFormatError(f"unknown container format {header.get('format')!r} at byte offset 4")
+    if header.get("version") != FORMAT_VERSION:
+        raise DataFormatError(f"unknown container version {header.get('version')!r} at byte offset 4")
+    entries = header.get("arrays", [])
+    if not isinstance(entries, list):
+        raise DataFormatError("header 'arrays' at byte offset 4 is not a list")
     arrays = {}
     offset = 4 + header_len
-    for entry in header.get("arrays", ()):
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str) \
+                or not isinstance(entry.get("shape"), list):
+            raise DataFormatError(f"header array entry {i} needs a string 'name' and a list 'shape'")
+        name, shape = entry["name"], tuple(entry["shape"])
+        if not all(type(s) is int and s >= 0 for s in shape):
+            raise DataFormatError(f"array {name!r} has invalid shape {list(shape)}")
+        if name in arrays:
+            raise DataFormatError(f"duplicate array name {name!r} in header")
+        nbytes = math.prod(shape) * 8
         chunk = raw[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise DataFormatError(
-                f"truncated payload for array {entry['name']!r} at byte offset {offset}"
+                f"truncated payload for array {name!r} at byte offset {offset}"
                 f" (expected {nbytes} bytes, found {len(chunk)})"
             )
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").astype(
-            np.float64
-        ).reshape(shape)
+        arrays[name] = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
         offset += nbytes
+    if offset != len(raw):
+        raise DataFormatError(
+            f"{len(raw) - offset} trailing bytes after the last array at byte offset {offset}"
+        )
     return arrays, header.get("meta", {})
 
 

@@ -153,8 +153,18 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        params[name] -= lr * (m / scale1) / (np.sqrt(v / scale2) + ADAM_EPS)
+        tmp = g * g
+        tmp *= 1.0 - ADAM_BETA2
+        v += tmp
+        # lr * (m / scale1) / (sqrt(v / scale2) + eps) in that operation
+        # order, in two buffers
+        step = m / scale1
+        step *= lr
+        np.divide(v, scale2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step /= tmp
+        params[name] -= step
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +267,11 @@ class Network:
         return logits, cur, inputs
 
     def forward_batch(self, X_raw: np.ndarray) -> np.ndarray:
-        return self.forward_cache(X_raw)[0]
+        """Logits only: the forward pass without keeping layer inputs."""
+        cur = self.adapter.apply(np.asarray(X_raw, dtype=np.float64))
+        for layer in self.layers:
+            cur = layer.forward_batch(cur)
+        return cur @ self.head_w.T + self.head_b
 
     def backward_batch(self, inputs: list, stack_out: np.ndarray,
                        dlogits: np.ndarray):
@@ -548,5 +562,10 @@ def load_snapshot(path, network: Network) -> dict:
                 f"snapshot array {name!r} has shape {arr.shape}, expected"
                 f" {params[name].shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise DataFormatError(f"snapshot array {name!r} has non-finite entries")
+    # every array is checked before any is written, so a rejected
+    # snapshot leaves the network as it was
+    for name, arr in arrays.items():
         params[name][...] = arr
     return meta

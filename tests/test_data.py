@@ -371,3 +371,62 @@ def test_container_rejects_bad_header():
     blob = len(wrong).to_bytes(4, "little") + wrong
     with pytest.raises(DataFormatError, match="unknown container format"):
         parse_arrays(blob)
+
+
+def container(header, payload=b""):
+    """A container with a hand-written header and payload."""
+    blob = json.dumps(header).encode()
+    return len(blob).to_bytes(4, "little") + blob + payload
+
+
+def entry(name="x", shape=(2,)):
+    return {"name": name, "shape": list(shape)}
+
+
+def header_of(*entries, **fields):
+    return {"format": "orthojac-arrays", "version": 1, "arrays": list(entries), **fields}
+
+
+@pytest.mark.parametrize("header", [[], "x", 3, None])
+def test_container_rejects_a_header_that_is_not_an_object(header):
+    with pytest.raises(DataFormatError, match="not a JSON object"):
+        parse_arrays(container(header))
+
+
+@pytest.mark.parametrize("bad", [{"shape": [2]}, {"name": "x"}, "x", {"name": 3, "shape": [2]}])
+def test_container_rejects_an_entry_without_name_or_shape(bad):
+    with pytest.raises(DataFormatError, match="entry 0 needs"):
+        parse_arrays(container(header_of(bad), bytes(16)))
+
+
+@pytest.mark.parametrize("shape", [(-1,), (2, -1), (2.0,), (1.5,), ("2",), (True,)])
+def test_container_rejects_negative_or_non_integer_dimensions(shape):
+    with pytest.raises(DataFormatError, match="invalid shape"):
+        parse_arrays(container(header_of(entry(shape=shape)), bytes(16)))
+
+
+@pytest.mark.parametrize("version", [2, 0, "1", None])
+def test_container_rejects_an_unknown_version(version):
+    with pytest.raises(DataFormatError, match="unknown container version"):
+        parse_arrays(container(header_of(entry(), version=version), bytes(16)))
+
+
+def test_container_rejects_duplicate_array_names():
+    blob = container(header_of(entry(), entry()), bytes(32))
+    with pytest.raises(DataFormatError, match="duplicate array name 'x'"):
+        parse_arrays(blob)
+
+
+@pytest.mark.parametrize("extra", [b"\x00", bytes(8)])
+def test_container_rejects_trailing_bytes(extra):
+    blob = dump_arrays({"x": np.ones(4)})
+    parse_arrays(blob)
+    with pytest.raises(DataFormatError, match="trailing bytes"):
+        parse_arrays(blob + extra)
+
+
+def test_container_huge_shape_is_a_truncated_payload():
+    # the element count overflows int64; it must still read as too long
+    blob = container(header_of(entry(shape=(2**62, 2**62))), bytes(16))
+    with pytest.raises(DataFormatError, match="truncated payload"):
+        parse_arrays(blob)

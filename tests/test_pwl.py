@@ -163,3 +163,68 @@ def test_eval_at_exact_breakpoints_consistent():
         left = f(b - 1e-12)
         right = f(b + 1e-12)
         assert abs(f(b) - left) < 1e-11 and abs(f(b) - right) < 1e-11
+
+
+def searchsorted_oracle(f, x):
+    """The general lookup: the piece from ``searchsorted``, then integrate."""
+    x = np.asarray(x, dtype=np.float64)
+    bp = np.asarray(f.breakpoints)
+    sl = np.asarray(f.slopes)
+    p = np.searchsorted(bp, x, side="right")
+    base = np.maximum(p - 1, 0)
+    value = f._bp_values[base] + sl[p] * (x - bp[base])
+    deriv = sl[p]
+    if value.ndim == 0:
+        return float(value), float(deriv)
+    return value, deriv
+
+
+def bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.int64)
+
+
+SPECIAL_XS = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+
+
+@st.composite
+def pwl_and_inputs(draw):
+    count = draw(st.integers(1, 4))
+    grid = draw(st.lists(st.integers(-8, 8), min_size=count, max_size=count,
+                         unique=True))
+    bps = tuple(sorted(v / 4.0 for v in grid))
+    slopes = draw(st.lists(st.floats(-3, 3, allow_nan=False), min_size=count + 1,
+                           max_size=count + 1))
+    slopes = [s + 10.0 * i for i, s in enumerate(slopes)]  # adjacent ones differ
+    anchor = draw(st.floats(-2, 2, allow_nan=False))
+    f = PwlScalar(bps, tuple(slopes), anchor)
+    point = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from(list(bps) + SPECIAL_XS),
+    )
+    xs = draw(st.lists(point, min_size=1, max_size=24))
+    return f, xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(pwl_and_inputs())
+def test_value_and_deriv_bitwise_match_searchsorted_oracle(case):
+    f, xs = case
+    # a Python float, a 0-d array, a 1-D array and a 2-D array
+    inputs = [xs[0], np.asarray(xs[0]), np.array(xs)]
+    if len(xs) % 2 == 0:
+        inputs.append(np.array(xs).reshape(2, -1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x in inputs:
+            want_value, want_deriv = searchsorted_oracle(f, x)
+            for got, want in ((f.value(x), want_value), (f(x), want_value),
+                              (f.deriv(x), want_deriv)):
+                assert type(got) is type(want)
+                assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("nodes", [[0.0], [-1.0, 0.0, 1.0]])
+def test_nan_takes_the_rightmost_slope(nodes):
+    f = make_two_slope(0.3, 1.0, nodes)
+    assert f.deriv(np.nan) == f.slopes[-1]
+    assert np.array_equal(f.deriv(np.array([np.nan, -5.0])), [f.slopes[-1], f.slopes[0]])
+    assert np.isnan(f(np.nan))

@@ -16,7 +16,11 @@ from orthojac.layers import make_case_ii
 from orthojac.linalg import frobenius_defect, random_orthogonal
 from orthojac.pwl import make_relu_k
 from orthojac.rng import SplitMix64
+from orthojac.serial import save_arrays
 from orthojac.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     METRICS_HEADER,
     MODEL_NAMES,
     AdamState,
@@ -183,6 +187,46 @@ def test_adam_rejects_shape_mismatch():
         adam_step(params, {"x": np.zeros(3)}, state, lr=0.1)
 
 
+def reference_adam_step(params, grads, state, lr):
+    """The update as first written: one expression per parameter."""
+    state.step += 1
+    t = state.step
+    scale1 = 1.0 - ADAM_BETA1**t
+    scale2 = 1.0 - ADAM_BETA2**t
+    for name in sorted(params):
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        params[name] -= lr * (m / scale1) / (np.sqrt(v / scale2) + ADAM_EPS)
+
+
+def test_adam_step_bitwise_matches_reference_over_several_steps():
+    gen = SplitMix64(77)
+    shapes = {"w": (5, 5), "b": (5,), "head.w": (3, 5)}
+
+    def draw(scale):
+        return {k: scale * gen.gaussian(int(np.prod(s))).reshape(s)
+                for k, s in shapes.items()}
+
+    params = draw(1.0)
+    ref_params = {k: v.copy() for k, v in params.items()}
+    state = AdamState.for_params(params)
+    ref_state = AdamState.for_params(ref_params)
+    for step in range(6):
+        grads = draw(10.0 ** (step - 3))
+        lr = 1e-3 * (step + 1)
+        adam_step(params, grads, state, lr)
+        reference_adam_step(ref_params, grads, ref_state, lr)
+        for got, want in ((params, ref_params), (state.m, ref_state.m),
+                          (state.v, ref_state.v)):
+            for k in shapes:
+                assert np.array_equal(got[k].view(np.int64), want[k].view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # input adapter
 # ---------------------------------------------------------------------------
@@ -318,6 +362,15 @@ def test_every_model_builds_and_runs():
         logits = net.forward_batch(X)
         assert logits.shape == (4, 3)
         assert np.all(np.isfinite(logits))
+
+
+def test_forward_batch_bitwise_matches_forward_cache():
+    X = SplitMix64(44).gaussian_matrix(9, 6)
+    for model in MODEL_NAMES:
+        net = make_network(model, 8, 3, 3, 6, seed=45)
+        got = net.forward_batch(X)
+        assert np.array_equal(got.view(np.int64),
+                              net.forward_cache(X)[0].view(np.int64)), model
 
 
 def test_model_menu_deterministic():
@@ -516,6 +569,20 @@ def test_snapshot_rejects_shape_change(tmp_path):
     save_snapshot(path, net_a)
     with pytest.raises(DataFormatError):
         load_snapshot(path, net_b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_snapshot_rejects_non_finite_weights(tmp_path, bad):
+    net = make_network("resnet_relu", 8, 2, 3, 8, seed=55)
+    path = tmp_path / "snap.bin"
+    params = {k: v.copy() for k, v in net.params().items()}
+    params["layers.1.B"][2, 3] = bad
+    save_arrays(path, params)
+    before = {k: v.copy() for k, v in net.params().items()}
+    with pytest.raises(DataFormatError, match="layers.1.B.*non-finite"):
+        load_snapshot(path, net)
+    for key, arr in net.params().items():
+        assert np.array_equal(arr, before[key])
 
 
 @settings(deadline=None, max_examples=20)
