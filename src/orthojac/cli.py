@@ -187,7 +187,7 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     input_scale = config.get("input_scale", 1.0)
 
     # the probes of spectrum_probe.  stack_jacobian is looked up in this module
-    # at every probe, so a wrapper installed on or removed from the binding
+    # per block, so a wrapper installed on or removed from the binding
     # during the run (perfbench's first-item marker) sees only its own calls
     kept, jacs = _probe_jacobians(stack, probes, seed, input_scale, margin,
                                   lambda *args: stack_jacobian(*args))

@@ -3,13 +3,14 @@
 Every layer maps R^n -> R^n and exposes the same surface:
 
 * ``forward(x)`` / ``forward_batch(X)`` evaluate the map,
-* ``jacobian(x, margin)`` assembles the exact Jacobian away from kinks,
+* ``jacobian_batch(X)`` assembles the exact Jacobians of the rows of X,
+  ``(P, n, n)``; ``jacobian(x, margin)`` is its one-row form away from kinks,
 * ``vjp(x, v)`` / ``vjp_batch(X, V)`` pull a cotangent back through the
   layer, returning the input gradient and per-parameter gradients
   (summed over the batch in the batched form),
-* ``kink_distance(x)`` measures how far the input is from the nearest
-  non-differentiability locus (pre-activation node, gate plane, or
-  partition plane, in those coordinates),
+* ``kink_distance_batch(X)`` / ``kink_distance(x)`` measure how far each
+  row is from the nearest non-differentiability locus (pre-activation
+  node, gate plane, or partition plane, in those coordinates),
 * ``params()`` names the trainable arrays,
 * ``to_json()`` round-trips the layer.
 
@@ -60,11 +61,6 @@ def _require_slopes(sigma: PwlScalar, allowed: Sequence[float], context: str) ->
         )
 
 
-def _check_margin(distance: float, margin: float) -> None:
-    if distance < margin:
-        raise NearKinkError(distance, margin)
-
-
 # ---------------------------------------------------------------------------
 # shared core of  ell*x + c*1 + d * A^T sigma(Bx + b)  on one region
 # ---------------------------------------------------------------------------
@@ -75,12 +71,13 @@ def _core_forward(ell, c, d, A, B, b, sigma, X):
     return ell * X + c + d * (sigma.value(Z) @ A)
 
 
-def _core_jacobian(ell, d, A, B, b, sigma, x):
-    z = B @ x + b
-    slopes = sigma.deriv(z)
-    jac = d * ((A.T * slopes) @ B)
+def _core_jacobian_batch(ell, d, A, B, b, sigma, X):
+    slopes = sigma.deriv(X @ B.T + b)
+    jac = d * ((A.T * slopes[:, np.newaxis, :]) @ B)
     if ell != 0.0:
-        jac[np.diag_indices_from(jac)] += ell
+        n = B.shape[0]
+        # every n+1-th entry of a flattened n x n matrix is on its diagonal
+        jac.reshape(len(jac), n * n)[:, :: n + 1] += ell
     return jac
 
 
@@ -114,6 +111,20 @@ def _vjp_one(self, x, v):
     return dX[0], grads
 
 
+def _kink_distance_one(self, x) -> float:
+    """``kink_distance`` of every layer class: ``kink_distance_batch`` on one sample."""
+    return float(self.kink_distance_batch(np.asarray(x, dtype=np.float64)[np.newaxis])[0])
+
+
+def _jacobian_one(self, x, margin: float = DEFAULT_MARGIN):
+    """``jacobian`` of every layer class: ``jacobian_batch`` on one sample,
+    raising NearKinkError within ``margin`` of a kink (a NaN distance passes)."""
+    distance = self.kink_distance(x)
+    if distance < margin:
+        raise NearKinkError(distance, margin)
+    return self.jacobian_batch(np.asarray(x, dtype=np.float64)[np.newaxis])[0]
+
+
 # ---------------------------------------------------------------------------
 # layer families
 # ---------------------------------------------------------------------------
@@ -144,15 +155,17 @@ class ComposedLayer:
         return self.inner.width
 
     forward = _forward_one
+    jacobian = _jacobian_one
+    kink_distance = _kink_distance_one
 
     def forward_batch(self, X):
         return self.inner.forward_batch(X) @ self.rotation.T
 
-    def kink_distance(self, x) -> float:
-        return self.inner.kink_distance(x)
+    def kink_distance_batch(self, X):
+        return self.inner.kink_distance_batch(X)
 
-    def jacobian(self, x, margin: float = DEFAULT_MARGIN):
-        return self.rotation @ self.inner.jacobian(x, margin)
+    def jacobian_batch(self, X):
+        return self.rotation @ self.inner.jacobian_batch(X)
 
     vjp = _vjp_one
 
@@ -288,14 +301,16 @@ class PartitionedLayer:
     def kind(self) -> str:
         return _KINDS[self.family]
 
-    def _locate(self, x) -> tuple[tuple[int, ...], float]:
-        """Sign vector of one input and its distance to the nearest plane."""
-        planes = [float(normal @ x) - offset for normal, offset in self.hyperplanes]
-        key = tuple(1 if p >= 0.0 else -1 for p in planes)
-        return key, min((abs(p) for p in planes), default=np.inf)
+    def _planes(self, X):
+        """Signed offset of every row of X from every hyperplane, ``(P, planes)``."""
+        normals = np.stack([normal for normal, _ in self.hyperplanes])
+        offsets = np.asarray([offset for _, offset in self.hyperplanes])
+        return X @ normals.T - offsets
 
     def sign_vector(self, x) -> tuple[int, ...]:
-        return self._locate(x)[0]
+        if not self.hyperplanes:
+            return ()
+        return _sign_key(self._planes(np.asarray(x)[np.newaxis])[0] >= 0.0)
 
     def _coeffs(self, key: tuple[int, ...]) -> RegionCoeffs:
         coeffs = self.regions.get(key, self.default)
@@ -312,9 +327,7 @@ class PartitionedLayer:
         """
         if not self.hyperplanes:
             return [(self._coeffs(()), None)]
-        normals = np.stack([normal for normal, _ in self.hyperplanes])
-        offsets = np.asarray([offset for _, offset in self.hyperplanes])
-        above = X @ normals.T - offsets >= 0.0
+        above = self._planes(X) >= 0.0
         if len(above) and (above == above[0]).all():
             return [(self._coeffs(_sign_key(above[0])), None)]
         # False sorts before True, so the rows sort as their sign vectors do
@@ -323,34 +336,35 @@ class PartitionedLayer:
         return [(self._coeffs(_sign_key(cell)), np.flatnonzero(inverse == i))
                 for i, cell in enumerate(cells)]
 
-    def _kink(self, x) -> tuple[RegionCoeffs, float]:
-        """Coefficients at one input and its distance to the nearest kink."""
-        key, dist = self._locate(x)
-        co = self._coeffs(key)
-        z = self.B @ x + self.b
-        return co, min(float(np.min(co.sigma.distance_to_breakpoint(z))), dist)
-
-    forward = _forward_one
-
-    def forward_batch(self, X):
+    def _by_cell(self, X, core, shape):
+        """``core(coeffs, rows)`` on each cell's rows of X, gathered into ``shape``."""
         cells = self._cells(X)
         if cells and cells[0][1] is None:
-            co = cells[0][0]
-            return _core_forward(co.ell, co.c, co.d, self.A, self.B, self.b, co.sigma, X)
-        out = np.empty(X.shape)
+            return core(cells[0][0], X)
+        out = np.empty(shape)
         for co, rows in cells:
-            out[rows] = _core_forward(
-                co.ell, co.c, co.d, self.A, self.B, self.b, co.sigma, X[rows]
-            )
+            out[rows] = core(co, X[rows])
         return out
 
-    def kink_distance(self, x) -> float:
-        return self._kink(x)[1]
+    forward = _forward_one
+    jacobian = _jacobian_one
+    kink_distance = _kink_distance_one
 
-    def jacobian(self, x, margin: float = DEFAULT_MARGIN):
-        co, dist = self._kink(x)
-        _check_margin(dist, margin)
-        return _core_jacobian(co.ell, co.d, self.A, self.B, self.b, co.sigma, x)
+    def forward_batch(self, X):
+        return self._by_cell(X, lambda co, Xc: _core_forward(
+            co.ell, co.c, co.d, self.A, self.B, self.b, co.sigma, Xc), X.shape)
+
+    def kink_distance_batch(self, X):
+        dist = self._by_cell(X, lambda co, Xc: np.min(
+            co.sigma.distance_to_breakpoint(Xc @ self.B.T + self.b), axis=1), len(X))
+        if not self.hyperplanes:
+            return dist
+        return np.minimum(dist, np.min(np.abs(self._planes(X)), axis=1))
+
+    def jacobian_batch(self, X):
+        n = self.width
+        return self._by_cell(X, lambda co, Xc: _core_jacobian_batch(
+            co.ell, co.d, self.A, self.B, self.b, co.sigma, Xc), (len(X), n, n))
 
     vjp = _vjp_one
 
@@ -460,8 +474,8 @@ class ConstantField:
     def lipschitz_bound(self) -> float:
         return 0.0
 
-    def kink_distance(self, x) -> float:
-        return np.inf
+    def kink_distance_batch(self, X):
+        return np.full(len(X), np.inf)
 
     def params(self) -> dict:
         return {}
@@ -492,8 +506,8 @@ class GaussianBumpField:
     def lipschitz_bound(self) -> float:
         return np.sqrt(2.0) * np.exp(-0.5) * abs(self.scale)
 
-    def kink_distance(self, x) -> float:
-        return np.inf
+    def kink_distance_batch(self, X):
+        return np.full(len(X), np.inf)
 
     def params(self) -> dict:
         return {}
@@ -537,8 +551,8 @@ class MiniNetField:
         out_norm = float(np.sqrt(self.w_out @ self.w_out))
         return out_norm * _power_iteration_norm(self.w_in)
 
-    def kink_distance(self, x) -> float:
-        return float(np.min(np.abs(self.w_in @ x + self.bias)))
+    def kink_distance_batch(self, X):
+        return np.min(np.abs(self._hidden(X)), axis=1)
 
     def params(self) -> dict:
         return {"w_in": self.w_in, "bias": self.bias, "w_out": self.w_out}
@@ -600,6 +614,9 @@ def field_from_json(obj: dict) -> SlopeField:
     raise DimensionError(f"unknown slope-field kind {kind!r}")
 
 
+_RELU = PwlScalar((0.0,), (0.0, 1.0), 0.0)
+
+
 @dataclass(frozen=True)
 class LimitLayer:
     """Reflection layer with smooth scalar coefficient fields.
@@ -634,6 +651,8 @@ class LimitLayer:
         return self.B.T @ self.b
 
     forward = _forward_one
+    jacobian = _jacobian_one
+    kink_distance = _kink_distance_one
 
     def forward_batch(self, X):
         Z = X @ self.B.T + self.b
@@ -642,23 +661,17 @@ class LimitLayer:
         qvals = self.q_field.eval_batch(X)
         return core + qvals[:, np.newaxis] + (1.0 - mvals)[:, np.newaxis] * self._bias_pull()
 
-    def kink_distance(self, x) -> float:
-        z = self.B @ x + self.b
-        dist = float(np.min(np.abs(z)))
-        dist = min(dist, self.m_field.kink_distance(x))
-        return min(dist, self.q_field.kink_distance(x))
+    def kink_distance_batch(self, X):
+        dist = np.min(np.abs(X @ self.B.T + self.b), axis=1)
+        dist = np.minimum(dist, self.m_field.kink_distance_batch(X))
+        return np.minimum(dist, self.q_field.kink_distance_batch(X))
 
-    def jacobian(self, x, margin: float = DEFAULT_MARGIN):
-        _check_margin(self.kink_distance(x), margin)
-        x = np.asarray(x, dtype=np.float64)
-        z = self.B @ x + self.b
-        slopes = (z >= 0.0).astype(np.float64)
-        jac = -2.0 * ((self.B.T * slopes) @ self.B)
-        jac[np.diag_indices_from(jac)] += 1.0
-        grad_q = self.q_field.grad_batch(x[np.newaxis])[0]
-        grad_m = self.m_field.grad_batch(x[np.newaxis])[0]
-        jac += np.outer(np.ones(self.width), grad_q)
-        jac -= np.outer(self._bias_pull(), grad_m)
+    def jacobian_batch(self, X):
+        # the reflection part is the case-ii core; then the rank-two
+        # correction 1 grad_q^T - (B^T b) grad_m^T, row by row
+        jac = _core_jacobian_batch(1.0, -2.0, self.B, self.B, self.b, _RELU, X)
+        jac += self.q_field.grad_batch(X)[:, np.newaxis, :]
+        jac -= self._bias_pull()[:, np.newaxis] * self.m_field.grad_batch(X)[:, np.newaxis, :]
         return jac
 
     vjp = _vjp_one

@@ -318,12 +318,27 @@ def _relu(nodes=(0.0,)):
 
 
 def _make_layer(model: str, width: int, seed: int):
-    B = random_orthogonal(width, derive_seed(seed, 0))
+    # every weight has its own derived seed: skipping an unused draw shifts nothing
     b = np.zeros(width)
+    if model == "gaussian_ff_baseline":
+        W = SplitMix64(derive_seed(seed, 3)).gaussian_matrix(width, width)
+        W /= np.sqrt(width)
+        return make_case_i(np.eye(width), W, b, c=0.0, d=1.0, sigma=_relu(),
+                           strict=False)
+    B = random_orthogonal(width, derive_seed(seed, 0))
     if model == "resnet_relu":
         return make_case_ii(B, b, ell=1.0, c=0.0, d=-2.0, sigma=_relu())
     if model == "resnet_relu3":
         return make_case_ii(B, b, ell=1.0, c=0.0, d=-2.0, sigma=_relu(DEFAULT_NODES))
+    if model == "resnet_B_partial":
+        return make_case_ii(B, b, ell=1.0, c=0.0, d=-1.0, sigma=_relu(), strict=False)
+    if model == "limit_m1":
+        return make_limit(B, b, ConstantField(1.0), ConstantField(0.0))
+    if model == "limit_m2":
+        return make_limit(B, b, GaussianBumpField(0.01), ConstantField(0.0))
+    if model == "limit_m3":
+        m = make_mini_net_field(width, seed=derive_seed(seed, 2))
+        return make_limit(B, b, m, ConstantField(0.0))
     A = random_orthogonal(width, derive_seed(seed, 1))
     if model == "ff_sigma1":
         return make_case_i(A, B, b, c=0.0, d=1.0, sigma=make_sigma_k([0.0]))
@@ -337,20 +352,6 @@ def _make_layer(model: str, width: int, seed: int):
     if model == "ff_leakyrelu":
         sigma = make_two_slope(0.3, 1.0, [0.0], start_with_alpha=True)
         return make_case_i(A, B, b, c=0.0, d=1.0, sigma=sigma, strict=False)
-    if model == "resnet_B_partial":
-        return make_case_ii(B, b, ell=1.0, c=0.0, d=-1.0, sigma=_relu(), strict=False)
-    if model == "limit_m1":
-        return make_limit(B, b, ConstantField(1.0), ConstantField(0.0))
-    if model == "limit_m2":
-        return make_limit(B, b, GaussianBumpField(0.01), ConstantField(0.0))
-    if model == "limit_m3":
-        m = make_mini_net_field(width, seed=derive_seed(seed, 2))
-        return make_limit(B, b, m, ConstantField(0.0))
-    if model == "gaussian_ff_baseline":
-        W = SplitMix64(derive_seed(seed, 3)).gaussian_matrix(width, width)
-        W /= np.sqrt(width)
-        return make_case_i(np.eye(width), W, b, c=0.0, d=1.0, sigma=_relu(),
-                           strict=False)
     raise ConfigError(f"unknown model {model!r} (choose from {', '.join(MODEL_NAMES)})")
 
 

@@ -20,6 +20,9 @@ from .rng import SplitMix64, derive_seed
 
 PASS_TOL = 1e-10
 ISOMETRY_TOL = 1e-8
+# probes chained through the stack together: enough rows to amortize the
+# per-layer overhead, few enough that the per-layer stacks stay small
+PROBE_BLOCK = 16
 
 
 def orthogonality_defect(jac: np.ndarray) -> float:
@@ -55,15 +58,27 @@ def _as_stack(target) -> list:
     return list(target) if isinstance(target, (list, tuple)) else [target]
 
 
-def stack_jacobian(stack: list, x: np.ndarray, margin: float = DEFAULT_MARGIN):
-    """Chained Jacobian of a layer stack at ``x``."""
-    cur = x
-    jac = None
-    for layer in stack:
-        part = layer.jacobian(cur, margin)
-        jac = part if jac is None else part @ jac
-        cur = layer.forward(cur)
-    return jac
+def stack_jacobian(stack: list, X: np.ndarray, margin: float = DEFAULT_MARGIN):
+    """Chained Jacobians of a layer stack at the rows of ``X``, away from kinks.
+
+    At each layer the rows within ``margin`` of a kink are dropped (a NaN
+    distance is kept), and only the rows left go on to the next layer.
+    Returns the indices of the kept rows of X and their Jacobians as one
+    ``(kept, n, n)`` array.
+    """
+    kept = np.arange(len(X))
+    cur = np.asarray(X, dtype=np.float64)
+    jacs = None
+    for depth, layer in enumerate(stack):
+        keep = ~(layer.kink_distance_batch(cur) < margin)
+        if not keep.all():
+            kept, cur = kept[keep], cur[keep]
+            jacs = None if jacs is None else jacs[keep]
+        part = layer.jacobian_batch(cur)
+        jacs = part if jacs is None else part @ jacs
+        if depth + 1 < len(stack):
+            cur = layer.forward_batch(cur)
+    return kept, jacs
 
 
 def gradient_norm_ratio(
@@ -133,24 +148,26 @@ def _probe_jacobians(stack: list, n_probes: int, seed: int, input_scale: float,
     """The Jacobians of a stack at the probes of one run, away from kinks.
 
     Probe ``i`` is the ``i``-th Gaussian input of the stream derived from
-    ``seed``; probes within ``margin`` of a kink are dropped.
-    ``jacobian(stack, x, margin)`` is ``stack_jacobian`` through the
-    caller's own binding of it.  Returns the kept probe indices in order
-    and their Jacobians as one ``(kept, n, n)`` array; raises
-    NoValidProbeError when no probe is kept.
+    ``seed``; probes within ``margin`` of a kink are dropped.  The probes
+    go through ``jacobian(stack, X, margin)``, which is ``stack_jacobian``
+    through the caller's own binding of it, in blocks of ``PROBE_BLOCK``
+    rows.  Returns the kept probe indices in order and their Jacobians as
+    one ``(kept, n, n)`` array; raises NoValidProbeError when no probe is
+    kept.
     """
     width = stack[0].width
+    # each gaussian(width) call reads whole pairs, so probe i is row i of
+    # one draw with the width rounded up to even, minus the padding column
+    pad = width + width % 2
     stream = SplitMix64(derive_seed(seed, 0x50))
+    X = input_scale * stream.gaussian(n_probes * pad).reshape(n_probes, pad)[:, :width]
     # pages of the rows left unfilled are never touched
     jacs = np.empty((n_probes, width, width))
     kept = []
-    for index in range(n_probes):
-        x = input_scale * stream.gaussian(width)
-        try:
-            jacs[len(kept)] = jacobian(stack, x, margin)
-        except NearKinkError:
-            continue
-        kept.append(index)
+    for start in range(0, n_probes, PROBE_BLOCK):
+        rows, block = jacobian(stack, X[start:start + PROBE_BLOCK], margin)
+        jacs[len(kept):len(kept) + len(rows)] = block
+        kept += (start + rows).tolist()
     if not kept:
         raise NoValidProbeError(
             f"all {n_probes} probes fell within the kink margin {margin}"

@@ -483,7 +483,7 @@ def test_mini_net_field_deterministic_and_bounded():
 def test_mini_net_field_grad_matches_fd():
     f = ly.make_mini_net_field(5, hidden=8, seed=9)
     x = SplitMix64(10).gaussian(5)
-    if f.kink_distance(x) < 1e-4:
+    if f.kink_distance_batch(x[np.newaxis])[0] < 1e-4:
         x = x + 0.01
     grad = f.grad_batch(x[np.newaxis])[0]
     h = 1e-7
@@ -654,10 +654,112 @@ def test_grouped_rows_name_the_undeclared_cell():
     hole = probe.sign_vector(X[5])
     layer = three_plane_layer(default=False, missing=(hole,))
     assert len({layer.sign_vector(x) for x in X}) >= 4
-    for call in (lambda: layer.forward_batch(X), lambda: layer.vjp_batch(X, X)):
+    for call in (lambda: layer.forward_batch(X), lambda: layer.vjp_batch(X, X),
+                 lambda: layer.kink_distance_batch(X), lambda: layer.jacobian_batch(X)):
         with pytest.raises(MissingRegionError) as exc:
             call()
         assert exc.value.sign_vector == hole
     # a batch that avoids the hole goes through
     rows = [i for i, x in enumerate(X) if layer.sign_vector(x) != hole]
     assert layer.forward_batch(X[rows]).shape == (len(rows), N)
+
+
+# ---------------------------------------------------------------------------
+# batched derivatives against the single-sample formulas they replaced
+# ---------------------------------------------------------------------------
+
+
+def batch_families(n=N):
+    """Every layer family the batched derivatives must cover."""
+    fams = every_family(n)
+    return {
+        "case_i": fams["case_i_sigma3"],
+        "case_ii": fams["case_ii_relu3"],
+        "gated": fams["gated"],
+        "composed": fams["composed"],
+        "three_plane": three_plane_layer(),
+        "limit_mini_net": ly.make_limit(
+            orth(2, n), bias(3, n), ly.make_mini_net_field(n, hidden=6, seed=4),
+            ly.GaussianBumpField(0.01)),
+    }
+
+
+def single_jacobian(layer, x):
+    """The one-sample Jacobian formulas of each class, kept as an oracle."""
+    if isinstance(layer, ly.ComposedLayer):
+        return layer.rotation @ single_jacobian(layer.inner, x)
+    z = layer.B @ x + layer.b
+    if isinstance(layer, ly.LimitLayer):
+        jac = -2.0 * ((layer.B.T * (z >= 0.0).astype(np.float64)) @ layer.B)
+        jac[np.diag_indices_from(jac)] += 1.0
+        jac += np.outer(np.ones(layer.width), layer.q_field.grad_batch(x[np.newaxis])[0])
+        jac -= np.outer(layer.B.T @ layer.b, layer.m_field.grad_batch(x[np.newaxis])[0])
+        return jac
+    key = tuple(1 if float(normal @ x) - offset >= 0.0 else -1
+                for normal, offset in layer.hyperplanes)
+    co = layer.regions.get(key, layer.default)
+    jac = co.d * ((layer.A.T * co.sigma.deriv(z)) @ layer.B)
+    if co.ell != 0.0:
+        jac[np.diag_indices_from(jac)] += co.ell
+    return jac
+
+
+def single_kink_distance(layer, x):
+    """The one-sample kink distances of each class, kept as an oracle."""
+    if isinstance(layer, ly.ComposedLayer):
+        return single_kink_distance(layer.inner, x)
+    z = layer.B @ x + layer.b
+    if isinstance(layer, ly.LimitLayer):
+        field = layer.m_field
+        return min(float(np.min(np.abs(z))),
+                   float(np.min(np.abs(field.w_in @ x + field.bias))))
+    planes = [float(normal @ x) - offset for normal, offset in layer.hyperplanes]
+    key = tuple(1 if p >= 0.0 else -1 for p in planes)
+    co = layer.regions.get(key, layer.default)
+    return min(float(np.min(co.sigma.distance_to_breakpoint(z))),
+               min((abs(p) for p in planes), default=np.inf))
+
+
+@pytest.mark.parametrize("name", sorted(batch_families()))
+def test_jacobian_batch_matches_single_sample_formula(name):
+    layer = batch_families()[name]
+    X = SplitMix64(31).gaussian_matrix(40, N)
+    jacs = layer.jacobian_batch(X)
+    assert jacs.shape == (40, N, N)
+    expected = np.stack([single_jacobian(layer, x) for x in X])
+    if name == "limit_mini_net":
+        # the field gradient is one matmul over all rows, so its low bits
+        # depend on the row count
+        assert np.max(np.abs(jacs - expected)) <= 1e-14
+    else:
+        assert np.array_equal(jacs, expected)
+    # the one-row wrapper is the batch on one row
+    for x in X[:5]:
+        assert np.array_equal(layer.jacobian(x, margin=0.0),
+                              layer.jacobian_batch(x[np.newaxis])[0])
+    assert layer.jacobian_batch(X[:0]).shape == (0, N, N)
+
+
+@pytest.mark.parametrize("name", sorted(batch_families()))
+def test_kink_distance_batch_matches_single_sample_formula(name):
+    layer = batch_families()[name]
+    X = SplitMix64(32).gaussian_matrix(40, N)
+    dist = layer.kink_distance_batch(X)
+    expected = np.array([single_kink_distance(layer, x) for x in X])
+    # pre-activations of many rows come from one matmul, whose low bits
+    # depend on the row count; one row reproduces the formula exactly
+    assert np.max(np.abs(dist - expected)) <= 1e-14
+    for x, want in zip(X, expected):
+        assert layer.kink_distance(x) == want
+    assert layer.kink_distance_batch(X[:0]).shape == (0,)
+
+
+def test_jacobian_wrapper_checks_margin_with_the_batch_distance():
+    layer = three_plane_layer()
+    X = SplitMix64(33).gaussian_matrix(40, N)
+    dist = layer.kink_distance_batch(X)
+    x = X[np.argmin(dist)]
+    with pytest.raises(NearKinkError):
+        layer.jacobian(x, margin=np.min(dist) * 1.5)
+    assert layer.jacobian(x, margin=np.min(dist) * 0.5).shape == (N, N)
+

@@ -12,10 +12,20 @@ from orthojac.errors import (
     DimensionError,
     TrainingDivergedError,
 )
-from orthojac.layers import make_case_ii
+from orthojac import train as train_module
+from orthojac.layers import (
+    ConstantField,
+    GaussianBumpField,
+    RegionCoeffs,
+    make_case_i,
+    make_case_ii,
+    make_limit,
+    make_mini_net_field,
+    make_partitioned,
+)
 from orthojac.linalg import frobenius_defect, random_orthogonal
-from orthojac.pwl import make_relu_k
-from orthojac.rng import SplitMix64
+from orthojac.pwl import make_relu_k, make_sigma_k, make_two_slope
+from orthojac.rng import SplitMix64, derive_seed
 from orthojac.serial import save_arrays
 from orthojac.train import (
     ADAM_BETA1,
@@ -378,6 +388,72 @@ def test_model_menu_deterministic():
     b = make_network("limit_m3", 8, 2, 3, 6, seed=43)
     for key, arr in a.params().items():
         assert np.array_equal(arr, b.params()[key])
+
+
+def parent_make_layer(model, width, seed):
+    """``_make_layer`` as it was, drawing A and B for every model: the oracle."""
+    B = random_orthogonal(width, derive_seed(seed, 0))
+    b = np.zeros(width)
+    relu = make_relu_k([0.0])
+    if model in ("resnet_relu", "resnet_relu3"):
+        sigma = relu if model == "resnet_relu" else make_relu_k([-1.0, 0.0, 1.0])
+        return make_case_ii(B, b, ell=1.0, c=0.0, d=-2.0, sigma=sigma)
+    A = random_orthogonal(width, derive_seed(seed, 1))
+    if model in ("ff_sigma1", "ff_sigma3"):
+        nodes = [0.0] if model == "ff_sigma1" else [-1.0, 0.0, 1.0]
+        return make_case_i(A, B, b, c=0.0, d=1.0, sigma=make_sigma_k(nodes))
+    if model == "resnet_AB_baseline":
+        coeffs = RegionCoeffs(ell=1.0, c=0.0, d=2.0, sigma=relu)
+        return make_partitioned(A, B, b, [], {(): coeffs}, strict=False)
+    if model in ("ff_relu_partial", "ff_leakyrelu"):
+        sigma = relu if model == "ff_relu_partial" else make_two_slope(0.3, 1.0, [0.0])
+        return make_case_i(A, B, b, c=0.0, d=1.0, sigma=sigma, strict=False)
+    if model == "resnet_B_partial":
+        return make_case_ii(B, b, ell=1.0, c=0.0, d=-1.0, sigma=relu, strict=False)
+    if model == "limit_m1":
+        return make_limit(B, b, ConstantField(1.0), ConstantField(0.0))
+    if model == "limit_m2":
+        return make_limit(B, b, GaussianBumpField(0.01), ConstantField(0.0))
+    if model == "limit_m3":
+        m = make_mini_net_field(width, seed=derive_seed(seed, 2))
+        return make_limit(B, b, m, ConstantField(0.0))
+    W = SplitMix64(derive_seed(seed, 3)).gaussian_matrix(width, width) / np.sqrt(width)
+    return make_case_i(np.eye(width), W, b, c=0.0, d=1.0, sigma=relu, strict=False)
+
+
+def test_model_params_unchanged_by_skipping_unused_draws(monkeypatch):
+    built = {model: make_network(model, 8, 3, 3, 6, seed=47).params()
+             for model in MODEL_NAMES}
+    monkeypatch.setattr(train_module, "_make_layer", parent_make_layer)
+    for model in MODEL_NAMES:
+        want = make_network(model, 8, 3, 3, 6, seed=47).params()
+        assert sorted(built[model]) == sorted(want), model
+        for name, arr in want.items():
+            assert np.array_equal(built[model][name].view(np.int64),
+                                  arr.view(np.int64)), (model, name)
+
+
+# random orthogonal weights each model draws per layer: B, then A when used
+ORTHOGONAL_DRAWS = dict.fromkeys(MODEL_NAMES, 1)
+ORTHOGONAL_DRAWS.update(dict.fromkeys(
+    ("ff_sigma1", "ff_sigma3", "resnet_AB_baseline", "ff_relu_partial",
+     "ff_leakyrelu"), 2))
+ORTHOGONAL_DRAWS["gaussian_ff_baseline"] = 0
+
+
+def test_models_draw_only_the_weights_they_use(monkeypatch):
+    calls = []
+
+    def counted(n, seed):
+        calls.append(seed)
+        return random_orthogonal(n, seed)
+
+    monkeypatch.setattr(train_module, "random_orthogonal", counted)
+    for model in MODEL_NAMES:
+        calls.clear()
+        # raw_dim == width: the input adapter draws nothing
+        make_network(model, 8, 3, 3, 8, seed=48)
+        assert len(calls) == 3 * ORTHOGONAL_DRAWS[model], model
 
 
 def test_unknown_model_rejected():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from orthojac import verify
 from orthojac.errors import (
     DimensionError,
+    MissingRegionError,
     NearKinkError,
     NoValidProbeError,
 )
@@ -431,7 +432,9 @@ def test_stack_jacobian_matches_product():
     for layer in layers:
         expected = layer.jacobian(cur) @ expected
         cur = layer.forward(cur)
-    assert np.array_equal(stack_jacobian(layers, x), expected)
+    kept, jacs = stack_jacobian(layers, x[np.newaxis])
+    assert kept.tolist() == [0]
+    assert np.array_equal(jacs[0], expected)
 
 
 def test_stack_jacobian_mixed_families():
@@ -444,8 +447,77 @@ def test_stack_jacobian_mixed_families():
         make_composed(random_orthogonal(n, 97), strict_case_ii(n, 98)),
     ]
     x = SplitMix64(99).gaussian(n)
-    jac = stack_jacobian(layers, x)
+    kept, jacs = stack_jacobian(layers, x[np.newaxis])
+    jac = jacs[0]
+    assert kept.tolist() == [0]
     assert orthogonality_defect(jac) <= 1e-10
     fd = fd_jacobian(lambda y: layers[2].forward(
         layers[1].forward(layers[0].forward(y))), x)
     assert np.max(np.abs(fd - jac)) <= 1e-5
+
+
+def mixed_stack(n: int) -> list:
+    gate = SplitMix64(101).gaussian(n)
+    B = random_orthogonal(n, 102)
+    regions = {(1,): RegionCoeffs(1.0, 0.0, -2.0, make_relu_k([0.0])),
+               (-1,): RegionCoeffs(0.0, 0.0, 1.0, make_two_slope(-1.0, 1.0, [0.0]))}
+    return [
+        strict_case_ii(n, 103),
+        make_gated(random_orthogonal(n, 104), 0.3 * SplitMix64(105).gaussian(n),
+                   gate, make_relu_k(NODES)),
+        make_composed(random_orthogonal(n, 106), strict_case_ii(n, 107)),
+        make_partitioned(B, B, 0.3 * SplitMix64(108).gaussian(n),
+                         [(SplitMix64(109).gaussian(n), 0.1)], regions),
+    ]
+
+
+def per_probe_jacobians(stack, n_probes, seed, input_scale, margin):
+    """The probe loop as it was, one probe and one layer at a time: the oracle."""
+    stream = SplitMix64(derive_seed(seed, 0x50))
+    kept, jacs = [], []
+    for index in range(n_probes):
+        cur = input_scale * stream.gaussian(stack[0].width)
+        jac = None
+        try:
+            for layer in stack:
+                part = layer.jacobian(cur, margin)
+                jac = part if jac is None else part @ jac
+                cur = layer.forward(cur)
+        except NearKinkError:
+            continue
+        kept.append(index)
+        jacs.append(jac)
+    return kept, np.stack(jacs)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_probe_jacobians_match_the_per_probe_loop(n):
+    stack = mixed_stack(n)
+    # 53 probes: three full blocks and a short one
+    kept, jacs = verify._probe_jacobians(stack, 53, 110, 1.5, 0.03, stack_jacobian)
+    want_kept, want_jacs = per_probe_jacobians(stack, 53, 110, 1.5, 0.03)
+    assert 0 < 53 - len(want_kept) < 53
+    assert kept == want_kept
+    # the Jacobians of region-affine layers depend on the pre-activations
+    # only through their slopes, so the chain is exact
+    assert np.array_equal(jacs, want_jacs)
+
+
+def test_stack_jacobian_skips_a_dropped_probe_before_the_next_layer():
+    n = 4
+    abs_layer = make_case_i(np.eye(n), np.eye(n), np.zeros(n), c=0.0, d=1.0,
+                            sigma=make_two_slope(-1.0, 1.0, [0.0]))
+    # |x| lands in the undeclared cell (-1,) exactly when |x_0| < 0.1, and
+    # every such probe lies within the margin 0.1 of abs_layer's kinks
+    relu = make_relu_k([0.0])
+    gate = np.eye(n)[0]
+    holed = make_partitioned(np.eye(n), np.eye(n), np.zeros(n), [(gate, 0.1)],
+                             {(1,): RegionCoeffs(1.0, 0.0, -2.0, relu)})
+    X = np.array([[0.05, 1.0, 1.0, 1.0],
+                  [1.0, 0.5, -0.7, 2.0],
+                  [-0.8, 0.3, 0.9, -1.2]])
+    with pytest.raises(MissingRegionError):
+        holed.jacobian_batch(abs_layer.forward_batch(X[:1]))
+    kept, jacs = stack_jacobian([abs_layer, holed], X, margin=0.1)
+    assert kept.tolist() == [1, 2]
+    assert jacs.shape == (2, n, n)
