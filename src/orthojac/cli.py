@@ -25,7 +25,7 @@ from .errors import (
     OrthojacError,
     TrainingDivergedError,
 )
-from .layers import LimitLayer, layer_from_json
+from .layers import LimitLayer, layer_from_json, layers_from_json
 from .linalg import svd_values
 from .rng import SplitMix64, derive_seed
 from .train import TrainConfig, make_network, save_snapshot, train
@@ -180,7 +180,7 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     specs = config["layers"]
     if not isinstance(specs, list) or not specs:
         raise ConfigError("spectrum config: 'layers' must be a non-empty list")
-    stack = [layer_from_json(spec) for spec in specs]
+    stack = layers_from_json(specs)
     probes = _positive_int(config.get("probes", 1000), "probes")
     seed = config.get("seed", 0)
     margin = config.get("margin", DEFAULT_MARGIN)

@@ -38,7 +38,7 @@ from .errors import (
     OrthogonalityError,
     SlopeMismatchError,
 )
-from .linalg import as_matrix, as_vector, frobenius_defect, random_orthogonal
+from .linalg import as_matrix, as_vector, frobenius_defect, random_orthogonal_batch
 from .pwl import PwlScalar, slope_violation
 from .rng import SplitMix64, derive_seed
 
@@ -800,25 +800,62 @@ def make_limit(
     return LimitLayer(B, as_vector(b, B.shape[0]), m_field, q_field, strict)
 
 
-def layer_from_json(obj: dict) -> Layer:
-    """Rebuild a layer from its JSON form (seeded or explicit weights).
+# the keys of each layer type that hold an n x n weight
+_WEIGHT_KEYS = {"case_i": ("A", "B"), "case_ii": ("B",), "gated": ("B",),
+                "composed": ("rotation",), "partitioned": ("A", "B"), "limit": ("B",)}
 
-    A weight given as ``{"seed": k}`` is ``random_orthogonal(n, k)``; each
-    distinct seed of one spec is built once, so a partitioned spec with
-    one seed for A and B gets one shared array.
+
+def _spec_seeds(obj: dict) -> list:
+    """The distinct seeds of one spec's seeded weights, its ``inner`` spec aside."""
+    seeds = {}
+    for key in _WEIGHT_KEYS.get(obj.get("type"), ()):
+        entry = obj.get(key)
+        if isinstance(entry, dict) and "seed" in entry:
+            seeds[int(entry["seed"])] = None
+    return list(seeds)
+
+
+def layers_from_json(specs: list) -> list:
+    """Rebuild layers from their JSON forms (seeded or explicit weights).
+
+    A weight given as ``{"seed": k}`` is ``random_orthogonal(n, k)``.  The
+    seeded weights of every spec, nested ``inner`` specs included, are
+    factored with one ``random_orthogonal_batch`` call per width.  Each
+    distinct seed of one spec is one array, so a partitioned spec with one
+    seed for A and B gets one shared array; no array is shared between two
+    specs, a composed spec and its ``inner`` spec included.
     """
+    nodes = []
+    for spec in specs:
+        nodes.append(spec)
+        while nodes[-1].get("type") == "composed":
+            nodes.append(nodes[-1]["inner"])
+    wanted = [(int(node["n"]), _spec_seeds(node)) for node in nodes]
+    by_width: dict[int, list] = {}
+    for n, seeds in wanted:
+        by_width.setdefault(n, []).extend(seeds)
+    stacks = {n: iter(random_orthogonal_batch(n, seeds))
+              for n, seeds in by_width.items() if seeds}
+    tables = iter([{seed: next(stacks[n]) for seed in seeds} for n, seeds in wanted])
+    return [_layer_from_spec(spec, tables) for spec in specs]
+
+
+def layer_from_json(obj: dict) -> Layer:
+    """Rebuild one layer from its JSON form: ``layers_from_json([obj])[0]``."""
+    return layers_from_json([obj])[0]
+
+
+def _layer_from_spec(obj: dict, tables) -> Layer:
+    """Build one spec; ``tables`` yields each spec's seeded weights, outer spec first."""
+    seeded = next(tables)
     kind = obj.get("type")
     n = int(obj["n"])
     b = as_vector(obj.get("b", np.zeros(n)), n)
     strict = bool(obj.get("strict", True))
-    seeded: dict[int, np.ndarray] = {}
 
     def matrix(entry) -> np.ndarray:
         if isinstance(entry, dict) and "seed" in entry:
-            seed = int(entry["seed"])
-            if seed not in seeded:
-                seeded[seed] = random_orthogonal(n, seed)
-            return seeded[seed]
+            return seeded[int(entry["seed"])]
         return as_matrix(entry, n, n)
 
     if kind == "case_i":
@@ -831,7 +868,7 @@ def layer_from_json(obj: dict) -> Layer:
         return make_gated(matrix(obj["B"]), b, obj["gate"],
                           PwlScalar.from_json(obj["sigma"]), strict)
     if kind == "composed":
-        return make_composed(matrix(obj["rotation"]), layer_from_json(obj["inner"]),
+        return make_composed(matrix(obj["rotation"]), _layer_from_spec(obj["inner"], tables),
                              strict)
     if kind == "partitioned":
         regions = {

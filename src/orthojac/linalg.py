@@ -4,6 +4,9 @@ Matrices are row-major C-contiguous float64 ``numpy.ndarray`` objects and
 vectors are 1-D float64 arrays.  The helpers here add the shape/finiteness
 validation the rest of the package relies on.
 
+``householder_qr`` factors one matrix or a stack by blocked Householder
+reflections in compact WY form (Schreiber & Van Loan 1989).
+
 ``svd_values`` is a one-sided Jacobi SVD over one matrix or a stack of
 them.  Each sweep tests all column pairs at once through a Gram product
 and finishes the matrices that pass; the rest get one round-robin sweep
@@ -23,6 +26,9 @@ JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
 # matrices of a stack rotated together; bounds the temporaries of long stacks
 JACOBI_BLOCK = 16
+# columns of a Householder panel: reflected one by one, then applied to the
+# trailing columns and to Q as one block reflector
+QR_BLOCK = 16
 
 
 def as_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -70,48 +76,104 @@ def frobenius_defect(m: np.ndarray) -> float:
     return float(np.sqrt(np.sum(gram * gram)))
 
 
-def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR factorization by Householder reflections.
+def _reflect_panel(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflect every panel ``p[b]`` (no more columns than rows) to upper-triangular form.
 
-    Returns (Q, R) with Q orthogonal and R upper triangular.  Loop order
-    is fixed, so results are deterministic for identical inputs.
+    ``p`` is overwritten; its entries below the diagonal are left at
+    rounding level.  Column ``c`` gets the reflector ``H_c = I + tau u u^T``
+    with ``u = x + sign(x_0) ||x|| e_0`` made from the column's entries on
+    and below the diagonal (the sign avoids cancellation; sign(0) := +1)
+    and ``tau = -2 / (u . u)``; a column whose squared norm is 0 keeps
+    ``tau = 0``, so ``H_c = I``.  Returns the reflectors as the rows of
+    ``vt`` (``(L, width, rows)``) and the upper-triangular ``t`` with
+    ``H_0 H_1 ... H_{width-1} = I + vt^T t vt``.
     """
-    a = as_matrix(a)
-    m, n = a.shape
-    r = a.copy()
-    q = np.eye(m)
-    for j in range(min(m, n)):
-        x = r[j:, j]
-        norm_x = float(np.sqrt(np.sum(x * x)))
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        # Reflect onto -sign(x0)*e1 to avoid cancellation.
-        v[0] += norm_x if v[0] >= 0.0 else -norm_x
-        beta = 2.0 / float(np.sum(v * v))
-        r[j:, j:] -= beta * np.outer(v, v @ r[j:, j:])
-        q[:, j:] -= beta * np.outer(q[:, j:] @ v, v)
-    return q, r
+    count, rows, width = p.shape
+    # rows :width hold the panel's columns and rows width: the reflectors, so
+    # one product gives u against every later column and every earlier reflector
+    work = np.zeros((count, 2 * width, rows))
+    work[:, :width] = p.transpose(0, 2, 1)
+    t = np.zeros((count, width, width))
+    for c in range(width):
+        x = work[:, c, c:]
+        x0 = x[:, 0]
+        norm = np.sqrt(np.add.reduce(x * x, axis=1))
+        alpha = np.copysign(norm, x0 + 0.0)
+        u = work[:, width + c, c:]
+        u[...] = x
+        u0 = x0 + alpha
+        u[:, 0] = u0
+        # u . u = 2 alpha u0
+        half_uu = alpha * u0
+        tau = np.divide(-1.0, half_uu, out=t[:, c, c], where=half_uu > 0.0)
+        z = work[:, c:width + c, c:] @ (tau[:, np.newaxis] * u)[:, :, np.newaxis]
+        # t[:c, c] = tau t[:c, :c] V[:, :c]^T u
+        np.matmul(t[:, :c, :c], z[:, width - c:], out=t[:, :c, c, np.newaxis])
+        work[:, c:width, c:] += z[:, :width - c] * u[:, np.newaxis, :]
+    p[...] = work[:, :width].transpose(0, 2, 1)
+    return work[:, width:], t
 
 
-def random_orthogonal(n: int, seed: int) -> np.ndarray:
-    """Seeded random orthogonal matrix, unique per (n, seed).
+def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR factorization by blocked Householder reflections.
 
-    A standard-Gaussian matrix is drawn from the SplitMix64 stream for
-    ``seed`` (row-major fill), QR-factorized by Householder reflections,
-    and the columns of Q are sign-flipped so the diagonal of R is
-    positive, which makes the factorization (and hence the result)
-    unambiguous.
+    ``a`` is one ``(m, n)`` matrix, giving ``(Q, R)`` with Q ``(m, m)``
+    orthogonal and R ``(m, n)`` upper triangular (zero below the
+    diagonal), or an ``(L, m, n)`` stack, giving ``(L, m, m)`` and
+    ``(L, m, n)`` stacks.  Columns are reflected in panels of ``QR_BLOCK``:
+    each panel column by column (``_reflect_panel``), then the trailing
+    columns get the panel's block reflector ``I + V T^T V^T`` in three
+    matrix products, and Q is accumulated backwards from the identity, one
+    block reflector per panel.  Every step is elementwise, a reduction
+    along one matrix's row, or a matrix product per matrix, so a matrix's
+    Q and R are bitwise the same whether it is passed alone or in a stack
+    of any make-up, and reruns are bitwise identical.
+    """
+    single = np.ndim(a) == 2
+    r = np.array(as_matrix(a)[np.newaxis] if single else _as_matrix_stack(a))
+    count, m, n = r.shape
+    q = np.broadcast_to(np.eye(m), (count, m, m)).copy()
+    panels = []
+    for j0 in range(0, min(m, n), QR_BLOCK):
+        j1 = min(j0 + QR_BLOCK, m, n)
+        vt, t = _reflect_panel(r[:, j0:, j0:j1])
+        if j1 < n:
+            trail = r[:, j0:, j1:]
+            trail += vt.transpose(0, 2, 1) @ (t.transpose(0, 2, 1) @ (vt @ trail))
+        panels.append((j0, vt, t))
+    for j0, vt, t in reversed(panels):
+        block = q[:, j0:, j0:]
+        block += vt.transpose(0, 2, 1) @ (t @ (vt @ block))
+    r = np.triu(r)
+    return (q[0], r[0]) if single else (q, r)
+
+
+def random_orthogonal_batch(n: int, seeds) -> np.ndarray:
+    """Seeded random orthogonal matrices, one per seed: an ``(L, n, n)`` stack.
+
+    Matrix ``i`` is unique per ``(n, seeds[i])`` and bitwise the same
+    whatever else the batch holds, so ``random_orthogonal(n, k)`` is the
+    same matrix.  A standard-Gaussian matrix is drawn from the SplitMix64
+    stream for each seed (row-major fill), the stack is QR-factorized by
+    Householder reflections, and the columns of each Q are sign-flipped so
+    the diagonal of R is non-negative, which makes the factorization (and
+    hence the result) unambiguous.
     """
     if n < 1:
         raise DimensionError(f"matrix size must be positive, got {n}")
-    g = SplitMix64(seed).gaussian_matrix(n, n)
+    g = np.empty((len(seeds), n, n))
+    for i, seed in enumerate(seeds):
+        g[i] = SplitMix64(seed).gaussian_matrix(n, n)
     q, r = householder_qr(g)
     # sign(0) := +1
-    signs = np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    return np.ascontiguousarray(q * signs[np.newaxis, :])
+    signs = np.where(np.diagonal(r, axis1=1, axis2=2) >= 0.0, 1.0, -1.0)
+    return q * signs[:, np.newaxis, :]
 
 
+def random_orthogonal(n: int, seed: int) -> np.ndarray:
+    """Seeded random orthogonal matrix, unique per (n, seed): one row of
+    ``random_orthogonal_batch``."""
+    return random_orthogonal_batch(n, [seed])[0]
 
 
 def _round_robin_step(n: int) -> np.ndarray:

@@ -49,7 +49,9 @@ def parse_arrays(raw: bytes):
         raise DataFormatError(f"truncated header at byte offset 4 (expected {header_len} bytes)")
     try:
         header = json.loads(raw[4 : 4 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers bad UTF-8, bad JSON and integers over the digit limit;
+    # deeply nested JSON exhausts the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"bad JSON header at byte offset 4: {exc}") from exc
     if not isinstance(header, dict):
         raise DataFormatError("header at byte offset 4 is not a JSON object")
@@ -78,13 +80,22 @@ def parse_arrays(raw: bytes):
                 f"truncated payload for array {name!r} at byte offset {offset}"
                 f" (expected {nbytes} bytes, found {len(chunk)})"
             )
-        arrays[name] = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
+        try:
+            arrays[name] = np.frombuffer(chunk, dtype="<f8").astype(np.float64).reshape(shape)
+        except ValueError as exc:
+            # an empty array can name a dimension, or more dimensions, than numpy holds
+            raise DataFormatError(
+                f"array {name!r} has unsupported shape {list(shape)}: {exc}"
+            ) from exc
         offset += nbytes
     if offset != len(raw):
         raise DataFormatError(
             f"{len(raw) - offset} trailing bytes after the last array at byte offset {offset}"
         )
-    return arrays, header.get("meta", {})
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataFormatError("header 'meta' at byte offset 4 is not a JSON object")
+    return arrays, meta
 
 
 def load_arrays(path):

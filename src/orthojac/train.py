@@ -37,7 +37,7 @@ from .layers import (
     make_partitioned,
     RegionCoeffs,
 )
-from .linalg import frobenius_defect, random_orthogonal
+from .linalg import frobenius_defect, random_orthogonal, random_orthogonal_batch
 from .pwl import make_relu_k, make_sigma_k, make_two_slope
 from .rng import SplitMix64, derive_seed
 from .serial import load_arrays, save_arrays
@@ -317,15 +317,34 @@ def _relu(nodes=(0.0,)):
     return make_relu_k(list(nodes))
 
 
-def _make_layer(model: str, width: int, seed: int):
-    # every weight has its own derived seed: skipping an unused draw shifts nothing
+# models whose layers use A as well as B; gaussian_ff_baseline uses neither
+_A_MODELS = ("ff_sigma1", "ff_sigma3", "resnet_AB_baseline", "ff_relu_partial",
+             "ff_leakyrelu")
+
+
+def _orthogonal_seeds(model: str, seed: int) -> list:
+    """Seeds of the orthogonal weights one layer of ``model`` uses: B, then A.
+
+    Every weight has its own derived seed, so skipping an unused one shifts
+    nothing.
+    """
+    if model == "gaussian_ff_baseline":
+        return []
+    if model in _A_MODELS:
+        return [derive_seed(seed, 0), derive_seed(seed, 1)]
+    return [derive_seed(seed, 0)]
+
+
+def _make_layer(model: str, width: int, seed: int, weights):
+    """One layer of ``model``; ``weights`` are its orthogonal matrices, in
+    ``_orthogonal_seeds`` order."""
     b = np.zeros(width)
     if model == "gaussian_ff_baseline":
         W = SplitMix64(derive_seed(seed, 3)).gaussian_matrix(width, width)
         W /= np.sqrt(width)
         return make_case_i(np.eye(width), W, b, c=0.0, d=1.0, sigma=_relu(),
                            strict=False)
-    B = random_orthogonal(width, derive_seed(seed, 0))
+    B = weights[0]
     if model == "resnet_relu":
         return make_case_ii(B, b, ell=1.0, c=0.0, d=-2.0, sigma=_relu())
     if model == "resnet_relu3":
@@ -339,7 +358,7 @@ def _make_layer(model: str, width: int, seed: int):
     if model == "limit_m3":
         m = make_mini_net_field(width, seed=derive_seed(seed, 2))
         return make_limit(B, b, m, ConstantField(0.0))
-    A = random_orthogonal(width, derive_seed(seed, 1))
+    A = weights[1]
     if model == "ff_sigma1":
         return make_case_i(A, B, b, c=0.0, d=1.0, sigma=make_sigma_k([0.0]))
     if model == "ff_sigma3":
@@ -349,17 +368,24 @@ def _make_layer(model: str, width: int, seed: int):
         return make_partitioned(A, B, b, [], {(): coeffs}, strict=False)
     if model == "ff_relu_partial":
         return make_case_i(A, B, b, c=0.0, d=1.0, sigma=_relu(), strict=False)
-    if model == "ff_leakyrelu":
-        sigma = make_two_slope(0.3, 1.0, [0.0], start_with_alpha=True)
-        return make_case_i(A, B, b, c=0.0, d=1.0, sigma=sigma, strict=False)
-    raise ConfigError(f"unknown model {model!r} (choose from {', '.join(MODEL_NAMES)})")
+    # ff_leakyrelu
+    sigma = make_two_slope(0.3, 1.0, [0.0], start_with_alpha=True)
+    return make_case_i(A, B, b, c=0.0, d=1.0, sigma=sigma, strict=False)
 
 
 def make_network(model: str, width: int, depth: int, class_count: int,
                  raw_dim: int, seed: int) -> Network:
-    """Build a model-menu network with seeded weights and a fresh head."""
-    layers = [_make_layer(model, width, derive_seed(seed, 0x7A, i))
-              for i in range(depth)]
+    """Build a model-menu network with seeded weights and a fresh head.
+
+    The orthogonal weights of every layer are factored in one batch.
+    """
+    if model not in MODEL_NAMES:
+        raise ConfigError(f"unknown model {model!r} (choose from {', '.join(MODEL_NAMES)})")
+    seeds = [derive_seed(seed, 0x7A, i) for i in range(depth)]
+    wanted = [_orthogonal_seeds(model, layer_seed) for layer_seed in seeds]
+    weights = iter(random_orthogonal_batch(width, [k for ks in wanted for k in ks]))
+    layers = [_make_layer(model, width, layer_seed, [next(weights) for _ in ks])
+              for layer_seed, ks in zip(seeds, wanted)]
     head_w = SplitMix64(derive_seed(seed, 0x4E)).gaussian_matrix(class_count, width)
     head_w /= np.sqrt(width)
     adapter = make_input_adapter(raw_dim, width, seed)

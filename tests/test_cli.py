@@ -287,6 +287,22 @@ def test_spectrum_agrees_with_spectrum_probe(tmp_path):
     assert max(float(row[2]) for row in rows) == report.sv_max
 
 
+def test_spectrum_factors_its_stack_in_one_batch(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(n, seeds):
+        calls.append((n, list(seeds)))
+        return linalg.random_orthogonal_batch(n, seeds)
+
+    monkeypatch.setattr("orthojac.layers.random_orthogonal_batch", counted)
+    config = spectrum_config()
+    config["layers"].append({"type": "composed", "n": 8, "rotation": {"seed": 23},
+                             "inner": reflection_layer(seed=21, bias=0.05)})
+    code, _ = run(tmp_path, "spectrum", config)
+    assert code == 0
+    assert calls == [(8, [21, 22, 23, 21])]
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------

@@ -430,3 +430,87 @@ def test_container_huge_shape_is_a_truncated_payload():
     blob = container(header_of(entry(shape=(2**62, 2**62))), bytes(16))
     with pytest.raises(DataFormatError, match="truncated payload"):
         parse_arrays(blob)
+
+
+@pytest.mark.parametrize("shape", [(2**62, 0), (0, 2**63 - 1), (1,) * 65, (0,) * 70])
+def test_container_rejects_a_shape_numpy_cannot_hold(shape):
+    # zero elements, so the payload is empty (or one element for the ones)
+    payload = bytes(8) if 0 not in shape else b""
+    with pytest.raises(DataFormatError, match="unsupported shape"):
+        parse_arrays(container(header_of(entry(shape=shape)), payload))
+
+
+@pytest.mark.parametrize("meta", [[1], "x", 3, None, True])
+def test_container_rejects_meta_that_is_not_an_object(meta):
+    with pytest.raises(DataFormatError, match="'meta'.*not a JSON object"):
+        parse_arrays(container(header_of(entry(), meta=meta), bytes(16)))
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+                         ids=["huge_integer", "deep_nesting"])
+def test_container_rejects_a_header_json_cannot_decode(text):
+    # an integer over the digit limit and nesting past the recursion limit
+    blob = len(text).to_bytes(4, "little") + text.encode()
+    with pytest.raises(DataFormatError, match="bad JSON header"):
+        parse_arrays(blob)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# shapes whose element count is zero, one or far past any payload
+_SHAPES = st.lists(st.sampled_from([0, 1, 2, 3, 2**31, 2**62, 2**64]), max_size=70)
+_BASES = [
+    dump_arrays({"w": np.arange(6.0).reshape(2, 3), "x": np.ones(4)}, meta={"k": 3}),
+    dump_arrays({"e": np.zeros((0, 3)), "s": np.array(2.5)}),
+    dump_arrays({}),
+]
+
+
+@st.composite
+def mutated_containers(draw):
+    """A valid container with its header fields or its bytes mutated."""
+    blob = draw(st.sampled_from(_BASES))
+    header_len = int.from_bytes(blob[:4], "little")
+    header = json.loads(blob[4:4 + header_len])
+    payload = blob[4 + header_len:]
+    field = draw(st.sampled_from(["format", "version", "arrays", "meta", "entry",
+                                  "name", "shape", "bytes"]))
+    value = draw(_SHAPES if field == "shape" else _JSON_VALUES)
+    if field == "bytes":
+        raw = bytearray(blob)
+        for pos, byte in draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                                 st.integers(0, 255)), max_size=4)):
+            raw[pos] = byte
+        cut = draw(st.integers(0, len(raw)))
+        return bytes(raw[:cut]) + draw(st.binary(max_size=12))
+    if field in ("entry", "name", "shape"):
+        if not header["arrays"]:
+            header["arrays"].append({"name": "x", "shape": [1]})
+        target = header["arrays"][draw(st.integers(0, len(header["arrays"]) - 1))]
+        if field == "entry":
+            header["arrays"][0] = value
+        else:
+            target[field] = value
+    else:
+        header[field] = value
+    if draw(st.booleans()):
+        payload = draw(st.binary(max_size=64))
+    text = json.dumps(header).encode()
+    return len(text).to_bytes(4, "little") + text + payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=mutated_containers())
+def test_container_fuzz_only_data_format_errors_escape(blob):
+    try:
+        arrays, meta = parse_arrays(blob)
+    except DataFormatError:
+        return
+    assert isinstance(meta, dict)
+    for arr in arrays.values():
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64

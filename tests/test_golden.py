@@ -3,7 +3,8 @@
 Each config below runs through ``cli.main``; every artifact it writes is
 hashed with its wall-clock fields removed, and the digests must equal the
 ones in ``golden_digests.json``.  A change that moves artifact bits on
-purpose regenerates that file and says which digests moved and why:
+purpose regenerates that file and says which digests moved and why;
+regenerating prints each digest that moved as ``command/file old->new``:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -117,9 +118,26 @@ def test_artifacts_match_golden_digests(command, tmp_path):
     assert artifact_digests(command, str(tmp_path)) == golden[command]
 
 
+def moved_digests(old: dict, new: dict) -> list:
+    """``command/file old->new`` for each digest that differs, appears or goes."""
+    lines = []
+    for command in sorted(old.keys() | new.keys()):
+        before, after = old.get(command, {}), new.get(command, {})
+        for name in sorted(before.keys() | after.keys()):
+            if before.get(name) != after.get(name):
+                lines.append(f"{command}/{name} {before.get(name)}->{after.get(name)}")
+    return lines
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         digests = {command: artifact_digests(command, work) for command in sorted(CONFIGS)}
+    previous = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            previous = json.load(fh)
+    for line in moved_digests(previous, digests):
+        print(line)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(digests, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -13,7 +13,7 @@ from orthojac.errors import (
     OrthogonalityError,
     SlopeMismatchError,
 )
-from orthojac.linalg import random_orthogonal
+from orthojac.linalg import random_orthogonal, random_orthogonal_batch
 from orthojac.rng import SplitMix64
 
 N = 8
@@ -536,29 +536,69 @@ def test_layer_from_json_seeded_weights():
 def test_layer_from_json_builds_each_seed_once(monkeypatch):
     calls = []
 
-    def counted(n, seed):
-        calls.append(seed)
-        return random_orthogonal(n, seed)
+    def counted(n, seeds):
+        calls.append(list(seeds))
+        return random_orthogonal_batch(n, seeds)
 
-    monkeypatch.setattr(ly, "random_orthogonal", counted)
+    monkeypatch.setattr(ly, "random_orthogonal_batch", counted)
     regions = [{"signs": [], "ell": 1.0, "c": 0.0, "d": -2.0, "sigma": RELU.to_json()}]
     part = ly.layer_from_json({"type": "partitioned", "n": 6, "A": {"seed": 7},
                                "B": {"seed": 7}, "regions": regions})
-    assert calls == [7]
+    assert calls == [[7]]
     assert part.A is part.B
     assert sorted(part.params()) == ["B", "b"]
     # case-i trains A and B apart even when one seed gives both
     calls.clear()
     case_i = ly.layer_from_json({"type": "case_i", "n": 6, "A": {"seed": 7},
                                  "B": {"seed": 7}, "d": 1.0, "sigma": ABS.to_json()})
-    assert calls == [7]
+    assert calls == [[7]]
     assert case_i.A is not case_i.B
     assert np.array_equal(case_i.A, case_i.B)
     assert sorted(case_i.params()) == ["A", "B", "b"]
     calls.clear()
     ly.layer_from_json({"type": "case_i", "n": 6, "A": {"seed": 7}, "B": {"seed": 8},
                         "d": 1.0, "sigma": ABS.to_json()})
-    assert calls == [7, 8]
+    assert calls == [[7, 8]]
+
+
+def _case_ii_spec(n, seed):
+    return {"type": "case_ii", "n": n, "B": {"seed": seed}, "ell": 1.0, "d": -2.0,
+            "sigma": RELU.to_json()}
+
+
+def test_layers_from_json_factors_one_batch_per_width(monkeypatch):
+    calls = []
+
+    def counted(n, seeds):
+        calls.append((n, list(seeds)))
+        return random_orthogonal_batch(n, seeds)
+
+    monkeypatch.setattr(ly, "random_orthogonal_batch", counted)
+    regions = [{"signs": [], "ell": 1.0, "c": 0.0, "d": -2.0, "sigma": RELU.to_json()}]
+    specs = [
+        {"type": "partitioned", "n": 6, "A": {"seed": 7}, "B": {"seed": 7},
+         "regions": regions},
+        # the inner spec repeats the rotation's seed and the first spec's seed
+        {"type": "composed", "n": 6, "rotation": {"seed": 7},
+         "inner": {"type": "composed", "n": 6, "rotation": {"seed": 9},
+                   "inner": _case_ii_spec(6, 7)}},
+        _case_ii_spec(5, 3),
+        {"type": "case_i", "n": 5, "A": orth(4, 5).tolist(), "B": {"seed": 4},
+         "d": 1.0, "sigma": ABS.to_json()},
+        _case_ii_spec(6, 7),
+    ]
+    part, comp, small, case_i, again = ly.layers_from_json(specs)
+    assert calls == [(6, [7, 7, 9, 7, 7]), (5, [3, 4])]
+    assert part.A is part.B
+    weights = [part.B, comp.rotation, comp.inner.rotation, comp.inner.inner.B,
+               small.B, case_i.B, again.B]
+    for i, w in enumerate(weights):
+        for other in weights[i + 1:]:
+            assert not np.shares_memory(w, other)
+    # each matrix is bitwise the one its seed gives alone
+    for w, (n, seed) in zip(weights, [(6, 7), (6, 7), (6, 9), (6, 7), (5, 3), (5, 4),
+                                      (6, 7)]):
+        assert np.array_equal(w.view(np.int64), random_orthogonal(n, seed).view(np.int64))
 
 
 def explicit_specs(n=4):

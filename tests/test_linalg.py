@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -54,6 +54,141 @@ def test_householder_qr_reconstructs_and_r_triangular():
     assert np.max(np.abs(q @ r - g)) < 1e-12
     assert np.max(np.abs(np.tril(r, -1))) < 1e-12
     assert linalg.frobenius_defect(q) < 1e-12
+
+
+def loop_householder_qr(a):
+    """The column-by-column Householder loop the blocked kernel replaced: the oracle."""
+    a = linalg.as_matrix(a)
+    m, n = a.shape
+    r = a.copy()
+    q = np.eye(m)
+    for j in range(min(m, n)):
+        x = r[j:, j]
+        norm_x = float(np.sqrt(np.sum(x * x)))
+        if norm_x == 0.0:
+            continue
+        v = x.copy()
+        # Reflect onto -sign(x0)*e1 to avoid cancellation.
+        v[0] += norm_x if v[0] >= 0.0 else -norm_x
+        beta = 2.0 / float(np.sum(v * v))
+        r[j:, j:] -= beta * np.outer(v, v @ r[j:, j:])
+        q[:, j:] -= beta * np.outer(q[:, j:] @ v, v)
+    return q, r
+
+
+def loop_random_orthogonal(n, seed):
+    """``random_orthogonal`` on the column loop: the oracle."""
+    q, r = loop_householder_qr(SplitMix64(seed).gaussian_matrix(n, n))
+    return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+
+
+# sizes up to three panels, so the trailing and Q block updates both run
+_QR_SIZES = st.integers(1, 2 * linalg.QR_BLOCK + 3)
+
+
+@st.composite
+def qr_stacks(draw, rounded=st.booleans()):
+    """A stack of Gaussian matrices, some columns zero; rounded to small integers
+    (so singular, with exact zeros) when ``rounded`` draws True."""
+    count, m, n = draw(st.integers(1, 4)), draw(_QR_SIZES), draw(_QR_SIZES)
+    stack = SplitMix64(draw(st.integers(0, 2**32))).gaussian(count * m * n)
+    stack = stack.reshape(count, m, n)
+    if draw(rounded):
+        stack = np.round(stack)
+    stack[:, :, draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    return stack
+
+
+_QR_EXAMPLES = [np.array([[[2.5]]]), np.array([[[-0.5]]]), np.zeros((2, 1, 1)),
+                np.zeros((1, 3, 2))]
+
+
+def _with_examples(test):
+    for stack in _QR_EXAMPLES:
+        test = example(stack=stack)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=qr_stacks())
+@_with_examples
+def test_householder_qr_matrix_alone_is_bitwise_its_row_of_any_stack(stack):
+    q, r = linalg.householder_qr(stack)
+    count, m, n = stack.shape
+    assert q.shape == (count, m, m) and r.shape == (count, m, n)
+    extra = SplitMix64(5).gaussian(3 * m * n).reshape(3, m, n)
+    extra[1] = 0.0
+    mixed_q, mixed_r = linalg.householder_qr(np.concatenate([extra, stack[::-1]]))
+    for i, a in enumerate(stack):
+        alone_q, alone_r = linalg.householder_qr(a)
+        for got in (q[i], mixed_q[len(extra) + count - 1 - i]):
+            assert got.tobytes() == alone_q.tobytes()
+        for got in (r[i], mixed_r[len(extra) + count - 1 - i]):
+            assert got.tobytes() == alone_r.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=qr_stacks())
+@_with_examples
+def test_householder_qr_is_orthogonal_and_reconstructs(stack):
+    q, r = linalg.householder_qr(stack)
+    eye = np.eye(stack.shape[1])
+    scale = max(1.0, float(np.max(np.abs(stack))))
+    for a, qa, ra in zip(stack, q, r):
+        assert np.max(np.abs(qa.T @ qa - eye)) <= 1e-14
+        assert np.max(np.abs(qa @ ra - a)) <= 1e-14 * scale
+        assert not np.tril(ra, -1).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=qr_stacks(rounded=st.just(False)))
+@_with_examples
+def test_householder_qr_matches_the_column_loop_and_lapack(stack):
+    # Q is unique (up to column signs for LAPACK, which leaves a column that
+    # is zero below its diagonal unreflected) while the columns that are not
+    # zero are well-conditioned
+    for a in stack:
+        lead = a[:, :min(a.shape)]
+        lead = lead[:, np.any(lead != 0.0, axis=0)]
+        assume(lead.size == 0 or np.linalg.cond(lead) < 1e3)
+    q, r = linalg.householder_qr(stack)
+    scale = max(1.0, float(np.max(np.abs(stack))))
+    for a, qa, ra in zip(stack, q, r):
+        loop_q, loop_r = loop_householder_qr(a)
+        assert np.max(np.abs(qa - loop_q)) <= 1e-13
+        assert np.max(np.abs(ra - np.triu(loop_r))) <= 1e-13 * scale
+        lapack_q = np.linalg.qr(a, mode="complete")[0]
+        signs = np.where(np.sum(qa * lapack_q, axis=0) >= 0.0, 1.0, -1.0)
+        assert np.max(np.abs(qa - lapack_q * signs)) <= 1e-13
+
+
+def test_householder_qr_rejects_bad_shapes_and_entries():
+    with pytest.raises(DimensionError):
+        linalg.householder_qr(np.zeros((2, 2, 2, 2)))
+    with pytest.raises(DimensionError):
+        linalg.householder_qr(np.zeros(3))
+    with pytest.raises(DimensionError):
+        linalg.householder_qr(np.full((2, 3, 3), np.nan))
+    q, r = linalg.householder_qr(np.zeros((0, 4, 3)))
+    assert q.shape == (0, 4, 4) and r.shape == (0, 4, 3)
+
+
+def test_random_orthogonal_stays_within_1e13_of_the_column_loop():
+    for n in (1, 2, 3, 16, 17, 32, 64):
+        batch = linalg.random_orthogonal_batch(n, range(100))
+        for seed, q in enumerate(batch):
+            assert np.max(np.abs(q - loop_random_orthogonal(n, seed))) <= 1e-13, (n, seed)
+
+
+def test_random_orthogonal_batch_rows_are_the_single_matrices():
+    seeds = [7, 3, 7, 2**40]
+    batch = linalg.random_orthogonal_batch(9, seeds)
+    assert batch.shape == (4, 9, 9)
+    for seed, q in zip(seeds, batch):
+        assert q.tobytes() == linalg.random_orthogonal(9, seed).tobytes()
+    assert linalg.random_orthogonal_batch(5, []).shape == (0, 5, 5)
+    with pytest.raises(DimensionError):
+        linalg.random_orthogonal_batch(0, [1])
 
 
 def test_svd_values_diagonal():

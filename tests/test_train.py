@@ -23,7 +23,7 @@ from orthojac.layers import (
     make_mini_net_field,
     make_partitioned,
 )
-from orthojac.linalg import frobenius_defect, random_orthogonal
+from orthojac.linalg import frobenius_defect, random_orthogonal, random_orthogonal_batch
 from orthojac.pwl import make_relu_k, make_sigma_k, make_two_slope
 from orthojac.rng import SplitMix64, derive_seed
 from orthojac.serial import save_arrays
@@ -424,7 +424,9 @@ def parent_make_layer(model, width, seed):
 def test_model_params_unchanged_by_skipping_unused_draws(monkeypatch):
     built = {model: make_network(model, 8, 3, 3, 6, seed=47).params()
              for model in MODEL_NAMES}
-    monkeypatch.setattr(train_module, "_make_layer", parent_make_layer)
+    # the oracle draws each weight alone; make_network factors them in one batch
+    monkeypatch.setattr(train_module, "_make_layer",
+                        lambda model, width, seed, _weights: parent_make_layer(model, width, seed))
     for model in MODEL_NAMES:
         want = make_network(model, 8, 3, 3, 6, seed=47).params()
         assert sorted(built[model]) == sorted(want), model
@@ -444,21 +446,36 @@ ORTHOGONAL_DRAWS["gaussian_ff_baseline"] = 0
 def test_models_draw_only_the_weights_they_use(monkeypatch):
     calls = []
 
-    def counted(n, seed):
-        calls.append(seed)
-        return random_orthogonal(n, seed)
+    def counted(n, seeds):
+        calls.append((n, list(seeds)))
+        return random_orthogonal_batch(n, seeds)
 
-    monkeypatch.setattr(train_module, "random_orthogonal", counted)
+    monkeypatch.setattr(train_module, "random_orthogonal_batch", counted)
     for model in MODEL_NAMES:
         calls.clear()
         # raw_dim == width: the input adapter draws nothing
         make_network(model, 8, 3, 3, 8, seed=48)
-        assert len(calls) == 3 * ORTHOGONAL_DRAWS[model], model
+        # one factorization per network, of every weight the layers use
+        assert len(calls) == 1, model
+        n, seeds = calls[0]
+        assert n == 8 and len(seeds) == 3 * ORTHOGONAL_DRAWS[model], model
 
 
 def test_unknown_model_rejected():
     with pytest.raises(ConfigError):
         make_network("mystery", 8, 2, 3, 6, seed=1)
+    # before any weight is drawn, so a network without layers is refused too
+    with pytest.raises(ConfigError):
+        make_network("mystery", 8, 0, 3, 6, seed=1)
+
+
+def test_network_layers_share_no_weight_array():
+    net = make_network("ff_sigma3", 8, 3, 3, 8, seed=49)
+    weights = list(net.square_weights().values())
+    assert len(weights) == 6
+    for i, w in enumerate(weights):
+        for other in weights[i + 1:]:
+            assert not np.shares_memory(w, other)
 
 
 def test_orthogonal_models_have_orthogonal_weights():
