@@ -29,9 +29,13 @@ from .layers import LimitLayer, layer_from_json, layers_from_json
 from .linalg import svd_values
 from .rng import SplitMix64, derive_seed
 from .train import TrainConfig, make_network, save_snapshot, train
+# check_dynamical_isometry is not called here, but the probe entry points
+# stay bound on this module, where perfbench's first-item marker wraps them
 from .verify import (
+    CRITERIA,
     DEFAULT_MARGIN,
     PASS_TOL,
+    ProbeRequest,
     _probe_jacobians,
     check_dynamical_isometry,
     density_gap,
@@ -44,7 +48,6 @@ HISTOGRAM_RANGE = 2.0
 # values this close to a bin edge count toward the upper bin, so spectra
 # sitting exactly on an edge (orthogonal stacks at 1.0) pool into one bin
 EDGE_SNAP = 1e-9
-CRITERIA = ("orthogonal", "partial", "sv_interval", "isometry", "none")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
@@ -117,56 +120,54 @@ def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
         "epsilon": config.get("epsilon"),
     }
 
-    seen = set()
-    all_passed = True
+    # every entry is checked, then every layer built, before the first probe
+    names, options = [], []
     for entry in entries:
         _check_keys(entry, "layer entry", ("name", "layer"), ENTRY_KEYS)
         name = entry["name"]
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ConfigError(f"layer entry name {name!r} is not filename-safe")
-        if name in seen:
+        if name in names:
             raise ConfigError(f"duplicate layer entry name {name!r}")
-        seen.add(name)
-
         opts = {key: entry.get(key, defaults[key]) for key in ENTRY_KEYS}
-        criterion = opts["criterion"]
-        if criterion not in CRITERIA:
+        if opts["criterion"] not in CRITERIA:
             raise ConfigError(
                 f"layer entry {name!r}: criterion must be one of {CRITERIA}"
             )
-        if criterion == "sv_interval" and opts["epsilon"] is None:
+        epsilon = opts["epsilon"]
+        if opts["criterion"] == "sv_interval" and epsilon is None:
             raise ConfigError(
                 f"layer entry {name!r}: sv_interval criterion needs epsilon"
             )
-        layer = layer_from_json(entry["layer"])
-        probes = _positive_int(opts["probes"], f"{name}.probes")
+        if epsilon is not None and (isinstance(epsilon, bool)
+                                    or not isinstance(epsilon, (int, float))):
+            raise ConfigError(f"layer entry {name!r}: epsilon must be a number")
+        _positive_int(opts["probes"], f"{name}.probes")
+        names.append(name)
+        options.append(opts)
 
-        if criterion == "isometry":
-            if not isinstance(layer, LimitLayer):
-                raise ConfigError(
-                    f"layer entry {name!r}: isometry criterion needs a limit layer"
-                )
-            report = check_dynamical_isometry(
-                layer, probes, opts["seed"],
-                input_scale=opts["input_scale"], margin=opts["margin"],
-                tol=opts["tol"],
+    layers = layers_from_json([entry["layer"] for entry in entries])
+    requests = []
+    for name, layer, opts in zip(names, layers, options):
+        if opts["criterion"] == "isometry" and not isinstance(layer, LimitLayer):
+            raise ConfigError(
+                f"layer entry {name!r}: isometry criterion needs a limit layer"
             )
-        else:
-            report = spectrum_probe(
-                layer, probes, opts["seed"],
-                input_scale=opts["input_scale"], margin=opts["margin"],
-                criterion=criterion, tol=opts["tol"], epsilon=opts["epsilon"],
-            )
+        requests.append(ProbeRequest(
+            layer, opts["probes"], opts["seed"], input_scale=opts["input_scale"],
+            margin=opts["margin"], criterion=opts["criterion"], tol=opts["tol"],
+            epsilon=opts["epsilon"], name=name,
+        ))
+    reports = spectrum_probe(requests)
 
+    for name, report in zip(names, reports):
         blob = dict(report.to_json(), name=name, config_sha256=digest)
         _write_text(out_dir, f"verify_{name}.json",
                     json.dumps(blob, sort_keys=True, indent=2) + "\n")
         verdict = "pass" if report.passed else "FAIL"
         print(f"{name}: {verdict} (max_orth_defect={report.max_orth_defect:.3e},"
               f" max_partial_defect={report.max_partial_defect:.3e})")
-        all_passed = all_passed and bool(report.passed)
-
-    return 0 if all_passed else 1
+    return 0 if all(report.passed for report in reports) else 1
 
 
 # ---------------------------------------------------------------------------

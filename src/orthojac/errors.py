@@ -14,13 +14,21 @@ class ConvergenceError(OrthojacError, RuntimeError):
 
     Attributes
     ----------
+    message : str
+        What did not converge, without the index and residual.
     residual : float
         The convergence measure at the final iteration.
+    index : int or None
+        The position in the stack of the matrix that did not converge, for
+        a solver run over a stack.
     """
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
+    def __init__(self, message: str, residual: float, index: int | None = None):
+        where = "" if index is None else f" at matrix {index}"
+        super().__init__(f"{message}{where} (residual {residual:.3e})")
+        self.message = message
         self.residual = residual
+        self.index = index
 
 
 class InvalidBreakpointsError(OrthojacError, ValueError):

@@ -592,8 +592,15 @@ def make_mini_net_field(
     return MiniNetField(w_in, bias, w_out)
 
 
+def _json_object(obj, what: str) -> dict:
+    """``obj`` itself, after checking that it is a JSON object."""
+    if not isinstance(obj, dict):
+        raise DimensionError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def field_from_json(obj: dict) -> SlopeField:
-    kind = obj.get("kind")
+    kind = _json_object(obj, "a slope field").get("kind")
     if kind == "constant":
         return ConstantField(float(obj["value"]))
     if kind == "gaussian_bump":
@@ -828,7 +835,7 @@ def layers_from_json(specs: list) -> list:
     nodes = []
     for spec in specs:
         nodes.append(spec)
-        while nodes[-1].get("type") == "composed":
+        while _json_object(nodes[-1], "a layer spec").get("type") == "composed":
             nodes.append(nodes[-1]["inner"])
     wanted = [(int(node["n"]), _spec_seeds(node)) for node in nodes]
     by_width: dict[int, list] = {}

@@ -274,9 +274,8 @@ def _jacobi_block(w: np.ndarray, tol: float, max_sweeps: int, offset: int) -> np
         residual = _worst_off_diagonal(w)
         worst = int(np.argmax(residual))
         raise ConvergenceError(
-            f"one-sided Jacobi SVD of matrix {offset + live[worst]} did not"
-            f" converge in {max_sweeps} sweeps",
-            float(residual[worst]),
+            f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps",
+            float(residual[worst]), index=int(offset + live[worst]),
         )
     return norms
 
@@ -308,8 +307,9 @@ def svd_values(
     back, so entries far outside the normal range (around 1e-160 or 1e200)
     lose no accuracy; the scaling is exact, so it changes no value of a
     matrix whose squared column norms were in range.  Raises
-    ConvergenceError (naming the matrix and carrying its worst relative
-    off-diagonal) if a matrix still rotates after ``max_sweeps`` sweeps.
+    ConvergenceError (carrying the matrix's stack index and its worst
+    relative off-diagonal) if a matrix still rotates after ``max_sweeps``
+    sweeps.
     """
     single = np.ndim(m) == 2
     a = as_matrix(m)[np.newaxis] if single else _as_matrix_stack(m)

@@ -13,13 +13,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NearKinkError, NoValidProbeError
+from .errors import ConvergenceError, DimensionError, NearKinkError, NoValidProbeError
 from .layers import DEFAULT_MARGIN, LimitLayer
 from .linalg import svd_values
 from .rng import SplitMix64, derive_seed
 
 PASS_TOL = 1e-10
 ISOMETRY_TOL = 1e-8
+CRITERIA = ("orthogonal", "partial", "sv_interval", "isometry", "none")
 # probes chained through the stack together: enough rows to amortize the
 # per-layer overhead, few enough that the per-layer stacks stay small
 PROBE_BLOCK = 16
@@ -144,7 +145,8 @@ class VerifyReport:
 
 
 def _probe_jacobians(stack: list, n_probes: int, seed: int, input_scale: float,
-                     margin: float, jacobian) -> tuple[list, np.ndarray]:
+                     margin: float, jacobian, out: np.ndarray | None = None
+                     ) -> tuple[list, np.ndarray]:
     """The Jacobians of a stack at the probes of one run, away from kinks.
 
     Probe ``i`` is the ``i``-th Gaussian input of the stream derived from
@@ -152,8 +154,9 @@ def _probe_jacobians(stack: list, n_probes: int, seed: int, input_scale: float,
     go through ``jacobian(stack, X, margin)``, which is ``stack_jacobian``
     through the caller's own binding of it, in blocks of ``PROBE_BLOCK``
     rows.  Returns the kept probe indices in order and their Jacobians as
-    one ``(kept, n, n)`` array; raises NoValidProbeError when no probe is
-    kept.
+    one ``(kept, n, n)`` array, the first rows of ``out`` (which has at
+    least ``n_probes`` rows) or of a new array; raises NoValidProbeError
+    when no probe is kept.
     """
     width = stack[0].width
     # each gaussian(width) call reads whole pairs, so probe i is row i of
@@ -162,7 +165,7 @@ def _probe_jacobians(stack: list, n_probes: int, seed: int, input_scale: float,
     stream = SplitMix64(derive_seed(seed, 0x50))
     X = input_scale * stream.gaussian(n_probes * pad).reshape(n_probes, pad)[:, :width]
     # pages of the rows left unfilled are never touched
-    jacs = np.empty((n_probes, width, width))
+    jacs = np.empty((n_probes, width, width)) if out is None else out
     kept = []
     for start in range(0, n_probes, PROBE_BLOCK):
         rows, block = jacobian(stack, X[start:start + PROBE_BLOCK], margin)
@@ -175,61 +178,143 @@ def _probe_jacobians(stack: list, n_probes: int, seed: int, input_scale: float,
     return kept, jacs[:len(kept)]
 
 
+@dataclass(frozen=True)
+class ProbeRequest:
+    """One probe-and-judge run: ``spectrum_probe``'s arguments for one target.
+
+    ``name`` labels the request in the message of a ConvergenceError.
+    """
+
+    target: object
+    n_probes: int
+    seed: int
+    input_scale: float = 1.0
+    margin: float = DEFAULT_MARGIN
+    criterion: str = "orthogonal"
+    tol: float = PASS_TOL
+    epsilon: float | None = None
+    name: str | None = None
+
+
+def _band(request: ProbeRequest, stack: list) -> float | None:
+    """The request's ``epsilon``, derived from the layer for "isometry".
+
+    Raises DimensionError for a request that cannot be judged.
+    """
+    if request.criterion not in CRITERIA:
+        raise DimensionError(f"unknown criterion {request.criterion!r}")
+    if request.criterion == "isometry":
+        if len(stack) != 1 or not isinstance(stack[0], LimitLayer):
+            raise DimensionError("isometry criterion needs one limit layer")
+        return stack[0].isometry_epsilon()
+    if request.criterion == "sv_interval" and request.epsilon is None:
+        raise DimensionError("sv_interval criterion needs epsilon")
+    return request.epsilon
+
+
+def _judge(request: ProbeRequest, stack: list, band: float | None, jacs: np.ndarray,
+           sv: np.ndarray) -> VerifyReport:
+    """The report of one request from its kept Jacobians and their singular values."""
+    max_orth = max(orthogonality_defect(jac) for jac in jacs)
+    max_partial = max(partial_isometry_defect(jac) for jac in jacs)
+    sv_min = float(np.min(sv[:, -1]))
+    sv_max = float(np.max(sv[:, 0]))
+    criterion, tol = request.criterion, request.tol
+    if criterion == "orthogonal":
+        passed = bool(max_orth <= tol)
+    elif criterion == "partial":
+        passed = bool(max_partial <= tol)
+    elif criterion in ("sv_interval", "isometry"):
+        passed = bool(sv_min >= 1.0 - band - tol and sv_max <= 1.0 + band + tol)
+    else:
+        passed = None
+    return VerifyReport(
+        probes=len(jacs),
+        max_orth_defect=max_orth,
+        max_partial_defect=max_partial,
+        sv_min=sv_min,
+        sv_max=sv_max,
+        bound_epsilon=band,
+        passed=passed,
+        skipped_near_kink=request.n_probes - len(jacs),
+        criterion="sv_interval" if criterion == "isometry" else criterion,
+        tol=tol,
+        seed=request.seed,
+        kind=stack[0].kind if len(stack) == 1 else "stack",
+        width=stack[0].width,
+        depth=len(stack),
+    )
+
+
 def spectrum_probe(
     target,
-    n_probes: int,
-    seed: int,
+    n_probes: int | None = None,
+    seed: int | None = None,
     input_scale: float = 1.0,
     margin: float = DEFAULT_MARGIN,
     criterion: str = "orthogonal",
     tol: float = PASS_TOL,
     epsilon: float | None = None,
-) -> VerifyReport:
+):
     """Probe Jacobian spectra of a layer or stack at Gaussian inputs.
 
-    ``criterion`` decides the pass flag: "orthogonal" and "partial"
-    compare the respective worst defect against ``tol``; "sv_interval"
-    requires every singular value to lie in [1-epsilon-tol, 1+epsilon+tol];
-    "none" records measurements without judging them.  The singular
-    values of every kept probe come from one ``svd_values`` call on the
-    stack of their Jacobians.
+    ``target`` is a layer or stack probed as the other arguments say,
+    giving one VerifyReport, or a list of ``ProbeRequest``s alone, giving
+    one report per request in order.  ``criterion`` decides the pass flag:
+    "orthogonal" and "partial" compare the respective worst defect against
+    ``tol``; "sv_interval" requires every singular value to lie in
+    [1-epsilon-tol, 1+epsilon+tol]; "isometry" is "sv_interval" with the
+    band ``isometry_epsilon()`` of one limit layer, and is reported as
+    "sv_interval"; "none" records measurements without judging them.
+
+    Every request is checked before any is probed, and every request is
+    probed before any singular value is computed.  The kept Jacobians of
+    all requests of one width fill one buffer, whose singular values come
+    from one ``svd_values`` call; each matrix gets the same values as in a
+    call of its own.  A ConvergenceError names the request and its probe.
     """
-    if criterion not in ("orthogonal", "partial", "sv_interval", "none"):
-        raise DimensionError(f"unknown criterion {criterion!r}")
-    if criterion == "sv_interval" and epsilon is None:
-        raise DimensionError("sv_interval criterion needs epsilon")
-    stack = _as_stack(target)
-    kept, jacs = _probe_jacobians(stack, n_probes, seed, input_scale, margin,
-                                  stack_jacobian)
-    max_orth = max(orthogonality_defect(jac) for jac in jacs)
-    max_partial = max(partial_isometry_defect(jac) for jac in jacs)
-    sv = svd_values(jacs)
-    sv_min = float(np.min(sv[:, -1]))
-    sv_max = float(np.max(sv[:, 0]))
-    if criterion == "orthogonal":
-        passed = bool(max_orth <= tol)
-    elif criterion == "partial":
-        passed = bool(max_partial <= tol)
-    elif criterion == "sv_interval":
-        passed = bool(sv_min >= 1.0 - epsilon - tol and sv_max <= 1.0 + epsilon + tol)
+    single = n_probes is not None
+    if single:
+        requests = [ProbeRequest(target, n_probes, seed, input_scale, margin,
+                                 criterion, tol, epsilon)]
     else:
-        passed = None
-    return VerifyReport(
-        probes=len(kept),
-        max_orth_defect=max_orth,
-        max_partial_defect=max_partial,
-        sv_min=sv_min,
-        sv_max=sv_max,
-        bound_epsilon=epsilon,
-        passed=passed,
-        skipped_near_kink=n_probes - len(kept),
-        criterion=criterion,
-        tol=tol,
-        seed=seed,
-        kind=stack[0].kind if len(stack) == 1 else "stack",
-        width=stack[0].width,
-        depth=len(stack),
-    )
+        requests = list(target)
+        if not all(isinstance(req, ProbeRequest) for req in requests):
+            raise DimensionError("spectrum_probe needs n_probes or a list of ProbeRequests")
+    stacks = [_as_stack(req.target) for req in requests]
+    bands = [_band(req, stack) for req, stack in zip(requests, stacks)]
+    rows: dict[int, int] = {}
+    for stack, req in zip(stacks, requests):
+        rows[stack[0].width] = rows.get(stack[0].width, 0) + req.n_probes
+    # pages of a buffer's unfilled tail are never touched
+    buffers = {width: np.empty((count, width, width)) for width, count in rows.items()}
+    filled = dict.fromkeys(buffers, 0)
+    probed = []
+    for stack, req in zip(stacks, requests):
+        width = stack[0].width
+        kept, _ = _probe_jacobians(stack, req.n_probes, req.seed, req.input_scale,
+                                   req.margin, stack_jacobian,
+                                   buffers[width][filled[width]:])
+        probed.append((width, filled[width], kept))
+        filled[width] += len(kept)
+    values = {}
+    for width, buffer in buffers.items():
+        try:
+            values[width] = svd_values(buffer[:filled[width]])
+        except ConvergenceError as exc:
+            # the requests of one width fill its buffer in order, at least one row each
+            k = max(k for k, (w, start, _) in enumerate(probed)
+                    if w == width and start <= exc.index)
+            _, start, kept = probed[k]
+            name = requests[k].name
+            where = f"probe {kept[exc.index - start]}" + (f" of {name!r}" if name else "")
+            raise ConvergenceError(f"{exc.message} at {where}", exc.residual) from exc
+    reports = [
+        _judge(req, stack, band, buffers[width][start:start + len(kept)],
+               values[width][start:start + len(kept)])
+        for req, stack, band, (width, start, kept) in zip(requests, stacks, bands, probed)
+    ]
+    return reports[0] if single else reports
 
 
 def check_dynamical_isometry(
@@ -244,18 +329,11 @@ def check_dynamical_isometry(
 
     The band half-width is ``max(2*Lip(m)*||b||, 2*sqrt(n)*Lip(q))``, the
     smallest value for which the layer's coefficient fields satisfy the
-    isometry conditions.
+    isometry conditions.  This is ``spectrum_probe`` with criterion
+    "isometry".
     """
-    return spectrum_probe(
-        layer,
-        n_probes,
-        seed,
-        input_scale=input_scale,
-        margin=margin,
-        criterion="sv_interval",
-        tol=tol,
-        epsilon=layer.isometry_epsilon(),
-    )
+    return spectrum_probe(layer, n_probes, seed, input_scale=input_scale,
+                          margin=margin, criterion="isometry", tol=tol)
 
 
 class _CellQuantizedField:

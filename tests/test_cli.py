@@ -1,14 +1,22 @@
 """End-to-end tests for the command-line interface."""
 
+import copy
 import functools
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthojac import cli, linalg, verify
 from orthojac.cli import main
-from orthojac.layers import layer_from_json
+from orthojac.errors import ConvergenceError
+from orthojac.layers import layer_from_json, layers_from_json
 from orthojac.train import METRICS_HEADER
+from orthojac.verify import DEFAULT_MARGIN, PASS_TOL
 
 RELU = {"breakpoints": [0.0], "slopes": [0.0, 1.0], "anchor_value": 0.0}
 LEAKY = {"breakpoints": [0.0], "slopes": [0.3, 1.0], "anchor_value": 0.0}
@@ -92,6 +100,19 @@ def test_bad_criterion_duplicate_and_unsafe_names(tmp_path):
     assert run(tmp_path, "verify", dupes)[0] == 2
     unsafe = {**base, "layers": [{"name": "../escape", "layer": reflection_layer()}]}
     assert run(tmp_path, "verify", unsafe)[0] == 2
+
+
+@pytest.mark.parametrize("command, config, what", [
+    ("spectrum", {"layers": [5]}, "a layer spec"),
+    ("verify", {"layers": [{"name": "a", "layer": 7}]}, "a layer spec"),
+    ("density", {"layer": [1]}, "a layer spec"),
+    ("spectrum", {"layers": [{"type": "composed", "n": 8, "rotation": {"seed": 1},
+                              "inner": [1]}]}, "a layer spec"),
+    ("density", {"layer": dict(bump_limit(), m=[1])}, "a slope field"),
+])
+def test_non_object_layer_spec_exits_2(tmp_path, capsys, command, config, what):
+    assert run(tmp_path, command, config)[0] == 2
+    assert f"{what} must be a JSON object" in capsys.readouterr().err
 
 
 def test_missing_subcommand_usage_error():
@@ -191,12 +212,107 @@ def test_verify_sv_interval_without_epsilon_exits_2_before_any_work(
         raise AssertionError("the entry was built or probed before it was checked")
 
     monkeypatch.setattr(cli, "layer_from_json", never)
+    monkeypatch.setattr(cli, "layers_from_json", never)
     monkeypatch.setattr(verify, "stack_jacobian", never)
     config = {"probes": 50, "layers": [{"name": "leaky", "layer": reflection_layer(),
                                         "criterion": "sv_interval"}]}
     code, _ = run(tmp_path, "verify", config)
     assert code == 2
     assert "sv_interval criterion needs epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"criterion": "sv_interval"}, "'c': sv_interval criterion needs epsilon"),
+    ({"probes": 0}, "c.probes must be a positive integer"),
+    ({"criterion": "sv_interval", "epsilon": "0.7"}, "'c': epsilon must be a number"),
+])
+def test_verify_late_bad_entry_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, bad, message):
+    def never(*args):
+        raise AssertionError("an entry was built or probed before all were checked")
+
+    for name in ("layer_from_json", "layers_from_json", "spectrum_probe"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(verify, "stack_jacobian", never)
+    entries = [{"name": "a", "layer": reflection_layer()},
+               {"name": "b", "layer": reflection_layer(seed=12)},
+               dict(bad, name="c", layer=reflection_layer(seed=13))]
+    code, out_dir = run(tmp_path, "verify", {"probes": 10, "layers": entries})
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(out_dir.glob("verify_*.json"))
+
+
+def test_verify_batch_matches_each_entry_alone(tmp_path, monkeypatch):
+    svd_widths, builds = [], []
+
+    def counted_svd(m, *args, **kwargs):
+        svd_widths.append(m.shape[-1])
+        return linalg.svd_values(m, *args, **kwargs)
+
+    def counted_build(specs):
+        builds.append(len(specs))
+        return layers_from_json(specs)
+
+    monkeypatch.setattr(verify, "svd_values", counted_svd)
+    monkeypatch.setattr(cli, "layers_from_json", counted_build)
+    partial = {"type": "case_i", "n": 32, "A": {"seed": 41}, "B": {"seed": 42},
+               "b": [0.2] * 32, "c": 0.0, "d": 1.0, "sigma": RELU, "strict": False}
+    leaky = dict(reflection_layer(n=16, seed=15), strict=False, sigma=LEAKY)
+    entries = [
+        {"name": "orthogonal16", "layer": reflection_layer(n=16)},
+        {"name": "partial32", "layer": partial, "criterion": "partial", "seed": 4},
+        {"name": "leaky16", "layer": leaky, "criterion": "sv_interval",
+         "epsilon": 0.7, "probes": 7},
+        {"name": "bump32", "layer": bump_limit(n=32), "criterion": "isometry"},
+        # a wide margin skips some probes, so the kept indices have gaps
+        {"name": "none32", "layer": reflection_layer(n=32, seed=12),
+         "criterion": "none", "margin": 0.05},
+    ]
+    code, out_dir = run(tmp_path, "verify", {"seed": 3, "probes": 20, "layers": entries})
+    # "none" records without judging, so the run cannot pass
+    assert code == 1
+    assert sorted(svd_widths) == [16, 32]
+    assert builds == [len(entries)]
+
+    for entry in entries:
+        layer = layer_from_json(entry["layer"])
+        args = (layer, entry.get("probes", 20), entry.get("seed", 3))
+        margin = entry.get("margin", DEFAULT_MARGIN)
+        if entry.get("criterion") == "isometry":
+            alone = verify.check_dynamical_isometry(*args, margin=margin, tol=PASS_TOL)
+        else:
+            alone = verify.spectrum_probe(
+                *args, margin=margin, criterion=entry.get("criterion", "orthogonal"),
+                epsilon=entry.get("epsilon"))
+        report = json.loads((out_dir / f"verify_{entry['name']}.json").read_text())
+        assert report.pop("name") == entry["name"]
+        report.pop("config_sha256")
+        assert report == alone.to_json()
+    assert json.loads((out_dir / "verify_none32.json").read_text())["skipped_near_kink"] > 0
+
+
+def test_verify_batched_convergence_failure_names_its_entry(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "svd_values",
+                        functools.partial(linalg.svd_values, max_sweeps=1))
+    leaky = dict(reflection_layer(seed=15), strict=False, sigma=LEAKY)
+    config = {"seed": 3, "probes": 4,
+              "layers": [{"name": "strict", "layer": reflection_layer()},
+                         {"name": "leaky", "layer": leaky,
+                          "criterion": "sv_interval", "epsilon": 0.7}]}
+    code, out_dir = run(tmp_path, "verify", config)
+    assert code == 1
+    err = capsys.readouterr().err
+    found = re.search(r"did not converge in 1 sweeps at probe (\d+) of 'leaky'"
+                      r" \(residual ", err)
+    assert found, err
+    assert not list(out_dir.glob("verify_*.json"))
+    # the named probe is one of the entry's own that fails alone
+    kept, jacs = verify._probe_jacobians([layer_from_json(leaky)], 4, 3, 1.0,
+                                         DEFAULT_MARGIN, verify.stack_jacobian)
+    with pytest.raises(ConvergenceError):
+        linalg.svd_values(jacs[kept.index(int(found.group(1)))], max_sweeps=1)
 
 
 def test_verify_report_kind_of_every_family(tmp_path):
@@ -420,3 +536,107 @@ def test_train_unknown_data_kind_exits_2(tmp_path):
 def test_train_unknown_model_exits_2(tmp_path):
     assert run(tmp_path, "train", train_config(model="mystery"))[0] == 2
 
+
+
+# ---------------------------------------------------------------------------
+# config fuzz
+# ---------------------------------------------------------------------------
+
+# small valid configs: width 4, a few probes, so no mutation allocates much
+FUZZ_N = 4
+FUZZ_LIMIT = {"type": "limit", "n": FUZZ_N, "B": {"seed": 3}, "b": [0.2] * FUZZ_N,
+              "m": {"kind": "mini_net", "n": FUZZ_N, "hidden": 2, "seed": 4,
+                    "init_std": 0.05},
+              "q": {"kind": "constant", "value": 0.0}}
+FUZZ_CONFIGS = {
+    "verify": {
+        "command": "verify", "seed": 1, "probes": 2, "criterion": "orthogonal",
+        "tol": 1e-10, "margin": 1e-6, "input_scale": 1.0,
+        "layers": [
+            {"name": "a", "layer": {"type": "composed", "n": FUZZ_N,
+                                    "rotation": {"seed": 7},
+                                    "inner": reflection_layer(n=FUZZ_N, seed=8)}},
+            {"name": "b", "layer": FUZZ_LIMIT, "criterion": "isometry", "probes": 2},
+            {"name": "c", "criterion": "sv_interval", "epsilon": 0.5,
+             "layer": {"type": "case_i", "n": FUZZ_N, "A": {"seed": 1},
+                       "B": {"seed": 2}, "b": [0.1] * FUZZ_N, "c": 0.0, "d": 1.0,
+                       "sigma": ABS, "strict": True}},
+            {"name": "d", "criterion": "partial", "seed": 2,
+             "layer": {"type": "partitioned", "n": FUZZ_N, "A": {"seed": 5},
+                       "B": {"seed": 5}, "b": [0.1] * FUZZ_N,
+                       "hyperplanes": [{"normal": [1.0] * FUZZ_N, "offset": 0.0}],
+                       "regions": [{"signs": [1], "ell": 1.0, "c": 0.0, "d": -2.0,
+                                    "sigma": RELU},
+                                   {"signs": [-1], "ell": 0.0, "c": 0.0, "d": 1.0,
+                                    "sigma": ABS}]}},
+        ],
+    },
+    "spectrum": {
+        "command": "spectrum", "seed": 1, "probes": 2, "margin": 1e-6,
+        "input_scale": 1.0,
+        "layers": [reflection_layer(n=FUZZ_N, seed=9),
+                   {"type": "gated", "n": FUZZ_N, "B": {"seed": 6},
+                    "b": [0.1] * FUZZ_N, "gate": [1.0, 0.5, 0.5, 0.5],
+                    "sigma": RELU}],
+    },
+    "density": {
+        "command": "density", "seed": 1, "probes": 5, "radius": 1.5,
+        "resolutions": [1, 2],
+        "layer": dict(FUZZ_LIMIT, m={"kind": "gaussian_bump", "scale": 0.01},
+                      q={"kind": "mini_net", "n": FUZZ_N, "hidden": 2, "seed": 4}),
+    },
+}
+# one or a few small values of each JSON type; a number is only ever replaced
+# by a value of another type, so no magnitude is fuzzed
+FUZZ_VALUES = (0, 1, -1, "", "x", "1", [], [0], ["x"], None, {}, {"seed": 1})
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def _json_type(value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value)
+
+
+@st.composite
+def mutated_configs(draw):
+    """A fuzz config with one node, the root included, replaced by another type."""
+    command = draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+    config = copy.deepcopy(FUZZ_CONFIGS[command])
+    path = draw(st.sampled_from(list(_node_paths(config))))
+    parent, old = None, config
+    for key in path:
+        parent, old = old, old[key]
+    value = copy.deepcopy(draw(st.sampled_from(
+        [v for v in FUZZ_VALUES if _json_type(v) != _json_type(old)])))
+    if parent is None:
+        return command, value
+    parent[path[-1]] = value
+    return command, config
+
+
+def test_fuzz_configs_are_valid(tmp_path):
+    assert [run(tmp_path, command, config)[0]
+            for command, config in sorted(FUZZ_CONFIGS.items())] == [0, 0, 0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=mutated_configs())
+def test_config_fuzz_exits_0_1_or_2(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
+        assert main(argv) in (0, 1, 2)

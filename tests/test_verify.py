@@ -244,6 +244,10 @@ def test_spectrum_probe_checks_criterion_before_probing(monkeypatch):
         spectrum_probe(layer, 10, seed=44, criterion="sv_interval")
     with pytest.raises(DimensionError, match="unknown criterion"):
         spectrum_probe(layer, 10, seed=44, criterion="bogus")
+    with pytest.raises(DimensionError, match="needs one limit layer"):
+        spectrum_probe(layer, 10, seed=44, criterion="isometry")
+    with pytest.raises(DimensionError, match="list of ProbeRequests"):
+        spectrum_probe([layer])
 
 
 def test_report_rejects_inverted_sv_range():
