@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 check, solver or training failure, 2 usage/config error
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,7 +33,6 @@ from .train import TrainConfig, make_network, save_snapshot, train
 # check_dynamical_isometry is not called here, but the probe entry points
 # stay bound on this module, where perfbench's first-item marker wraps them
 from .verify import (
-    CRITERIA,
     DEFAULT_MARGIN,
     PASS_TOL,
     ProbeRequest,
@@ -100,65 +100,37 @@ def _write_text(out_dir: str, filename: str, text: str) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-ENTRY_KEYS = ("criterion", "probes", "seed", "margin", "input_scale", "tol",
-              "epsilon")
+# each entry setting: the entry's value, else the config's, else this default
+ENTRY_DEFAULTS = {"criterion": "orthogonal", "probes": 1000, "seed": 0,
+                  "margin": DEFAULT_MARGIN, "input_scale": 1.0, "tol": PASS_TOL,
+                  "epsilon": None}
 
 
 def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
-    _check_keys(config, "verify config", ("layers",), ("command",) + ENTRY_KEYS)
+    _check_keys(config, "verify config", ("layers",), ("command", *ENTRY_DEFAULTS))
     entries = config["layers"]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("verify config: 'layers' must be a non-empty list")
 
-    defaults = {
-        "criterion": config.get("criterion", "orthogonal"),
-        "probes": config.get("probes", 1000),
-        "seed": config.get("seed", 0),
-        "margin": config.get("margin", DEFAULT_MARGIN),
-        "input_scale": config.get("input_scale", 1.0),
-        "tol": config.get("tol", PASS_TOL),
-        "epsilon": config.get("epsilon"),
-    }
-
-    # every entry is checked, then every layer built, before the first probe
-    names, options = [], []
+    # every entry is checked, with its spec standing in for its layer, then
+    # every layer is built, before the first probe
+    names, requests = [], []
     for entry in entries:
-        _check_keys(entry, "layer entry", ("name", "layer"), ENTRY_KEYS)
+        _check_keys(entry, "layer entry", ("name", "layer"), tuple(ENTRY_DEFAULTS))
         name = entry["name"]
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ConfigError(f"layer entry name {name!r} is not filename-safe")
         if name in names:
             raise ConfigError(f"duplicate layer entry name {name!r}")
-        opts = {key: entry.get(key, defaults[key]) for key in ENTRY_KEYS}
-        if opts["criterion"] not in CRITERIA:
-            raise ConfigError(
-                f"layer entry {name!r}: criterion must be one of {CRITERIA}"
-            )
-        epsilon = opts["epsilon"]
-        if opts["criterion"] == "sv_interval" and epsilon is None:
-            raise ConfigError(
-                f"layer entry {name!r}: sv_interval criterion needs epsilon"
-            )
-        if epsilon is not None and (isinstance(epsilon, bool)
-                                    or not isinstance(epsilon, (int, float))):
-            raise ConfigError(f"layer entry {name!r}: epsilon must be a number")
-        _positive_int(opts["probes"], f"{name}.probes")
+        settings = {key: entry.get(key, config.get(key, default))
+                    for key, default in ENTRY_DEFAULTS.items()}
+        settings["n_probes"] = settings.pop("probes")
         names.append(name)
-        options.append(opts)
+        requests.append(ProbeRequest(entry["layer"], name=name, **settings))
 
-    layers = layers_from_json([entry["layer"] for entry in entries])
-    requests = []
-    for name, layer, opts in zip(names, layers, options):
-        if opts["criterion"] == "isometry" and not isinstance(layer, LimitLayer):
-            raise ConfigError(
-                f"layer entry {name!r}: isometry criterion needs a limit layer"
-            )
-        requests.append(ProbeRequest(
-            layer, opts["probes"], opts["seed"], input_scale=opts["input_scale"],
-            margin=opts["margin"], criterion=opts["criterion"], tol=opts["tol"],
-            epsilon=opts["epsilon"], name=name,
-        ))
-    reports = spectrum_probe(requests)
+    layers = layers_from_json([req.target for req in requests])
+    reports = spectrum_probe([dataclasses.replace(req, target=layer)
+                              for req, layer in zip(requests, layers)])
 
     for name, report in zip(names, reports):
         blob = dict(report.to_json(), name=name, config_sha256=digest)
@@ -181,17 +153,18 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     specs = config["layers"]
     if not isinstance(specs, list) or not specs:
         raise ConfigError("spectrum config: 'layers' must be a non-empty list")
+    # the settings are checked, with the specs standing in for the stack,
+    # before any layer is built
+    req = ProbeRequest(specs, config.get("probes", 1000), config.get("seed", 0),
+                       input_scale=config.get("input_scale", 1.0),
+                       margin=config.get("margin", DEFAULT_MARGIN), criterion="none")
     stack = layers_from_json(specs)
-    probes = _positive_int(config.get("probes", 1000), "probes")
-    seed = config.get("seed", 0)
-    margin = config.get("margin", DEFAULT_MARGIN)
-    input_scale = config.get("input_scale", 1.0)
 
     # the probes of spectrum_probe.  stack_jacobian is looked up in this module
     # per block, so a wrapper installed on or removed from the binding
     # during the run (perfbench's first-item marker) sees only its own calls
-    kept, jacs = _probe_jacobians(stack, probes, seed, input_scale, margin,
-                                  lambda *args: stack_jacobian(*args))
+    kept, jacs = _probe_jacobians(stack, req.n_probes, req.seed, req.input_scale,
+                                  req.margin, lambda *args: stack_jacobian(*args))
     values = svd_values(jacs)
     rows = [(index, float(sv.min()), float(sv.max()))
             for index, sv in zip(kept, values)]
@@ -199,7 +172,7 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     bins = np.clip(((values + EDGE_SNAP) * scale).astype(np.int64),
                    0, HISTOGRAM_BINS - 1)
     counts = np.bincount(bins.ravel(), minlength=HISTOGRAM_BINS)
-    skipped = probes - len(kept)
+    skipped = req.n_probes - len(kept)
 
     header = f"# config_sha256={digest}\n"
     probe_lines = [header, "probe,sv_min,sv_max\n"]

@@ -39,11 +39,10 @@ from .errors import (
     SlopeMismatchError,
 )
 from .linalg import as_matrix, as_vector, frobenius_defect, random_orthogonal_batch
-from .pwl import PwlScalar, slope_violation
+from .pwl import SLOPE_TOL, PwlScalar, slope_violation
 from .rng import SplitMix64, derive_seed
 
 ORTHO_TOL = 1e-10
-SLOPE_TOL = 1e-12
 DEFAULT_MARGIN = 1e-8
 
 
@@ -459,8 +458,21 @@ def _power_iteration_norm(w: np.ndarray, iters: int = 200, tol: float = 1e-13) -
     return last
 
 
+class _SmoothField:
+    """The kink-free, parameter-free part of the constant and bump fields."""
+
+    def kink_distance_batch(self, X):
+        return np.full(len(X), np.inf)
+
+    def params(self) -> dict:
+        return {}
+
+    def param_grads_batch(self, X, coeff) -> dict:
+        return {}
+
+
 @dataclass(frozen=True)
-class ConstantField:
+class ConstantField(_SmoothField):
     """Scalar field m(x) = value."""
 
     value: float
@@ -474,21 +486,12 @@ class ConstantField:
     def lipschitz_bound(self) -> float:
         return 0.0
 
-    def kink_distance_batch(self, X):
-        return np.full(len(X), np.inf)
-
-    def params(self) -> dict:
-        return {}
-
-    def param_grads_batch(self, X, coeff) -> dict:
-        return {}
-
     def to_json(self) -> dict:
         return {"kind": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
-class GaussianBumpField:
+class GaussianBumpField(_SmoothField):
     """Scalar field m(x) = scale * exp(-||x||^2).
 
     The gradient norm 2*scale*r*exp(-r^2) peaks at r = 1/sqrt(2), giving
@@ -505,15 +508,6 @@ class GaussianBumpField:
 
     def lipschitz_bound(self) -> float:
         return np.sqrt(2.0) * np.exp(-0.5) * abs(self.scale)
-
-    def kink_distance_batch(self, X):
-        return np.full(len(X), np.inf)
-
-    def params(self) -> dict:
-        return {}
-
-    def param_grads_batch(self, X, coeff) -> dict:
-        return {}
 
     def to_json(self) -> dict:
         return {"kind": "gaussian_bump", "scale": self.scale}
@@ -662,8 +656,8 @@ class LimitLayer:
     kink_distance = _kink_distance_one
 
     def forward_batch(self, X):
-        Z = X @ self.B.T + self.b
-        core = X - 2.0 * (np.maximum(Z, 0.0) @ self.B)
+        # the reflection part is the case-ii core
+        core = _core_forward(1.0, 0.0, -2.0, self.B, self.B, self.b, _RELU, X)
         mvals = self.m_field.eval_batch(X)
         qvals = self.q_field.eval_batch(X)
         return core + qvals[:, np.newaxis] + (1.0 - mvals)[:, np.newaxis] * self._bias_pull()
@@ -684,21 +678,17 @@ class LimitLayer:
     vjp = _vjp_one
 
     def vjp_batch(self, X, V):
-        Z = X @ self.B.T + self.b
-        R = np.maximum(Z, 0.0)
-        mask = (Z >= 0.0).astype(np.float64)
-        W = mask * (-2.0 * (V @ self.B.T))
+        # the reflection part is the case-ii core; B is its A and its B
+        dX, gA, gB, gb = _core_vjp(1.0, -2.0, self.B, self.B, self.b, _RELU, X, V)
         bias_pull = self._bias_pull()
         mvals = self.m_field.eval_batch(X)
         v_sum = V.sum(axis=1)
         v_pull = V @ bias_pull
-        dX = V + W @ self.B
         dX += v_sum[:, np.newaxis] * self.q_field.grad_batch(X)
         dX -= v_pull[:, np.newaxis] * self.m_field.grad_batch(X)
         one_minus_m = (1.0 - mvals)[:, np.newaxis] * V
-        gB = -2.0 * (R.T @ V) + W.T @ X + np.outer(self.b, one_minus_m.sum(axis=0))
-        gb = W.sum(axis=0) + (one_minus_m @ self.B.T).sum(axis=0)
-        grads = {"B": gB, "b": gb}
+        grads = {"B": gA + gB + np.outer(self.b, one_minus_m.sum(axis=0)),
+                 "b": gb + (one_minus_m @ self.B.T).sum(axis=0)}
         for name, g in self.m_field.param_grads_batch(X, -v_pull).items():
             grads[f"m.{name}"] = g
         for name, g in self.q_field.param_grads_batch(X, v_sum).items():

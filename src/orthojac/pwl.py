@@ -157,21 +157,15 @@ def make_sigma_k(nodes: Sequence[float]) -> PwlScalar:
     return PwlScalar(nodes, slopes, float(nodes[0]))
 
 
-def make_two_slope(
-    alpha: float,
-    beta: float,
-    nodes: Sequence[float],
-    start_with_alpha: bool = True,
-    anchor_value: float = 0.0,
-) -> PwlScalar:
-    """Alternating two-slope function (e.g. LeakyReLU, |x|, HardTanh)."""
+def make_two_slope(alpha: float, beta: float, nodes: Sequence[float]) -> PwlScalar:
+    """Slopes alternating alpha, beta, ... from the left, with value 0 at
+    the first node (e.g. LeakyReLU, |x|, HardTanh)."""
     if abs(alpha - beta) <= SLOPE_TOL:
         raise DegenerateSlopesError(
             f"slopes {alpha!r} and {beta!r} are not distinct"
         )
-    first, second = (alpha, beta) if start_with_alpha else (beta, alpha)
-    slopes = tuple(first if i % 2 == 0 else second for i in range(len(nodes) + 1))
-    return PwlScalar(tuple(nodes), slopes, anchor_value)
+    slopes = tuple(alpha if i % 2 == 0 else beta for i in range(len(nodes) + 1))
+    return PwlScalar(tuple(nodes), slopes, 0.0)
 
 
 def slope_violation(

@@ -249,12 +249,11 @@ class Network:
         return out
 
     def square_weights(self) -> dict:
-        """Trainable square matrices (targets of the orthogonality penalty)."""
-        return {
-            name: arr
-            for name, arr in self.params().items()
-            if arr.ndim == 2 and arr.shape[0] == arr.shape[1]
-        }
+        """The layers' A and B weights (targets of the orthogonality penalty),
+        keyed like ``params()``; the head and field weights are not among them."""
+        return {f"layers.{i}.{name}": arr
+                for i, layer in enumerate(self.layers)
+                for name, arr in layer.params().items() if name in ("A", "B")}
 
     def forward_cache(self, X_raw: np.ndarray):
         """Forward pass keeping each layer's input for the backward pass."""
@@ -369,7 +368,7 @@ def _make_layer(model: str, width: int, seed: int, weights):
     if model == "ff_relu_partial":
         return make_case_i(A, B, b, c=0.0, d=1.0, sigma=_relu(), strict=False)
     # ff_leakyrelu
-    sigma = make_two_slope(0.3, 1.0, [0.0], start_with_alpha=True)
+    sigma = make_two_slope(0.3, 1.0, [0.0])
     return make_case_i(A, B, b, c=0.0, d=1.0, sigma=sigma, strict=False)
 
 

@@ -9,13 +9,15 @@ exactly when J J^T is a projection).
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NearKinkError, NoValidProbeError
 from .layers import DEFAULT_MARGIN, LimitLayer
-from .linalg import svd_values
+from .linalg import frobenius_defect, svd_values
 from .rng import SplitMix64, derive_seed
 
 PASS_TOL = 1e-10
@@ -30,9 +32,7 @@ def orthogonality_defect(jac: np.ndarray) -> float:
     """Frobenius distance of J^T J from the identity."""
     if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
         raise DimensionError(f"expected a square Jacobian, got {jac.shape}")
-    gram = jac.T @ jac
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.sqrt(np.sum(gram * gram)))
+    return frobenius_defect(jac.T)
 
 
 def partial_isometry_defect(jac: np.ndarray) -> float:
@@ -178,11 +178,22 @@ def _probe_jacobians(stack: list, n_probes: int, seed: int, input_scale: float,
     return kept, jacs[:len(kept)]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProbeRequest:
     """One probe-and-judge run: ``spectrum_probe``'s arguments for one target.
 
-    ``name`` labels the request in the message of a ConvergenceError.
+    Every setting is checked on construction, before any layer is probed:
+    ``criterion`` is one of CRITERIA, ``n_probes`` a positive integer,
+    ``seed`` an integer, and ``input_scale``, ``margin``, ``tol`` and a
+    given ``epsilon`` finite numbers (bools are not numbers here);
+    "sv_interval" needs ``epsilon``.  The one rule that needs the built
+    layer, one limit layer for "isometry", is checked by ``spectrum_probe``.
+    A failed check raises DimensionError.  ``name`` labels the request in
+    these messages and in the message of a ConvergenceError.
     """
 
     target: object
@@ -195,21 +206,44 @@ class ProbeRequest:
     epsilon: float | None = None
     name: str | None = None
 
+    @property
+    def _where(self) -> str:
+        return f"{self.name!r}: " if self.name else ""
+
+    def __post_init__(self):
+        where = self._where
+        if self.criterion not in CRITERIA:
+            raise DimensionError(
+                f"{where}unknown criterion {self.criterion!r}, expected one of {CRITERIA}"
+            )
+        if not _is_integer(self.n_probes) or self.n_probes < 1:
+            probes = f"{self.name}.probes" if self.name else "probes"
+            raise DimensionError(f"{probes} must be a positive integer, got {self.n_probes!r}")
+        if not _is_integer(self.seed):
+            raise DimensionError(f"{where}seed must be an integer, got {self.seed!r}")
+        for key in ("input_scale", "margin", "tol", "epsilon"):
+            value = getattr(self, key)
+            if key == "epsilon" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DimensionError(f"{where}{key} must be a number, got {value!r}")
+            # false for NaN, the infinities and integers beyond the float range
+            if not abs(value) <= sys.float_info.max:
+                raise DimensionError(f"{where}{key} must be finite, got {value!r}")
+        if self.criterion == "sv_interval" and self.epsilon is None:
+            raise DimensionError(f"{where}sv_interval criterion needs epsilon")
+
 
 def _band(request: ProbeRequest, stack: list) -> float | None:
     """The request's ``epsilon``, derived from the layer for "isometry".
 
-    Raises DimensionError for a request that cannot be judged.
+    Raises DimensionError when an "isometry" target is not one limit layer.
     """
-    if request.criterion not in CRITERIA:
-        raise DimensionError(f"unknown criterion {request.criterion!r}")
-    if request.criterion == "isometry":
-        if len(stack) != 1 or not isinstance(stack[0], LimitLayer):
-            raise DimensionError("isometry criterion needs one limit layer")
-        return stack[0].isometry_epsilon()
-    if request.criterion == "sv_interval" and request.epsilon is None:
-        raise DimensionError("sv_interval criterion needs epsilon")
-    return request.epsilon
+    if request.criterion != "isometry":
+        return request.epsilon
+    if len(stack) != 1 or not isinstance(stack[0], LimitLayer):
+        raise DimensionError(f"{request._where}isometry criterion needs one limit layer")
+    return stack[0].isometry_epsilon()
 
 
 def _judge(request: ProbeRequest, stack: list, band: float | None, jacs: np.ndarray,

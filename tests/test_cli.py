@@ -225,6 +225,11 @@ def test_verify_sv_interval_without_epsilon_exits_2_before_any_work(
     ({"criterion": "sv_interval"}, "'c': sv_interval criterion needs epsilon"),
     ({"probes": 0}, "c.probes must be a positive integer"),
     ({"criterion": "sv_interval", "epsilon": "0.7"}, "'c': epsilon must be a number"),
+    ({"margin": "x"}, "'c': margin must be a number"),
+    ({"tol": "x"}, "'c': tol must be a number"),
+    ({"seed": 1.5}, "'c': seed must be an integer"),
+    ({"input_scale": [1]}, "'c': input_scale must be a number"),
+    ({"margin": 10**400}, "'c': margin must be finite"),
 ])
 def test_verify_late_bad_entry_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, bad, message):
@@ -417,6 +422,23 @@ def test_spectrum_factors_its_stack_in_one_batch(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "spectrum", config)
     assert code == 0
     assert calls == [(8, [21, 22, 23, 21])]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"input_scale": [1]}, "input_scale must be a number"),
+    ({"margin": "x"}, "margin must be a number"),
+])
+def test_spectrum_bad_setting_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, bad, message):
+    def never(*args):
+        raise AssertionError("the stack was built or probed before its settings were checked")
+
+    monkeypatch.setattr(cli, "layers_from_json", never)
+    monkeypatch.setattr(cli, "stack_jacobian", never)
+    code, out_dir = run(tmp_path, "spectrum", spectrum_config(**bad))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(out_dir.glob("spectrum_*.csv"))
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_limit_general_constant_m_matches_case_ii_twin():
     B, b = orth(4), bias(5)
     m0, q0 = 0.25, -0.1
     lim = ly.make_limit(B, b, ly.ConstantField(m0), ly.ConstantField(q0))
-    sigma = pwl.make_two_slope(1.0 - m0, -(1.0 + m0), [0.0], start_with_alpha=False)
+    sigma = pwl.make_two_slope(-(1.0 + m0), 1.0 - m0, [0.0])
     ref = ly.make_case_ii(-B, -b, m0, q0, 1.0, sigma)
     X = SplitMix64(6).gaussian_matrix(20, N)
     assert np.max(np.abs(lim.forward_batch(X) - ref.forward_batch(X))) < 1e-13

@@ -305,12 +305,18 @@ def test_network_validates_head_shape():
 
 
 def test_network_param_keys_and_square_weights():
-    net = make_network("resnet_relu", 8, 3, 10, 8, seed=31)
-    keys = set(net.params())
-    assert {"head.w", "head.b", "layers.0.B", "layers.2.b"} <= keys
-    squares = net.square_weights()
-    assert set(squares) == {"layers.0.B", "layers.1.B", "layers.2.B"}
-    assert all(w.shape == (8, 8) for w in squares.values())
+    # the second has a square head (10 classes at width 10), the third square
+    # mini-net field weights (16 hidden units at width 16); neither counts
+    for model, width, classes, seed in (("resnet_relu", 8, 10, 31),
+                                        ("resnet_relu", 10, 10, 1),
+                                        ("limit_m3", 16, 4, 1)):
+        net = make_network(model, width, 3, classes, 8, seed=seed)
+        keys = set(net.params())
+        assert {"head.w", "head.b", "layers.0.B", "layers.2.b"} <= keys
+        squares = net.square_weights()
+        assert set(squares) == {"layers.0.B", "layers.1.B", "layers.2.B"}
+        assert all(w.shape == (width, width) for w in squares.values())
+        assert max(frobenius_defect(w) for w in squares.values()) <= 1e-12
 
 
 def test_network_first_batch_gradient_ratio_is_one():

@@ -48,13 +48,13 @@ NODES = [-1.0, 0.0, 1.0]
 
 
 def leaky_relu(slope: float):
-    return make_two_slope(slope, 1.0, [0.0], start_with_alpha=True)
+    return make_two_slope(slope, 1.0, [0.0])
 
 
 def strict_case_ii(n: int, seed: int, scale: float = 0.3):
     B = random_orthogonal(n, derive_seed(seed, 0))
     b = scale * SplitMix64(derive_seed(seed, 1)).gaussian(n)
-    sigma = make_two_slope(0.0, 1.0, [0.0], start_with_alpha=True)
+    sigma = make_two_slope(0.0, 1.0, [0.0])
     return make_case_ii(B, b, ell=1.0, c=0.0, d=-2.0, sigma=sigma)
 
 
@@ -417,7 +417,7 @@ def test_gradient_ratio_rejects_zero_cotangent():
 def test_gradient_ratio_propagates_near_kink():
     n = 4
     B = random_orthogonal(n, 88)
-    sigma = make_two_slope(0.0, 1.0, [0.0], start_with_alpha=True)
+    sigma = make_two_slope(0.0, 1.0, [0.0])
     layer = make_case_ii(B, np.zeros(n), ell=1.0, c=0.0, d=-2.0, sigma=sigma)
     with pytest.raises(NearKinkError):
         gradient_norm_ratio(layer, np.zeros(n), np.ones(n))
