@@ -27,7 +27,6 @@ from .errors import (
     TrainingDivergedError,
 )
 from .layers import LimitLayer, layer_from_json, layers_from_json
-from .linalg import svd_values
 from .rng import SplitMix64, derive_seed
 from .train import TrainConfig, make_network, save_snapshot, train
 # check_dynamical_isometry is not called here, but the probe entry points
@@ -36,9 +35,9 @@ from .verify import (
     DEFAULT_MARGIN,
     PASS_TOL,
     ProbeRequest,
-    _probe_jacobians,
     check_dynamical_isometry,
     density_gap,
+    probe_spectra,
     spectrum_probe,
     stack_jacobian,
 )
@@ -158,14 +157,11 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     req = ProbeRequest(specs, config.get("probes", 1000), config.get("seed", 0),
                        input_scale=config.get("input_scale", 1.0),
                        margin=config.get("margin", DEFAULT_MARGIN), criterion="none")
-    stack = layers_from_json(specs)
+    req = dataclasses.replace(req, target=layers_from_json(specs))
 
-    # the probes of spectrum_probe.  stack_jacobian is looked up in this module
-    # per block, so a wrapper installed on or removed from the binding
-    # during the run (perfbench's first-item marker) sees only its own calls
-    kept, jacs = _probe_jacobians(stack, req.n_probes, req.seed, req.input_scale,
-                                  req.margin, lambda *args: stack_jacobian(*args))
-    values = svd_values(jacs)
+    # stack_jacobian is looked up here per block, so a wrapper put on or taken off
+    # this binding mid-run (perfbench's first-item marker) sees only its own calls
+    [(kept, _, values)] = probe_spectra([req], lambda *args: stack_jacobian(*args))
     rows = [(index, float(sv.min()), float(sv.max()))
             for index, sv in zip(kept, values)]
     scale = HISTOGRAM_BINS / HISTOGRAM_RANGE
@@ -203,15 +199,13 @@ def cmd_density(config: dict, out_dir: str, digest: str) -> int:
     layer = layer_from_json(config["layer"])
     if not isinstance(layer, LimitLayer):
         raise ConfigError("density config: 'layer' must be a limit layer spec")
-    seed = config.get("seed", 0)
     probes = _positive_int(config.get("probes", 400), "probes")
-    radius = float(config.get("radius", 1.5))
     resolutions = config.get("resolutions", [2, 4, 8, 16])
     if not isinstance(resolutions, list) or not resolutions:
         raise ConfigError("density config: 'resolutions' must be a non-empty list")
     resolutions = sorted(_positive_int(r, "resolution") for r in resolutions)
 
-    reports = [density_gap(layer, res, radius, probes, seed)
+    reports = [density_gap(layer, res, config.get("radius", 1.5), probes, config.get("seed", 0))
                for res in resolutions]
 
     lines = [f"# config_sha256={digest}\n", "resolution,measured_gap,theoretical_bound\n"]
@@ -283,23 +277,19 @@ def cmd_train(config: dict, out_dir: str, digest: str, data_root) -> int:
     _check_keys(config, "train config", ("model", "width", "depth", "lr0",
                                          "epochs", "data"),
                 ("command", "batch_size", "alpha", "patience", "seed"))
-    seed = config.get("seed", 0)
-    train_set, val_set = _load_train_data(config["data"], seed, data_root)
+    # the settings are checked before any data is loaded or layer built
+    train_cfg = TrainConfig(lr0=config["lr0"], total_epochs=config["epochs"],
+                            batch_size=config.get("batch_size", 512),
+                            alpha=config.get("alpha", 0.0),
+                            patience=config.get("patience", 10), seed=config.get("seed", 0))
+    train_set, val_set = _load_train_data(config["data"], train_cfg.seed, data_root)
 
     width = _positive_int(config["width"], "width")
     depth = config["depth"]
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise ConfigError(f"depth must be a non-negative integer, got {depth!r}")
     network = make_network(config["model"], width, depth,
-                           train_set.class_count, train_set.dim, seed)
-    train_cfg = TrainConfig(
-        lr0=float(config["lr0"]),
-        total_epochs=_positive_int(config["epochs"], "epochs"),
-        batch_size=_positive_int(config.get("batch_size", 512), "batch_size"),
-        alpha=float(config.get("alpha", 0.0)),
-        patience=_positive_int(config.get("patience", 10), "patience"),
-        seed=seed,
-    )
+                           train_set.class_count, train_set.dim, train_cfg.seed)
 
     try:
         metrics = train(network, train_cfg, train_set, val_set)

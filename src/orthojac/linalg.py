@@ -17,6 +17,9 @@ for its accuracy on small singular values (Demmel & Veselic 1992).
 
 from __future__ import annotations
 
+import numbers
+import sys
+
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError
@@ -24,7 +27,7 @@ from .rng import SplitMix64
 
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
-# matrices of a stack rotated together; bounds the temporaries of long stacks
+# matrices of a stack rotated or measured together; bounds long stacks' temporaries
 JACOBI_BLOCK = 16
 # columns of a Householder panel: reflected one by one, then applied to the
 # trailing columns and to Q as one block reflector
@@ -57,6 +60,18 @@ def as_vector(obj, size: int | None = None) -> np.ndarray:
     return v
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer; bools are not integers here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a real number, not NaN, infinite or beyond the
+    float range; bools are not numbers here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _as_matrix_stack(obj) -> np.ndarray:
     """Validate and convert ``obj`` to a 3-D finite float64 stack of matrices."""
     s = np.asarray(obj, dtype=np.float64)
@@ -67,13 +82,32 @@ def _as_matrix_stack(obj) -> np.ndarray:
     return s
 
 
-def frobenius_defect(m: np.ndarray) -> float:
-    """Frobenius distance ``||M M^T - I||_F`` from orthogonality."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got {m.shape}")
-    gram = m @ m.T
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.sqrt(np.sum(gram * gram)))
+def per_matrix(values_of, m: np.ndarray):
+    """``values_of`` on one square matrix, giving a float, or on an ``(L, n, n)``
+    stack, giving ``(L,)`` values, each the same as for the matrix alone.
+
+    ``values_of`` maps a ``(B, n, n)`` block to its ``(B,)`` values; a stack goes
+    through in blocks of ``JACOBI_BLOCK`` matrices, which bounds the temporaries.
+    Raises DimensionError unless ``m`` is square."""
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DimensionError(f"expected a square matrix or a stack, got {m.shape}")
+    stack = m[np.newaxis] if m.ndim == 2 else m
+    values = np.empty(len(stack))
+    for start in range(0, len(stack), JACOBI_BLOCK):
+        values[start:start + JACOBI_BLOCK] = values_of(stack[start:start + JACOBI_BLOCK])
+    return float(values[0]) if m.ndim == 2 else values
+
+
+def _gram_defects(block: np.ndarray) -> np.ndarray:
+    gram = block @ block.transpose(0, 2, 1)
+    diag = np.arange(block.shape[1])
+    gram[:, diag, diag] -= 1.0
+    return np.sqrt(np.sum(np.square(gram, out=gram), axis=(1, 2)))
+
+
+def frobenius_defect(m: np.ndarray):
+    """Frobenius distance ``||M M^T - I||_F`` from orthogonality (see ``per_matrix``)."""
+    return per_matrix(_gram_defects, m)
 
 
 def _reflect_panel(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

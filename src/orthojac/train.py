@@ -37,7 +37,8 @@ from .layers import (
     make_partitioned,
     RegionCoeffs,
 )
-from .linalg import frobenius_defect, random_orthogonal, random_orthogonal_batch
+from .linalg import (frobenius_defect, is_finite_number, is_integer, random_orthogonal,
+                     random_orthogonal_batch)
 from .pwl import make_relu_k, make_sigma_k, make_two_slope
 from .rng import SplitMix64, derive_seed
 from .serial import load_arrays, save_arrays
@@ -398,6 +399,8 @@ def make_network(model: str, width: int, depth: int, class_count: int,
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings of one training run, checked on construction (ConfigError)."""
+
     lr0: float
     total_epochs: int
     batch_size: int = 512
@@ -406,18 +409,23 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
-        if not 1 <= self.total_epochs <= MAX_EPOCHS:
-            raise ConfigError(
-                f"total_epochs must lie in [1, {MAX_EPOCHS}], got {self.total_epochs}"
-            )
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        # each rule tests the type first, so a range test sees only numbers;
+        # bools are neither numbers nor integers here
+        rules = {
+            "lr0": (is_finite_number(self.lr0) and self.lr0 > 0, "a positive finite number"),
+            "total_epochs": (is_integer(self.total_epochs)
+                             and 1 <= self.total_epochs <= MAX_EPOCHS,
+                             f"an integer in [1, {MAX_EPOCHS}]"),
+            "batch_size": (is_integer(self.batch_size) and self.batch_size > 0,
+                           "a positive integer"),
+            "alpha": (is_finite_number(self.alpha) and self.alpha >= 0,
+                      "a non-negative finite number"),
+            "patience": (is_integer(self.patience) and self.patience > 0, "a positive integer"),
+            "seed": (is_integer(self.seed), "an integer"),
+        }
+        for key, (ok, rule) in rules.items():
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -483,8 +491,8 @@ def _batch_grad_ratio(cot_in: np.ndarray, cot_out: np.ndarray) -> float:
 
 
 def _max_weight_defect(network: Network) -> float:
-    defects = [frobenius_defect(w) for w in network.square_weights().values()]
-    return max(defects) if defects else 0.0
+    squares = list(network.square_weights().values())
+    return float(np.max(frobenius_defect(np.stack(squares)))) if squares else 0.0
 
 
 def train(network: Network, config: TrainConfig, train_set: Dataset,

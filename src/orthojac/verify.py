@@ -4,20 +4,20 @@ Probes are drawn from the portable RNG, filtered by a kink margin, and
 reduced in probe-index order, so every report is reproducible from its
 seed.  Defects are Frobenius norms: ``||J^T J - I||`` for orthogonality
 and ``||(J J^T)^2 - J J^T||`` for partial isometry (the latter vanishes
-exactly when J J^T is a projection).
+exactly when J J^T is a projection); each takes one Jacobian or a stack,
+as ``linalg.per_matrix`` does.
 """
 
 from __future__ import annotations
 
 import numbers
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NearKinkError, NoValidProbeError
 from .layers import DEFAULT_MARGIN, LimitLayer
-from .linalg import frobenius_defect, svd_values
+from .linalg import frobenius_defect, is_finite_number, is_integer, per_matrix, svd_values
 from .rng import SplitMix64, derive_seed
 
 PASS_TOL = 1e-10
@@ -28,20 +28,20 @@ CRITERIA = ("orthogonal", "partial", "sv_interval", "isometry", "none")
 PROBE_BLOCK = 16
 
 
-def orthogonality_defect(jac: np.ndarray) -> float:
+def orthogonality_defect(jac: np.ndarray):
     """Frobenius distance of J^T J from the identity."""
-    if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
-        raise DimensionError(f"expected a square Jacobian, got {jac.shape}")
-    return frobenius_defect(jac.T)
+    return per_matrix(lambda block: frobenius_defect(block.transpose(0, 2, 1)), jac)
 
 
-def partial_isometry_defect(jac: np.ndarray) -> float:
-    """Frobenius distance of J J^T from being a projection."""
-    if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
-        raise DimensionError(f"expected a square Jacobian, got {jac.shape}")
-    gram = jac @ jac.T
+def _projection_defects(block: np.ndarray) -> np.ndarray:
+    gram = block @ block.transpose(0, 2, 1)
     resid = gram @ gram - gram
-    return float(np.sqrt(np.sum(resid * resid)))
+    return np.sqrt(np.sum(np.square(resid, out=resid), axis=(1, 2)))
+
+
+def partial_isometry_defect(jac: np.ndarray):
+    """Frobenius distance of J J^T from being a projection."""
+    return per_matrix(_projection_defects, jac)
 
 
 def fd_jacobian(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -143,48 +143,9 @@ class VerifyReport:
         return out
 
 
-
-def _probe_jacobians(stack: list, n_probes: int, seed: int, input_scale: float,
-                     margin: float, jacobian, out: np.ndarray | None = None
-                     ) -> tuple[list, np.ndarray]:
-    """The Jacobians of a stack at the probes of one run, away from kinks.
-
-    Probe ``i`` is the ``i``-th Gaussian input of the stream derived from
-    ``seed``; probes within ``margin`` of a kink are dropped.  The probes
-    go through ``jacobian(stack, X, margin)``, which is ``stack_jacobian``
-    through the caller's own binding of it, in blocks of ``PROBE_BLOCK``
-    rows.  Returns the kept probe indices in order and their Jacobians as
-    one ``(kept, n, n)`` array, the first rows of ``out`` (which has at
-    least ``n_probes`` rows) or of a new array; raises NoValidProbeError
-    when no probe is kept.
-    """
-    width = stack[0].width
-    # each gaussian(width) call reads whole pairs, so probe i is row i of
-    # one draw with the width rounded up to even, minus the padding column
-    pad = width + width % 2
-    stream = SplitMix64(derive_seed(seed, 0x50))
-    X = input_scale * stream.gaussian(n_probes * pad).reshape(n_probes, pad)[:, :width]
-    # pages of the rows left unfilled are never touched
-    jacs = np.empty((n_probes, width, width)) if out is None else out
-    kept = []
-    for start in range(0, n_probes, PROBE_BLOCK):
-        rows, block = jacobian(stack, X[start:start + PROBE_BLOCK], margin)
-        jacs[len(kept):len(kept) + len(rows)] = block
-        kept += (start + rows).tolist()
-    if not kept:
-        raise NoValidProbeError(
-            f"all {n_probes} probes fell within the kink margin {margin}"
-        )
-    return kept, jacs[:len(kept)]
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ProbeRequest:
-    """One probe-and-judge run: ``spectrum_probe``'s arguments for one target.
+    """One probe run of a layer or stack (``target``) and how to judge it.
 
     Every setting is checked on construction, before any layer is probed:
     ``criterion`` is one of CRITERIA, ``n_probes`` a positive integer,
@@ -216,20 +177,20 @@ class ProbeRequest:
             raise DimensionError(
                 f"{where}unknown criterion {self.criterion!r}, expected one of {CRITERIA}"
             )
-        if not _is_integer(self.n_probes) or self.n_probes < 1:
+        if not is_integer(self.n_probes) or self.n_probes < 1:
             probes = f"{self.name}.probes" if self.name else "probes"
             raise DimensionError(f"{probes} must be a positive integer, got {self.n_probes!r}")
-        if not _is_integer(self.seed):
+        if not is_integer(self.seed):
             raise DimensionError(f"{where}seed must be an integer, got {self.seed!r}")
         for key in ("input_scale", "margin", "tol", "epsilon"):
             value = getattr(self, key)
             if key == "epsilon" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DimensionError(f"{where}{key} must be a number, got {value!r}")
-            # false for NaN, the infinities and integers beyond the float range
-            if not abs(value) <= sys.float_info.max:
-                raise DimensionError(f"{where}{key} must be finite, got {value!r}")
+            if not is_finite_number(value):
+                # NaN, the infinities and integers beyond the float range are numbers
+                number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+                raise DimensionError(
+                    f"{where}{key} must be {'finite' if number else 'a number'}, got {value!r}")
         if self.criterion == "sv_interval" and self.epsilon is None:
             raise DimensionError(f"{where}sv_interval criterion needs epsilon")
 
@@ -249,8 +210,8 @@ def _band(request: ProbeRequest, stack: list) -> float | None:
 def _judge(request: ProbeRequest, stack: list, band: float | None, jacs: np.ndarray,
            sv: np.ndarray) -> VerifyReport:
     """The report of one request from its kept Jacobians and their singular values."""
-    max_orth = max(orthogonality_defect(jac) for jac in jacs)
-    max_partial = max(partial_isometry_defect(jac) for jac in jacs)
+    max_orth = float(np.max(orthogonality_defect(jacs)))
+    max_partial = float(np.max(partial_isometry_defect(jacs)))
     sv_min = float(np.min(sv[:, -1]))
     sv_max = float(np.max(sv[:, 0]))
     criterion, tol = request.criterion, request.tol
@@ -280,94 +241,96 @@ def _judge(request: ProbeRequest, stack: list, band: float | None, jacs: np.ndar
     )
 
 
-def spectrum_probe(
-    target,
-    n_probes: int | None = None,
-    seed: int | None = None,
-    input_scale: float = 1.0,
-    margin: float = DEFAULT_MARGIN,
-    criterion: str = "orthogonal",
-    tol: float = PASS_TOL,
-    epsilon: float | None = None,
-):
-    """Probe Jacobian spectra of a layer or stack at Gaussian inputs.
+def probe_spectra(requests: list, jacobian) -> list:
+    """The Jacobians and singular values of every request at its kept probes.
 
-    ``target`` is a layer or stack probed as the other arguments say,
-    giving one VerifyReport, or a list of ``ProbeRequest``s alone, giving
-    one report per request in order.  ``criterion`` decides the pass flag:
-    "orthogonal" and "partial" compare the respective worst defect against
-    ``tol``; "sv_interval" requires every singular value to lie in
-    [1-epsilon-tol, 1+epsilon+tol]; "isometry" is "sv_interval" with the
-    band ``isometry_epsilon()`` of one limit layer, and is reported as
-    "sv_interval"; "none" records measurements without judging them.
+    Probe ``i`` of a request is the ``i``-th Gaussian input of the stream
+    derived from its ``seed``, times its ``input_scale``; probes within its
+    ``margin`` of a kink are dropped.  The probes go through
+    ``jacobian(stack, X, margin)``, which is ``stack_jacobian`` through the
+    caller's own binding of it, in blocks of ``PROBE_BLOCK`` rows.  The kept
+    Jacobians of all requests of one width fill one buffer, whose singular
+    values come from one ``svd_values`` call once every request is probed;
+    each matrix gets the same values as in a call of its own.
 
-    Every request is checked before any is probed, and every request is
-    probed before any singular value is computed.  The kept Jacobians of
-    all requests of one width fill one buffer, whose singular values come
-    from one ``svd_values`` call; each matrix gets the same values as in a
-    call of its own.  A ConvergenceError names the request and its probe.
+    Returns, per request in order, the kept probe indices, their
+    ``(kept, n, n)`` Jacobians and their ``(kept, n)`` singular values
+    (descending).  Raises NoValidProbeError, naming the request, when it
+    keeps no probe, and a ConvergenceError that names the request and its probe.
     """
-    single = n_probes is not None
-    if single:
-        requests = [ProbeRequest(target, n_probes, seed, input_scale, margin,
-                                 criterion, tol, epsilon)]
-    else:
-        requests = list(target)
-        if not all(isinstance(req, ProbeRequest) for req in requests):
-            raise DimensionError("spectrum_probe needs n_probes or a list of ProbeRequests")
     stacks = [_as_stack(req.target) for req in requests]
-    bands = [_band(req, stack) for req, stack in zip(requests, stacks)]
     rows: dict[int, int] = {}
     for stack, req in zip(stacks, requests):
         rows[stack[0].width] = rows.get(stack[0].width, 0) + req.n_probes
     # pages of a buffer's unfilled tail are never touched
     buffers = {width: np.empty((count, width, width)) for width, count in rows.items()}
-    filled = dict.fromkeys(buffers, 0)
-    probed = []
-    for stack, req in zip(stacks, requests):
+    # (request, probe) of each filled row of each buffer
+    owners: dict[int, list] = {width: [] for width in buffers}
+    spans = []
+    for k, (stack, req) in enumerate(zip(stacks, requests)):
         width = stack[0].width
-        kept, _ = _probe_jacobians(stack, req.n_probes, req.seed, req.input_scale,
-                                   req.margin, stack_jacobian,
-                                   buffers[width][filled[width]:])
-        probed.append((width, filled[width], kept))
-        filled[width] += len(kept)
+        # each gaussian(width) call reads whole pairs, so probe i is row i of
+        # one draw with the width rounded up to even, minus the padding column
+        pad = width + width % 2
+        stream = SplitMix64(derive_seed(req.seed, 0x50))
+        X = req.input_scale * stream.gaussian(req.n_probes * pad).reshape(-1, pad)[:, :width]
+        owner = owners[width]
+        start = len(owner)
+        for first in range(0, req.n_probes, PROBE_BLOCK):
+            kept, block = jacobian(stack, X[first:first + PROBE_BLOCK], req.margin)
+            buffers[width][len(owner):len(owner) + len(kept)] = block
+            owner += [(k, probe) for probe in (first + kept).tolist()]
+        if len(owner) == start:
+            raise NoValidProbeError(
+                f"{req._where}all {req.n_probes} probes fell within the kink margin {req.margin}")
+        spans.append((width, start, len(owner)))
     values = {}
     for width, buffer in buffers.items():
         try:
-            values[width] = svd_values(buffer[:filled[width]])
+            values[width] = svd_values(buffer[:len(owners[width])])
         except ConvergenceError as exc:
-            # the requests of one width fill its buffer in order, at least one row each
-            k = max(k for k, (w, start, _) in enumerate(probed)
-                    if w == width and start <= exc.index)
-            _, start, kept = probed[k]
+            k, probe = owners[width][exc.index]
             name = requests[k].name
-            where = f"probe {kept[exc.index - start]}" + (f" of {name!r}" if name else "")
+            where = f"probe {probe}" + (f" of {name!r}" if name else "")
             raise ConvergenceError(f"{exc.message} at {where}", exc.residual) from exc
-    reports = [
-        _judge(req, stack, band, buffers[width][start:start + len(kept)],
-               values[width][start:start + len(kept)])
-        for req, stack, band, (width, start, kept) in zip(requests, stacks, bands, probed)
-    ]
-    return reports[0] if single else reports
+    return [([probe for _, probe in owners[width][start:stop]],
+             buffers[width][start:stop], values[width][start:stop])
+            for width, start, stop in spans]
 
 
-def check_dynamical_isometry(
-    layer: LimitLayer,
-    n_probes: int,
-    seed: int,
-    input_scale: float = 1.0,
-    margin: float = DEFAULT_MARGIN,
-    tol: float = ISOMETRY_TOL,
-) -> VerifyReport:
+def spectrum_probe(requests: list) -> list:
+    """Probe the Jacobian spectra of each ``ProbeRequest`` and judge them.
+
+    Returns one VerifyReport per request, in order.  The criterion decides
+    the pass flag: "orthogonal" and "partial" compare the respective worst
+    defect against ``tol``; "sv_interval" requires every singular value to
+    lie in [1-epsilon-tol, 1+epsilon+tol]; "isometry" is "sv_interval" with
+    the band ``isometry_epsilon()`` of one limit layer, and is reported as
+    "sv_interval"; "none" records measurements without judging them.  Every
+    band is derived before any request is probed, and the probes and
+    singular values come from one ``probe_spectra`` call.
+    """
+    if not all(isinstance(req, ProbeRequest) for req in requests):
+        raise DimensionError("spectrum_probe needs a list of ProbeRequests")
+    stacks = [_as_stack(req.target) for req in requests]
+    bands = [_band(req, stack) for req, stack in zip(requests, stacks)]
+    return [_judge(req, stack, band, jacs, values)
+            for req, stack, band, (_, jacs, values)
+            in zip(requests, stacks, bands, probe_spectra(requests, stack_jacobian))]
+
+
+def check_dynamical_isometry(layer: LimitLayer, n_probes: int, seed: int,
+                             input_scale: float = 1.0, margin: float = DEFAULT_MARGIN,
+                             tol: float = ISOMETRY_TOL) -> VerifyReport:
     """Verify all Jacobian singular values sit within the predicted band.
 
     The band half-width is ``max(2*Lip(m)*||b||, 2*sqrt(n)*Lip(q))``, the
     smallest value for which the layer's coefficient fields satisfy the
-    isometry conditions.  This is ``spectrum_probe`` with criterion
-    "isometry".
+    isometry conditions.  This is ``spectrum_probe`` on one request with
+    criterion "isometry".
     """
-    return spectrum_probe(layer, n_probes, seed, input_scale=input_scale,
-                          margin=margin, criterion="isometry", tol=tol)
+    return spectrum_probe([ProbeRequest(layer, n_probes, seed, input_scale, margin,
+                                        criterion="isometry", tol=tol)])[0]
 
 
 class _CellQuantizedField:
@@ -421,10 +384,14 @@ def density_gap(
     axis over the first two coordinates of the radius-``domain_radius``
     ball (remaining coordinates unpartitioned).  The measured sup-norm
     gap over ball-uniform probes never exceeds the bound
-    ``sup|q - q~| + sup|m - m~| * ||b||``.
+    ``sup|q - q~| + sup|m - m~| * ||b||``.  A bad argument raises DimensionError.
     """
     if resolution < 1:
         raise DimensionError(f"resolution must be >= 1, got {resolution}")
+    if not is_finite_number(domain_radius) or domain_radius <= 0:
+        raise DimensionError(f"radius must be a positive finite number, got {domain_radius!r}")
+    if not is_integer(seed):
+        raise DimensionError(f"seed must be an integer, got {seed!r}")
     m_tilde = _CellQuantizedField(layer.m_field, resolution, domain_radius)
     q_tilde = _CellQuantizedField(layer.q_field, resolution, domain_radius)
     surrogate = LimitLayer(layer.B, layer.b, m_tilde, q_tilde, strict=False)

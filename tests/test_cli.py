@@ -287,9 +287,9 @@ def test_verify_batch_matches_each_entry_alone(tmp_path, monkeypatch):
         if entry.get("criterion") == "isometry":
             alone = verify.check_dynamical_isometry(*args, margin=margin, tol=PASS_TOL)
         else:
-            alone = verify.spectrum_probe(
+            [alone] = verify.spectrum_probe([verify.ProbeRequest(
                 *args, margin=margin, criterion=entry.get("criterion", "orthogonal"),
-                epsilon=entry.get("epsilon"))
+                epsilon=entry.get("epsilon"))])
         report = json.loads((out_dir / f"verify_{entry['name']}.json").read_text())
         assert report.pop("name") == entry["name"]
         report.pop("config_sha256")
@@ -314,10 +314,21 @@ def test_verify_batched_convergence_failure_names_its_entry(
     assert found, err
     assert not list(out_dir.glob("verify_*.json"))
     # the named probe is one of the entry's own that fails alone
-    kept, jacs = verify._probe_jacobians([layer_from_json(leaky)], 4, 3, 1.0,
-                                         DEFAULT_MARGIN, verify.stack_jacobian)
+    monkeypatch.undo()
+    [(kept, jacs, _)] = verify.probe_spectra(
+        [verify.ProbeRequest([layer_from_json(leaky)], 4, 3, 1.0, DEFAULT_MARGIN)],
+        verify.stack_jacobian)
     with pytest.raises(ConvergenceError):
         linalg.svd_values(jacs[kept.index(int(found.group(1)))], max_sweeps=1)
+
+
+def test_verify_entry_without_a_kept_probe_is_named(tmp_path, capsys):
+    entries = [{"name": "a", "layer": reflection_layer()},
+               {"name": "b", "layer": reflection_layer(seed=12), "margin": 1e9}]
+    code, out_dir = run(tmp_path, "verify", {"probes": 10, "layers": entries})
+    assert code == 1
+    assert "'b': all 10 probes fell within the kink margin" in capsys.readouterr().err
+    assert not list(out_dir.glob("verify_*.json"))
 
 
 def test_verify_report_kind_of_every_family(tmp_path):
@@ -395,10 +406,10 @@ def test_spectrum_agrees_with_spectrum_probe(tmp_path):
     lines = (out_dir / "spectrum_probes.csv").read_text().splitlines()[2:]
     rows = [line.split(",") for line in lines]
     stack = [layer_from_json(spec) for spec in config["layers"]]
-    report = verify.spectrum_probe(stack, 60, seed=5, margin=0.02)
+    [report] = verify.spectrum_probe([verify.ProbeRequest(stack, 60, seed=5, margin=0.02)])
     assert 0 < report.skipped_near_kink < 60
-    kept, jacs = verify._probe_jacobians(stack, 60, 5, 1.0, 0.02,
-                                         verify.stack_jacobian)
+    [(kept, jacs, _)] = verify.probe_spectra(
+        [verify.ProbeRequest(stack, 60, 5, 1.0, 0.02)], verify.stack_jacobian)
     values = linalg.svd_values(jacs)
     assert len(rows) == len(values) == report.probes
     assert [int(row[0]) for row in rows] == kept
@@ -406,6 +417,27 @@ def test_spectrum_agrees_with_spectrum_probe(tmp_path):
         assert (float(lo), float(hi)) == (sv.min(), sv.max())
     assert min(float(row[1]) for row in rows) == report.sv_min
     assert max(float(row[2]) for row in rows) == report.sv_max
+
+
+def test_spectrum_convergence_failure_names_its_probe(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(verify, "svd_values",
+                        functools.partial(linalg.svd_values, max_sweeps=1))
+    leaky = dict(reflection_layer(seed=15, bias=0.3), strict=False, sigma=LEAKY)
+    config = {"seed": 3, "probes": 20, "margin": 0.05, "layers": [leaky]}
+    code, out_dir = run(tmp_path, "spectrum", config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "did not converge in 1 sweeps at probe 13 (residual " in err, err
+    assert not list(out_dir.glob("spectrum_*.csv"))
+    # the margin skips probes, so the probe index is not the position in the
+    # kept stack; the named probe is kept, and its Jacobian fails alone
+    monkeypatch.undo()
+    [(kept, jacs, _)] = verify.probe_spectra(
+        [verify.ProbeRequest([layer_from_json(leaky)], 20, 3, margin=0.05)],
+        verify.stack_jacobian)
+    assert kept.index(13) != 13
+    with pytest.raises(ConvergenceError):
+        linalg.svd_values(jacs[kept.index(13)], max_sweeps=1)
 
 
 def test_spectrum_factors_its_stack_in_one_batch(tmp_path, monkeypatch):
@@ -475,6 +507,20 @@ def test_density_bump_rows_bounded_and_refining(tmp_path):
 def test_density_rejects_non_limit_layer(tmp_path):
     config = {"layer": reflection_layer()}
     assert run(tmp_path, "density", config)[0] == 2
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"radius": float("nan")}, "radius must be a positive finite number"),
+    ({"radius": -1.5}, "radius must be a positive finite number"),
+    ({"radius": True}, "radius must be a positive finite number"),
+    ({"seed": True}, "seed must be an integer"),
+])
+def test_density_bad_radius_or_seed_exits_2(tmp_path, capsys, bad, message):
+    config = dict({"seed": 7, "probes": 50, "radius": 1.5, "layer": bump_limit()}, **bad)
+    code, out_dir = run(tmp_path, "density", config)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(out_dir.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +603,28 @@ def test_train_unknown_data_kind_exits_2(tmp_path):
 
 def test_train_unknown_model_exits_2(tmp_path):
     assert run(tmp_path, "train", train_config(model="mystery"))[0] == 2
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"alpha": float("nan")}, "alpha must be a non-negative finite number"),
+    ({"lr0": float("nan")}, "lr0 must be a positive finite number"),
+    ({"lr0": float("inf")}, "lr0 must be a positive finite number"),
+    ({"lr0": "0.001"}, "lr0 must be a positive finite number"),
+    ({"lr0": True}, "lr0 must be a positive finite number"),
+    ({"seed": True}, "seed must be an integer"),
+])
+def test_train_bad_setting_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, bad, message):
+    def never(*args):
+        raise AssertionError("data or network built before the settings were checked")
+
+    monkeypatch.setattr(cli, "_load_train_data", never)
+    monkeypatch.setattr(cli, "make_network", never)
+    # json.dumps writes the NaN and Infinity literals that json.load accepts
+    code, out_dir = run(tmp_path, "train", train_config(**bad))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not list(out_dir.iterdir())
 
 
 

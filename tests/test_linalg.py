@@ -23,6 +23,28 @@ def test_frobenius_defect_rejects_rectangular():
         linalg.frobenius_defect(np.ones((2, 3)))
 
 
+def test_frobenius_defect_of_a_stack_is_each_matrix_alone():
+    for n in (4, 7, 16):
+        for count in (1, 5, 17):
+            q = linalg.random_orthogonal_batch(n, list(range(count)))
+            noise = SplitMix64(derive_seed(n, count)).gaussian(count * n * n)
+            for stack in (q, q + 1e-9 * noise.reshape(q.shape), noise.reshape(q.shape)):
+                defects = linalg.frobenius_defect(stack)
+                assert defects.shape == (count,)
+                assert defects.tolist() == [linalg.frobenius_defect(m) for m in stack]
+    with pytest.raises(DimensionError):
+        linalg.frobenius_defect(np.ones((2, 3, 4)))
+
+
+def test_is_integer_and_is_finite_number():
+    assert all(linalg.is_integer(v) for v in (0, -3, 10**400, np.int64(2)))
+    assert not any(linalg.is_integer(v) for v in (True, 1.0, "1", None, [1]))
+    assert all(linalg.is_finite_number(v) for v in (0, -1.5, 1e308, np.float64(2.0)))
+    assert not any(linalg.is_finite_number(v)
+                   for v in (False, float("nan"), float("inf"), -float("inf"),
+                             10**400, "0.1", None, [1.0]))
+
+
 def test_random_orthogonal_same_seed_bitwise_identical():
     a = linalg.random_orthogonal(16, 42)
     b = linalg.random_orthogonal(16, 42)

@@ -33,6 +33,7 @@ from orthojac.linalg import random_orthogonal
 from orthojac.pwl import make_relu_k, make_sigma_k, make_two_slope
 from orthojac.rng import SplitMix64, derive_seed
 from orthojac.verify import (
+    ProbeRequest,
     VerifyReport,
     check_dynamical_isometry,
     density_gap,
@@ -40,6 +41,7 @@ from orthojac.verify import (
     gradient_norm_ratio,
     orthogonality_defect,
     partial_isometry_defect,
+    probe_spectra,
     spectrum_probe,
     stack_jacobian,
 )
@@ -103,6 +105,19 @@ def test_partial_defect_rejects_nonsquare():
         partial_isometry_defect(np.ones((2, 3)))
 
 
+def test_defects_of_a_stack_are_each_jacobian_alone():
+    for n in (4, 7, 16):
+        gen = SplitMix64(derive_seed(n, 78))
+        jacs = np.stack([gen.gaussian_matrix(n, n) for _ in range(9)]
+                        + [random_orthogonal(n, seed) for seed in range(3)])
+        for defect in (orthogonality_defect, partial_isometry_defect):
+            values = defect(jacs)
+            assert values.shape == (len(jacs),)
+            assert values.tolist() == [defect(jac) for jac in jacs]
+            with pytest.raises(DimensionError):
+                defect(np.ones((2, 3, 4)))
+
+
 def test_zero_orth_defect_implies_tiny_partial_defect():
     for seed in range(10):
         q = random_orthogonal(16, seed)
@@ -161,7 +176,7 @@ def test_fd_jacobian_matches_analytic_on_layer():
 
 
 def test_spectrum_probe_strict_layer_sv_band():
-    rep = spectrum_probe(strict_case_ii(16, 1), 1000, seed=2)
+    [rep] = spectrum_probe([ProbeRequest(strict_case_ii(16, 1), 1000, seed=2)])
     assert rep.probes == 1000
     assert rep.skipped_near_kink == 0
     assert rep.sv_min >= 1.0 - 1e-9
@@ -172,7 +187,7 @@ def test_spectrum_probe_strict_layer_sv_band():
 
 def test_spectrum_probe_deep_stack_sv_band():
     stack = [strict_case_ii(8, derive_seed(3, k)) for k in range(200)]
-    rep = spectrum_probe(stack, 50, seed=4)
+    [rep] = spectrum_probe([ProbeRequest(stack, 50, seed=4)])
     assert rep.depth == 200
     assert rep.sv_min >= 1.0 - 1e-9
     assert rep.sv_max <= 1.0 + 1e-9
@@ -185,7 +200,7 @@ def test_spectrum_probe_leaky_counterexample_sv():
     b = 0.3 * SplitMix64(13).gaussian(n)
     layer = make_case_ii(B, b, ell=1.0, c=0.0, d=-2.0, sigma=leaky_relu(0.3),
                          strict=False)
-    rep = spectrum_probe(layer, 200, seed=14, criterion="none")
+    [rep] = spectrum_probe([ProbeRequest(layer, 200, seed=14, criterion="none")])
     # any probe with a leaky unit contributes a singular value 1 - 2*0.3
     assert rep.sv_min <= 0.4 + 1e-9
     assert rep.max_orth_defect >= 0.5
@@ -195,20 +210,21 @@ def test_spectrum_probe_leaky_counterexample_sv():
 def test_spectrum_probe_all_skipped_raises():
     layer = strict_case_ii(8, 21)
     with pytest.raises(NoValidProbeError):
-        spectrum_probe(layer, 50, seed=22, margin=1e9)
+        spectrum_probe([ProbeRequest(layer, 50, seed=22, margin=1e9)])
 
 
 def test_spectrum_probe_skip_accounting():
     layer = strict_case_ii(8, 23)
-    rep = spectrum_probe(layer, 300, seed=24, margin=0.05, criterion="none")
+    [rep] = spectrum_probe([ProbeRequest(layer, 300, seed=24, margin=0.05,
+                                         criterion="none")])
     assert rep.skipped_near_kink > 0
     assert rep.probes + rep.skipped_near_kink == 300
 
 
 def test_spectrum_probe_deterministic_serialization():
     layer = strict_case_ii(8, 25)
-    a = spectrum_probe(layer, 100, seed=26).to_json()
-    b = spectrum_probe(layer, 100, seed=26).to_json()
+    a = spectrum_probe([ProbeRequest(layer, 100, seed=26)])[0].to_json()
+    b = spectrum_probe([ProbeRequest(layer, 100, seed=26)])[0].to_json()
     assert a == b
 
 
@@ -220,7 +236,7 @@ def test_spectrum_probe_partial_criterion():
     b = 0.3 * SplitMix64(33).gaussian(n)
     layer = make_case_i(A, B, b, c=0.0, d=1.0, sigma=make_relu_k(NODES),
                         strict=False)
-    rep = spectrum_probe(layer, 300, seed=34, criterion="partial")
+    [rep] = spectrum_probe([ProbeRequest(layer, 300, seed=34, criterion="partial")])
     assert rep.max_partial_defect <= 1e-10
     assert rep.passed is True
     assert rep.max_orth_defect >= 0.9
@@ -229,9 +245,9 @@ def test_spectrum_probe_partial_criterion():
 def test_spectrum_probe_sv_interval_requires_epsilon():
     layer = strict_case_ii(8, 43)
     with pytest.raises(DimensionError):
-        spectrum_probe(layer, 10, seed=44, criterion="sv_interval")
+        spectrum_probe([ProbeRequest(layer, 10, seed=44, criterion="sv_interval")])
     with pytest.raises(DimensionError):
-        spectrum_probe(layer, 10, seed=44, criterion="bogus")
+        spectrum_probe([ProbeRequest(layer, 10, seed=44, criterion="bogus")])
 
 
 def test_spectrum_probe_checks_criterion_before_probing(monkeypatch):
@@ -241,11 +257,11 @@ def test_spectrum_probe_checks_criterion_before_probing(monkeypatch):
     monkeypatch.setattr(verify, "stack_jacobian", never)
     layer = strict_case_ii(8, 43)
     with pytest.raises(DimensionError, match="needs epsilon"):
-        spectrum_probe(layer, 10, seed=44, criterion="sv_interval")
+        spectrum_probe([ProbeRequest(layer, 10, seed=44, criterion="sv_interval")])
     with pytest.raises(DimensionError, match="unknown criterion"):
-        spectrum_probe(layer, 10, seed=44, criterion="bogus")
+        spectrum_probe([ProbeRequest(layer, 10, seed=44, criterion="bogus")])
     with pytest.raises(DimensionError, match="needs one limit layer"):
-        spectrum_probe(layer, 10, seed=44, criterion="isometry")
+        spectrum_probe([ProbeRequest(layer, 10, seed=44, criterion="isometry")])
     with pytest.raises(DimensionError, match="list of ProbeRequests"):
         spectrum_probe([layer])
 
@@ -498,7 +514,8 @@ def per_probe_jacobians(stack, n_probes, seed, input_scale, margin):
 def test_probe_jacobians_match_the_per_probe_loop(n):
     stack = mixed_stack(n)
     # 53 probes: three full blocks and a short one
-    kept, jacs = verify._probe_jacobians(stack, 53, 110, 1.5, 0.03, stack_jacobian)
+    [(kept, jacs, _)] = probe_spectra([ProbeRequest(stack, 53, 110, 1.5, 0.03)],
+                                      stack_jacobian)
     want_kept, want_jacs = per_probe_jacobians(stack, 53, 110, 1.5, 0.03)
     assert 0 < 53 - len(want_kept) < 53
     assert kept == want_kept
