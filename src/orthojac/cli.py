@@ -27,6 +27,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .layers import LimitLayer, layer_from_json, layers_from_json
+from .linalg import checked
 from .rng import SplitMix64, derive_seed
 from .train import TrainConfig, make_network, save_snapshot, train
 # check_dynamical_isometry is not called here, but the probe entry points
@@ -61,8 +62,7 @@ def _config_hash(command: str, config: dict) -> str:
 
 
 def _check_keys(obj, context: str, required: tuple, optional: tuple = ()) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be a JSON object")
+    checked(obj, context, "a JSON object", ConfigError)
     unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown}")
@@ -71,21 +71,15 @@ def _check_keys(obj, context: str, required: tuple, optional: tuple = ()) -> Non
         raise ConfigError(f"{context}: missing keys {missing}")
 
 
-def _positive_int(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad UTF-8, bad JSON and integers over the digit limit;
+    # deeply nested JSON exhausts the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: malformed JSON ({exc})") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    return config
+    return checked(config, f"{path}: top level", "a JSON object", ConfigError)
 
 
 def _write_text(out_dir: str, filename: str, text: str) -> str:
@@ -107,9 +101,7 @@ ENTRY_DEFAULTS = {"criterion": "orthogonal", "probes": 1000, "seed": 0,
 
 def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
     _check_keys(config, "verify config", ("layers",), ("command", *ENTRY_DEFAULTS))
-    entries = config["layers"]
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("verify config: 'layers' must be a non-empty list")
+    entries = checked(config["layers"], "layers", "a non-empty list", ConfigError)
 
     # every entry is checked, with its spec standing in for its layer, then
     # every layer is built, before the first probe
@@ -149,9 +141,7 @@ def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
 def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     _check_keys(config, "spectrum config", ("layers",),
                 ("command", "seed", "probes", "margin", "input_scale"))
-    specs = config["layers"]
-    if not isinstance(specs, list) or not specs:
-        raise ConfigError("spectrum config: 'layers' must be a non-empty list")
+    specs = checked(config["layers"], "layers", "a non-empty list", ConfigError)
     # the settings are checked, with the specs standing in for the stack,
     # before any layer is built
     req = ProbeRequest(specs, config.get("probes", 1000), config.get("seed", 0),
@@ -199,11 +189,11 @@ def cmd_density(config: dict, out_dir: str, digest: str) -> int:
     layer = layer_from_json(config["layer"])
     if not isinstance(layer, LimitLayer):
         raise ConfigError("density config: 'layer' must be a limit layer spec")
-    probes = _positive_int(config.get("probes", 400), "probes")
-    resolutions = config.get("resolutions", [2, 4, 8, 16])
-    if not isinstance(resolutions, list) or not resolutions:
-        raise ConfigError("density config: 'resolutions' must be a non-empty list")
-    resolutions = sorted(_positive_int(r, "resolution") for r in resolutions)
+    probes = checked(config.get("probes", 400), "probes", "a positive integer", ConfigError)
+    resolutions = checked(config.get("resolutions", [2, 4, 8, 16]), "resolutions",
+                          "a non-empty list", ConfigError)
+    resolutions = sorted(checked(r, "resolution", "a positive integer", ConfigError)
+                         for r in resolutions)
 
     reports = [density_gap(layer, res, config.get("radius", 1.5), probes, config.get("seed", 0))
                for res in resolutions]
@@ -236,16 +226,20 @@ def _load_train_data(section: dict, seed: int, data_root) -> tuple:
     _check_keys(section, "data section", ("kind",),
                 ("classes", "dim", "per_class", "spread", "val_fraction",
                  "train_size", "val_size", "seed"))
+
+    def setting(key, rule, default):
+        return checked(section.get(key, default), f"data.{key}", rule, ConfigError)
+
     kind = section.get("kind")
     if kind == "blobs":
         dataset = synthetic_blobs(
-            _positive_int(section.get("classes", 2), "data.classes"),
-            _positive_int(section.get("dim", 8), "data.dim"),
-            _positive_int(section.get("per_class", 100), "data.per_class"),
-            float(section.get("spread", 0.1)),
-            section.get("seed", derive_seed(seed, 0xDA)),
+            setting("classes", "a positive integer", 2),
+            setting("dim", "a positive integer", 8),
+            setting("per_class", "a positive integer", 100),
+            setting("spread", "a finite number", 0.1),
+            setting("seed", "an integer", derive_seed(seed, 0xDA)),
         )
-        return train_val_split(dataset, section.get("val_fraction", 0.2),
+        return train_val_split(dataset, setting("val_fraction", "a finite number", 0.2),
                                derive_seed(seed, 0xDB))
     if kind == "fashion_mnist":
         if not data_root:
@@ -259,9 +253,8 @@ def _load_train_data(section: dict, seed: int, data_root) -> tuple:
             if not os.path.exists(path):
                 raise ConfigError(f"dataset file not found: {path}")
         full = load_idx(images, labels)
-        train_size = _positive_int(section.get("train_size", 10000),
-                                   "data.train_size")
-        val_size = _positive_int(section.get("val_size", 2000), "data.val_size")
+        train_size = setting("train_size", "a positive integer", 10000)
+        val_size = setting("val_size", "a positive integer", 2000)
         if train_size + val_size > full.size:
             raise ConfigError(
                 f"requested {train_size}+{val_size} examples but the dataset"
@@ -284,10 +277,8 @@ def cmd_train(config: dict, out_dir: str, digest: str, data_root) -> int:
                             patience=config.get("patience", 10), seed=config.get("seed", 0))
     train_set, val_set = _load_train_data(config["data"], train_cfg.seed, data_root)
 
-    width = _positive_int(config["width"], "width")
-    depth = config["depth"]
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-        raise ConfigError(f"depth must be a non-negative integer, got {depth!r}")
+    width = checked(config["width"], "width", "a positive integer", ConfigError)
+    depth = checked(config["depth"], "depth", "a non-negative integer", ConfigError)
     network = make_network(config["model"], width, depth,
                            train_set.class_count, train_set.dim, train_cfg.seed)
 
@@ -365,7 +356,7 @@ def main(argv=None) -> int:
     except (NoValidProbeError, ConvergenceError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OrthojacError, OSError, KeyError, TypeError, ValueError) as exc:
+    except (OrthojacError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,7 @@ from .errors import (
     OrthogonalityError,
     SlopeMismatchError,
 )
-from .linalg import as_matrix, as_vector, frobenius_defect, random_orthogonal_batch
+from .linalg import as_matrix, as_vector, checked, frobenius_defect, random_orthogonal_batch
 from .pwl import SLOPE_TOL, PwlScalar, slope_violation
 from .rng import SplitMix64, derive_seed
 
@@ -186,20 +186,25 @@ class ComposedLayer:
 
 @dataclass(frozen=True)
 class RegionCoeffs:
-    """Affine-skip coefficients and activation for one partition cell."""
+    """Affine-skip coefficients (finite numbers, kept as floats) and activation for one cell."""
 
     ell: float
     c: float
     d: float
     sigma: PwlScalar
 
+    def __post_init__(self):
+        for key in ("ell", "c", "d"):
+            object.__setattr__(self, key, float(checked(getattr(self, key), key)))
+
     def to_json(self) -> dict:
         return {"ell": self.ell, "c": self.c, "d": self.d, "sigma": self.sigma.to_json()}
 
     @staticmethod
     def from_json(obj: dict) -> "RegionCoeffs":
-        return RegionCoeffs(float(obj["ell"]), float(obj["c"]), float(obj["d"]),
-                            PwlScalar.from_json(obj["sigma"]))
+        checked(obj, "a region", "a JSON object")
+        return RegionCoeffs(obj.get("ell"), obj.get("c"), obj.get("d"),
+                            PwlScalar.from_json(obj.get("sigma")))
 
 
 # the report ``kind`` of each family: the class name it had before case-i,
@@ -586,31 +591,24 @@ def make_mini_net_field(
     return MiniNetField(w_in, bias, w_out)
 
 
-def _json_object(obj, what: str) -> dict:
-    """``obj`` itself, after checking that it is a JSON object."""
-    if not isinstance(obj, dict):
-        raise DimensionError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    return obj
-
-
 def field_from_json(obj: dict) -> SlopeField:
-    kind = _json_object(obj, "a slope field").get("kind")
+    kind = checked(obj, "a slope field", "a JSON object").get("kind")
     if kind == "constant":
-        return ConstantField(float(obj["value"]))
+        return ConstantField(float(checked(obj.get("value"), "value")))
     if kind == "gaussian_bump":
-        return GaussianBumpField(float(obj["scale"]))
+        return GaussianBumpField(float(checked(obj.get("scale"), "scale")))
     if kind == "mini_net":
         if "seed" in obj:
             return make_mini_net_field(
-                int(obj["n"]),
-                int(obj.get("hidden", 16)),
-                int(obj["seed"]),
-                float(obj.get("init_std", 0.05)),
+                checked(obj.get("n"), "n", "a positive integer"),
+                checked(obj.get("hidden", 16), "hidden", "a positive integer"),
+                checked(obj["seed"], "seed", "an integer"),
+                float(checked(obj.get("init_std", 0.05), "init_std")),
             )
         return MiniNetField(
-            as_matrix(obj["w_in"]),
-            as_vector(obj["bias"]),
-            as_vector(obj["w_out"]),
+            as_matrix(obj.get("w_in")),
+            as_vector(obj.get("bias")),
+            as_vector(obj.get("w_out")),
         )
     raise DimensionError(f"unknown slope-field kind {kind!r}")
 
@@ -641,6 +639,9 @@ class LimitLayer:
         n = self.B.shape[0]
         as_matrix(self.B, n, n)
         as_vector(self.b, n)
+        for f in (self.m_field, self.q_field):
+            if isinstance(f, MiniNetField):
+                as_matrix(f.w_in, cols=n)
         if self.strict:
             _require_orthogonal(self.B, "B")
 
@@ -737,7 +738,7 @@ def make_case_i(A, B, b, c, d, sigma, strict: bool = True) -> PartitionedLayer:
     if A is B:
         # a case-i layer trains A and B as two parameters
         A = A.copy()
-    region = RegionCoeffs(0.0, float(c), float(d), sigma)
+    region = RegionCoeffs(0.0, c, d, sigma)
     return PartitionedLayer(
         A, B, as_vector(b, B.shape[0]), (), {(): region}, None, strict, "case_i"
     )
@@ -745,7 +746,7 @@ def make_case_i(A, B, b, c, d, sigma, strict: bool = True) -> PartitionedLayer:
 
 def make_case_ii(B, b, ell, c, d, sigma, strict: bool = True) -> PartitionedLayer:
     B = as_matrix(B)
-    region = RegionCoeffs(float(ell), float(c), float(d), sigma)
+    region = RegionCoeffs(ell, c, d, sigma)
     return PartitionedLayer(
         B, B, as_vector(b, B.shape[0]), (), {(): region}, None, strict, "case_ii"
     )
@@ -781,10 +782,10 @@ def make_partitioned(
     B = as_matrix(B)
     if A is not B and np.array_equal(A, B):
         A = B
-    planes = tuple(
-        (as_vector(normal, B.shape[0]), float(offset)) for normal, offset in hyperplanes
-    )
-    region_map = {tuple(int(s) for s in key): co for key, co in regions.items()}
+    planes = tuple((as_vector(normal, B.shape[0]), float(checked(offset, "offset")))
+                   for normal, offset in hyperplanes)
+    region_map = {tuple(checked(s, "signs", "an integer") for s in key): co
+                  for key, co in regions.items()}
     return PartitionedLayer(
         A, B, as_vector(b, B.shape[0]), planes, region_map, default, strict
     )
@@ -803,12 +804,15 @@ _WEIGHT_KEYS = {"case_i": ("A", "B"), "case_ii": ("B",), "gated": ("B",),
 
 
 def _spec_seeds(obj: dict) -> list:
-    """The distinct seeds of one spec's seeded weights, its ``inner`` spec aside."""
+    """The distinct seeds of one spec's seeded weights (``inner`` aside); checks its type."""
+    kind = obj.get("type")
+    if not isinstance(kind, str) or kind not in _WEIGHT_KEYS:
+        raise DimensionError(f"unknown layer type {kind!r}")
     seeds = {}
-    for key in _WEIGHT_KEYS.get(obj.get("type"), ()):
+    for key in _WEIGHT_KEYS[kind]:
         entry = obj.get(key)
         if isinstance(entry, dict) and "seed" in entry:
-            seeds[int(entry["seed"])] = None
+            seeds[checked(entry["seed"], f"{key}.seed", "an integer")] = None
     return list(seeds)
 
 
@@ -820,14 +824,16 @@ def layers_from_json(specs: list) -> list:
     factored with one ``random_orthogonal_batch`` call per width.  Each
     distinct seed of one spec is one array, so a partitioned spec with one
     seed for A and B gets one shared array; no array is shared between two
-    specs, a composed spec and its ``inner`` spec included.
+    specs, a composed spec and its ``inner`` spec included.  A bad spec
+    raises DimensionError; no value is coerced (``linalg.checked``).
     """
     nodes = []
     for spec in specs:
         nodes.append(spec)
-        while _json_object(nodes[-1], "a layer spec").get("type") == "composed":
-            nodes.append(nodes[-1]["inner"])
-    wanted = [(int(node["n"]), _spec_seeds(node)) for node in nodes]
+        while checked(nodes[-1], "a layer spec", "a JSON object").get("type") == "composed":
+            nodes.append(nodes[-1].get("inner"))
+    wanted = [(checked(node.get("n"), "n", "a positive integer"), _spec_seeds(node))
+              for node in nodes]
     by_width: dict[int, list] = {}
     for n, seeds in wanted:
         by_width.setdefault(n, []).extend(seeds)
@@ -843,40 +849,40 @@ def layer_from_json(obj: dict) -> Layer:
 
 
 def _layer_from_spec(obj: dict, tables) -> Layer:
-    """Build one spec; ``tables`` yields each spec's seeded weights, outer spec first."""
+    """Build one spec (``layers_from_json`` checked its type and ``n``); ``tables``
+    yields each spec's seeded weights, outer spec first."""
     seeded = next(tables)
-    kind = obj.get("type")
-    n = int(obj["n"])
+    kind, n = obj["type"], obj["n"]
     b = as_vector(obj.get("b", np.zeros(n)), n)
-    strict = bool(obj.get("strict", True))
+    strict = checked(obj.get("strict", True), "strict", "a bool")
 
     def matrix(entry) -> np.ndarray:
         if isinstance(entry, dict) and "seed" in entry:
-            return seeded[int(entry["seed"])]
+            return seeded[entry["seed"]]
         return as_matrix(entry, n, n)
 
     if kind == "case_i":
-        return make_case_i(matrix(obj["A"]), matrix(obj["B"]), b, obj.get("c", 0.0),
-                           obj["d"], PwlScalar.from_json(obj["sigma"]), strict)
+        return make_case_i(matrix(obj.get("A")), matrix(obj.get("B")), b, obj.get("c", 0.0),
+                           obj.get("d"), PwlScalar.from_json(obj.get("sigma")), strict)
     if kind == "case_ii":
-        return make_case_ii(matrix(obj["B"]), b, obj["ell"], obj.get("c", 0.0),
-                            obj["d"], PwlScalar.from_json(obj["sigma"]), strict)
+        return make_case_ii(matrix(obj.get("B")), b, obj.get("ell"), obj.get("c", 0.0),
+                            obj.get("d"), PwlScalar.from_json(obj.get("sigma")), strict)
     if kind == "gated":
-        return make_gated(matrix(obj["B"]), b, obj["gate"],
-                          PwlScalar.from_json(obj["sigma"]), strict)
+        return make_gated(matrix(obj.get("B")), b, obj.get("gate"),
+                          PwlScalar.from_json(obj.get("sigma")), strict)
     if kind == "composed":
-        return make_composed(matrix(obj["rotation"]), _layer_from_spec(obj["inner"], tables),
+        return make_composed(matrix(obj.get("rotation")), _layer_from_spec(obj["inner"], tables),
                              strict)
     if kind == "partitioned":
-        regions = {
-            tuple(int(s) for s in entry["signs"]): RegionCoeffs.from_json(entry)
-            for entry in obj["regions"]
-        }
-        default = RegionCoeffs.from_json(obj["default"]) if obj.get("default") else None
-        planes = [(h["normal"], h["offset"]) for h in obj.get("hyperplanes", [])]
-        return make_partitioned(matrix(obj["A"]), matrix(obj["B"]), b, planes,
+        # the signs are checked before they key a dict
+        regions = {tuple(checked(entry.get("signs"), "signs", "a list of integers")):
+                   RegionCoeffs.from_json(entry)
+                   for entry in checked(obj.get("regions"), "regions", "a list of JSON objects")}
+        default = None if obj.get("default") is None else RegionCoeffs.from_json(obj["default"])
+        planes = [(h.get("normal"), h.get("offset")) for h in
+                  checked(obj.get("hyperplanes", []), "hyperplanes", "a list of JSON objects")]
+        return make_partitioned(matrix(obj.get("A")), matrix(obj.get("B")), b, planes,
                                 regions, default, strict)
-    if kind == "limit":
-        return make_limit(matrix(obj["B"]), b, field_from_json(obj["m"]),
-                          field_from_json(obj["q"]), strict)
-    raise DimensionError(f"unknown layer type {kind!r}")
+    # limit
+    return make_limit(matrix(obj.get("B")), b, field_from_json(obj.get("m")),
+                      field_from_json(obj.get("q")), strict)

@@ -34,32 +34,6 @@ JACOBI_BLOCK = 16
 QR_BLOCK = 16
 
 
-def as_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validate and convert ``obj`` to a 2-D finite float64 array."""
-    m = np.ascontiguousarray(obj, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise DimensionError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise DimensionError(f"expected {cols} columns, got {m.shape[1]}")
-    if not np.all(np.isfinite(m)):
-        raise DimensionError("matrix contains non-finite entries")
-    return m
-
-
-def as_vector(obj, size: int | None = None) -> np.ndarray:
-    """Validate and convert ``obj`` to a 1-D finite float64 array."""
-    v = np.ascontiguousarray(obj, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"expected a vector, got ndim={v.ndim}")
-    if size is not None and v.shape[0] != size:
-        raise DimensionError(f"expected length {size}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
-        raise DimensionError("vector contains non-finite entries")
-    return v
-
-
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer; bools are not integers here."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -68,18 +42,67 @@ def is_integer(value) -> bool:
 def is_finite_number(value) -> bool:
     """Whether ``value`` is a real number, not NaN, infinite or beyond the
     float range; bools are not numbers here."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+    return RULES["a number"](value) and abs(value) <= sys.float_info.max
 
 
-def _as_matrix_stack(obj) -> np.ndarray:
-    """Validate and convert ``obj`` to a 3-D finite float64 stack of matrices."""
-    s = np.asarray(obj, dtype=np.float64)
-    if s.ndim != 3:
-        raise DimensionError(f"expected a matrix or a stack, got ndim={s.ndim}")
-    if not np.all(np.isfinite(s)):
-        raise DimensionError("matrix stack contains non-finite entries")
-    return s
+# what a JSON value must be, each rule keyed by the words its message uses
+RULES = {
+    "a number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "finite": is_finite_number,
+    "a finite number": is_finite_number,
+    "a positive finite number": lambda v: is_finite_number(v) and v > 0,
+    "a non-negative finite number": lambda v: is_finite_number(v) and v >= 0,
+    "an integer": is_integer,
+    "a positive integer": lambda v: is_integer(v) and v > 0,
+    "a non-negative integer": lambda v: is_integer(v) and v >= 0,
+    "a bool": lambda v: isinstance(v, bool),
+    "a JSON object": lambda v: isinstance(v, dict),
+    "a non-empty list": lambda v: isinstance(v, list) and len(v) > 0,
+    "a list of integers": lambda v: isinstance(v, list) and all(map(is_integer, v)),
+    "a list of JSON objects": lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v),
+}
+
+
+def checked(value, name: str, rule: str = "a finite number", error=DimensionError):
+    """``value`` itself if it is what ``rule`` (a key of RULES) names, else ``error``
+    naming ``name``, the rule and the value.  Nothing is coerced (``"0.1"`` and ``true``
+    are not numbers), and a missing key, read as None, passes no rule."""
+    if not RULES[rule](value):
+        raise error(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def _as_array(obj, shape: tuple, what: str) -> np.ndarray:
+    """``obj``, a numeric array or nested lists of numbers, as a C-contiguous finite
+    float64 array of ``shape`` (None: any size).  Strings, bools, null, objects, ragged
+    lists and integers beyond the float range raise DimensionError, not NumPy's errors."""
+    todo = [obj]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend(item)
+        elif not (RULES["a number"](item)
+                  or isinstance(item, np.ndarray) and item.dtype.kind in "fiu"):
+            raise DimensionError(f"expected a {what} of numbers, found {item!r}")
+    try:
+        a = np.ascontiguousarray(obj, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise DimensionError(f"expected a {what} of finite numbers: {exc}") from exc
+    if a.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, a.shape)):
+        raise DimensionError(f"expected a {what} of shape {shape}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DimensionError(f"{what} contains non-finite entries")
+    return a
+
+
+def as_matrix(obj, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """Validate and convert ``obj`` to a 2-D finite float64 array (see ``_as_array``)."""
+    return _as_array(obj, (rows, cols), "matrix")
+
+
+def as_vector(obj, size: int | None = None) -> np.ndarray:
+    """Validate and convert ``obj`` to a 1-D finite float64 array (see ``_as_array``)."""
+    return _as_array(obj, (size,), "vector")
 
 
 def per_matrix(values_of, m: np.ndarray):
@@ -164,7 +187,7 @@ def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of any make-up, and reruns are bitwise identical.
     """
     single = np.ndim(a) == 2
-    r = np.array(as_matrix(a)[np.newaxis] if single else _as_matrix_stack(a))
+    r = np.array(as_matrix(a)[np.newaxis] if single else _as_array(a, (None,) * 3, "matrix stack"))
     count, m, n = r.shape
     q = np.broadcast_to(np.eye(m), (count, m, m)).copy()
     panels = []
@@ -346,7 +369,7 @@ def svd_values(
     sweeps.
     """
     single = np.ndim(m) == 2
-    a = as_matrix(m)[np.newaxis] if single else _as_matrix_stack(m)
+    a = as_matrix(m)[np.newaxis] if single else _as_array(m, (None,) * 3, "matrix stack")
     if a.shape[1] < a.shape[2]:
         a = a.transpose(0, 2, 1)
     count, rows, cols = a.shape

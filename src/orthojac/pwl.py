@@ -20,6 +20,7 @@ from .errors import (
     InvalidAssignmentError,
     InvalidBreakpointsError,
 )
+from .linalg import as_vector, checked
 
 SLOPE_TOL = 1e-12
 
@@ -130,9 +131,9 @@ class PwlScalar:
 
     @staticmethod
     def from_json(obj: dict) -> "PwlScalar":
-        return PwlScalar(
-            tuple(obj["breakpoints"]), tuple(obj["slopes"]), obj["anchor_value"]
-        )
+        checked(obj, "an activation", "a JSON object")
+        bp, slopes = (tuple(as_vector(obj.get(key))) for key in ("breakpoints", "slopes"))
+        return PwlScalar(bp, slopes, checked(obj.get("anchor_value"), "anchor_value"))
 
 
 def make_relu_k(nodes: Sequence[float]) -> PwlScalar:

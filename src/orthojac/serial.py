@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .errors import DataFormatError
+from .linalg import checked
 
 FORMAT_NAME = "orthojac-arrays"
 FORMAT_VERSION = 1
@@ -53,8 +54,7 @@ def parse_arrays(raw: bytes):
     # deeply nested JSON exhausts the recursion limit
     except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"bad JSON header at byte offset 4: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DataFormatError("header at byte offset 4 is not a JSON object")
+    checked(header, "header at byte offset 4", "a JSON object", DataFormatError)
     if header.get("format") != FORMAT_NAME:
         raise DataFormatError(f"unknown container format {header.get('format')!r} at byte offset 4")
     if header.get("version") != FORMAT_VERSION:
@@ -92,10 +92,8 @@ def parse_arrays(raw: bytes):
         raise DataFormatError(
             f"{len(raw) - offset} trailing bytes after the last array at byte offset {offset}"
         )
-    meta = header.get("meta", {})
-    if not isinstance(meta, dict):
-        raise DataFormatError("header 'meta' at byte offset 4 is not a JSON object")
-    return arrays, meta
+    return arrays, checked(header.get("meta", {}), "header 'meta' at byte offset 4",
+                           "a JSON object", DataFormatError)
 
 
 def load_arrays(path):

@@ -37,8 +37,7 @@ from .layers import (
     make_partitioned,
     RegionCoeffs,
 )
-from .linalg import (frobenius_defect, is_finite_number, is_integer, random_orthogonal,
-                     random_orthogonal_batch)
+from .linalg import checked, frobenius_defect, random_orthogonal, random_orthogonal_batch
 from .pwl import make_relu_k, make_sigma_k, make_two_slope
 from .rng import SplitMix64, derive_seed
 from .serial import load_arrays, save_arrays
@@ -409,23 +408,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # each rule tests the type first, so a range test sees only numbers;
-        # bools are neither numbers nor integers here
-        rules = {
-            "lr0": (is_finite_number(self.lr0) and self.lr0 > 0, "a positive finite number"),
-            "total_epochs": (is_integer(self.total_epochs)
-                             and 1 <= self.total_epochs <= MAX_EPOCHS,
-                             f"an integer in [1, {MAX_EPOCHS}]"),
-            "batch_size": (is_integer(self.batch_size) and self.batch_size > 0,
-                           "a positive integer"),
-            "alpha": (is_finite_number(self.alpha) and self.alpha >= 0,
-                      "a non-negative finite number"),
-            "patience": (is_integer(self.patience) and self.patience > 0, "a positive integer"),
-            "seed": (is_integer(self.seed), "an integer"),
-        }
-        for key, (ok, rule) in rules.items():
-            if not ok:
-                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        checked(self.lr0, "lr0", "a positive finite number", ConfigError)
+        checked(self.total_epochs, "total_epochs", "a positive integer", ConfigError)
+        if self.total_epochs > MAX_EPOCHS:
+            raise ConfigError(f"total_epochs must be at most {MAX_EPOCHS}, got {self.total_epochs}")
+        checked(self.batch_size, "batch_size", "a positive integer", ConfigError)
+        checked(self.alpha, "alpha", "a non-negative finite number", ConfigError)
+        checked(self.patience, "patience", "a positive integer", ConfigError)
+        checked(self.seed, "seed", "an integer", ConfigError)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,13 @@ as ``linalg.per_matrix`` does.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NearKinkError, NoValidProbeError
 from .layers import DEFAULT_MARGIN, LimitLayer
-from .linalg import frobenius_defect, is_finite_number, is_integer, per_matrix, svd_values
+from .linalg import checked, frobenius_defect, per_matrix, svd_values
 from .rng import SplitMix64, derive_seed
 
 PASS_TOL = 1e-10
@@ -177,20 +176,14 @@ class ProbeRequest:
             raise DimensionError(
                 f"{where}unknown criterion {self.criterion!r}, expected one of {CRITERIA}"
             )
-        if not is_integer(self.n_probes) or self.n_probes < 1:
-            probes = f"{self.name}.probes" if self.name else "probes"
-            raise DimensionError(f"{probes} must be a positive integer, got {self.n_probes!r}")
-        if not is_integer(self.seed):
-            raise DimensionError(f"{where}seed must be an integer, got {self.seed!r}")
+        checked(self.n_probes, f"{self.name}.probes" if self.name else "probes",
+                "a positive integer")
+        checked(self.seed, f"{where}seed", "an integer")
         for key in ("input_scale", "margin", "tol", "epsilon"):
             value = getattr(self, key)
-            if key == "epsilon" and value is None:
-                continue
-            if not is_finite_number(value):
-                # NaN, the infinities and integers beyond the float range are numbers
-                number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-                raise DimensionError(
-                    f"{where}{key} must be {'finite' if number else 'a number'}, got {value!r}")
+            if key != "epsilon" or value is not None:
+                # a number first, so that 10**400 is named a number that is not finite
+                checked(checked(value, where + key, "a number"), where + key, "finite")
         if self.criterion == "sv_interval" and self.epsilon is None:
             raise DimensionError(f"{where}sv_interval criterion needs epsilon")
 
@@ -386,12 +379,9 @@ def density_gap(
     gap over ball-uniform probes never exceeds the bound
     ``sup|q - q~| + sup|m - m~| * ||b||``.  A bad argument raises DimensionError.
     """
-    if resolution < 1:
-        raise DimensionError(f"resolution must be >= 1, got {resolution}")
-    if not is_finite_number(domain_radius) or domain_radius <= 0:
-        raise DimensionError(f"radius must be a positive finite number, got {domain_radius!r}")
-    if not is_integer(seed):
-        raise DimensionError(f"seed must be an integer, got {seed!r}")
+    checked(resolution, "resolution", "a positive integer")
+    checked(domain_radius, "radius", "a positive finite number")
+    checked(seed, "seed", "an integer")
     m_tilde = _CellQuantizedField(layer.m_field, resolution, domain_radius)
     q_tilde = _CellQuantizedField(layer.q_field, resolution, domain_radius)
     surrogate = LimitLayer(layer.B, layer.b, m_tilde, q_tilde, strict=False)

@@ -4,6 +4,7 @@ import copy
 import functools
 import json
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -65,6 +66,19 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"probes": "\xff"}',
+    pytest.param(b'{"probes": ' + b"1" * 5000 + b"}", marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")),
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["bad-utf8", "int-over-digit-limit", "deep-nesting"])
+def test_undecodable_config_exits_2(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
 def test_unknown_top_level_key_exits_2(tmp_path, capsys):
     config = {"probes": 10, "turbo": True,
               "layers": [{"name": "a", "layer": reflection_layer()}]}
@@ -113,6 +127,26 @@ def test_bad_criterion_duplicate_and_unsafe_names(tmp_path):
 def test_non_object_layer_spec_exits_2(tmp_path, capsys, command, config, what):
     assert run(tmp_path, command, config)[0] == 2
     assert f"{what} must be a JSON object" in capsys.readouterr().err
+
+
+# a non-orthogonal B: as a non-strict case-ii layer its singular values leave 1
+SHEAR = [[1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+         [0.0, 0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("strict", ["", 0, [], "false", None])
+def test_strict_must_be_a_json_bool(tmp_path, capsys, strict):
+    layer = dict(reflection_layer(n=4), B=SHEAR, strict=strict)
+    assert run(tmp_path, "spectrum", {"probes": 20, "layers": [layer]})[0] == 2
+    assert "strict must be a bool" in capsys.readouterr().err
+    # the same spec runs when it says false, and the singular values show why
+    # strict mode would have refused it
+    code, out_dir = run(tmp_path, "spectrum",
+                        {"probes": 20, "layers": [dict(layer, strict=False)]})
+    assert code == 0
+    rows = (out_dir / "spectrum_probes.csv").read_text().splitlines()[2:]
+    assert max(float(row.split(",")[2]) for row in rows) > 1.5
+    assert run(tmp_path, "spectrum", {"probes": 20, "layers": [dict(layer, strict=True)]})[0] == 2
 
 
 def test_missing_subcommand_usage_error():
@@ -628,6 +662,19 @@ def test_train_bad_setting_exits_2_before_any_work(
 
 
 
+@pytest.mark.parametrize("key, value", [
+    ("spread", "0.1"), ("spread", True), ("spread", float("nan")),
+    ("val_fraction", "0.2"), ("seed", 1.5), ("classes", 2.0),
+])
+def test_train_bad_data_setting_exits_2(tmp_path, capsys, key, value):
+    config = train_config()
+    config["data"][key] = value
+    code, out_dir = run(tmp_path, "train", config)
+    assert code == 2
+    assert f"data.{key} must be" in capsys.readouterr().err
+    assert not list(out_dir.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # config fuzz
 # ---------------------------------------------------------------------------
@@ -675,10 +722,16 @@ FUZZ_CONFIGS = {
         "layer": dict(FUZZ_LIMIT, m={"kind": "gaussian_bump", "scale": 0.01},
                       q={"kind": "mini_net", "n": FUZZ_N, "hidden": 2, "seed": 4}),
     },
+    "train": {
+        "command": "train", "model": "resnet_relu", "width": FUZZ_N, "depth": 1,
+        "lr0": 0.01, "epochs": 1, "batch_size": 8, "alpha": 0.0, "patience": 1, "seed": 1,
+        "data": {"kind": "blobs", "classes": 2, "dim": FUZZ_N, "per_class": 8,
+                 "spread": 0.1, "val_fraction": 0.25, "seed": 3},
+    },
 }
 # one or a few small values of each JSON type; a number is only ever replaced
 # by a value of another type, so no magnitude is fuzzed
-FUZZ_VALUES = (0, 1, -1, "", "x", "1", [], [0], ["x"], None, {}, {"seed": 1})
+FUZZ_VALUES = (0, 1, -1, "", "x", "1", True, False, [], [0], ["x"], None, {}, {"seed": 1})
 
 
 def _node_paths(node, path=()):
@@ -701,32 +754,41 @@ def _json_type(value):
 
 @st.composite
 def mutated_configs(draw):
-    """A fuzz config with one node, the root included, replaced by another type."""
+    """A fuzz config with one node, the root included, replaced by a value of
+    another type, or with one key of an object deleted; returns the command,
+    the config and whether a number or a bool was replaced."""
     command = draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
     config = copy.deepcopy(FUZZ_CONFIGS[command])
     path = draw(st.sampled_from(list(_node_paths(config))))
     parent, old = None, config
     for key in path:
         parent, old = old, old[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+        return command, config, False
     value = copy.deepcopy(draw(st.sampled_from(
         [v for v in FUZZ_VALUES if _json_type(v) != _json_type(old)])))
+    typed = _json_type(old) in ("number", bool)
     if parent is None:
-        return command, value
+        return command, value, typed
     parent[path[-1]] = value
-    return command, config
+    return command, config, typed
 
 
 def test_fuzz_configs_are_valid(tmp_path):
     assert [run(tmp_path, command, config)[0]
-            for command, config in sorted(FUZZ_CONFIGS.items())] == [0, 0, 0]
+            for command, config in sorted(FUZZ_CONFIGS.items())] == [0, 0, 0, 0]
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=300)
 @given(case=mutated_configs())
 def test_config_fuzz_exits_0_1_or_2(case):
-    command, config = case
+    """Nothing escapes ``main``, and a number or bool of another type is a
+    config error: JSON values are never coerced."""
+    command, config, typed = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
-        assert main(argv) in (0, 1, 2)
+        code = main(argv)
+    assert code == 2 if typed else code in (0, 1, 2)

@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +129,52 @@ def test_load_idx_rejects_count_mismatch(tmp_path):
     lp.write_bytes(lab)
     with pytest.raises(DataFormatError, match="count mismatch"):
         load_idx(ip, lp)
+
+
+# (file, byte offset) of each IDX header field: the image magic, count, rows and
+# columns, then the label magic and count
+IDX_FIELDS = ((0, 0), (0, 4), (0, 8), (0, 12), (1, 0), (1, 4))
+
+
+@st.composite
+def mutated_idx_pairs(draw):
+    """A valid IDX pair of up to 3 images with 1 to 3 mutations: a header field
+    set to another int32, a file cut short, or bytes appended."""
+    n = draw(st.integers(0, 3))
+    files = [bytearray(struct.pack(">iiii", 2051, n, 28, 28)
+                       + bytes(i * 7 % 256 for i in range(n * 784))),
+             bytearray(struct.pack(">ii", 2049, n) + bytes(i % 3 for i in range(n)))]
+    mutations = draw(st.lists(st.one_of(
+        st.tuples(st.just("field"), st.sampled_from(IDX_FIELDS),
+                  st.one_of(st.integers(-3, 30), st.integers(-2**31, 2**31 - 1))),
+        st.tuples(st.just("cut"), st.integers(0, 1), st.integers(0, 2400)),
+        st.tuples(st.just("append"), st.integers(0, 1), st.binary(min_size=1, max_size=8)),
+    ), min_size=1, max_size=3))
+    for kind, where, value in mutations:
+        if kind == "field":
+            (f, offset) = where
+            if len(files[f]) >= offset + 4:
+                struct.pack_into(">i", files[f], offset, value)
+        elif kind == "cut":
+            del files[where][value:]
+        else:
+            files[where] += value
+    return bytes(files[0]), bytes(files[1])
+
+
+@settings(deadline=None, max_examples=200)
+@given(pair=mutated_idx_pairs())
+def test_load_idx_fuzz_raises_only_data_format_error(pair):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "images", Path(tmp) / "labels"]
+        for path, raw in zip(paths, pair):
+            path.write_bytes(raw)
+        try:
+            ds = load_idx(*paths)
+        except DataFormatError:
+            return
+    assert ds.features.shape == (ds.size, 784)
+    assert np.all((0.0 <= ds.features) & (ds.features <= 1.0))
 
 
 def test_load_idx_rejects_short_header(tmp_path):
@@ -389,7 +437,7 @@ def header_of(*entries, **fields):
 
 @pytest.mark.parametrize("header", [[], "x", 3, None])
 def test_container_rejects_a_header_that_is_not_an_object(header):
-    with pytest.raises(DataFormatError, match="not a JSON object"):
+    with pytest.raises(DataFormatError, match="header at byte offset 4 must be a JSON object"):
         parse_arrays(container(header))
 
 
@@ -442,7 +490,7 @@ def test_container_rejects_a_shape_numpy_cannot_hold(shape):
 
 @pytest.mark.parametrize("meta", [[1], "x", 3, None, True])
 def test_container_rejects_meta_that_is_not_an_object(meta):
-    with pytest.raises(DataFormatError, match="'meta'.*not a JSON object"):
+    with pytest.raises(DataFormatError, match="'meta' at byte offset 4 must be a JSON object"):
         parse_arrays(container(header_of(entry(), meta=meta), bytes(16)))
 
 

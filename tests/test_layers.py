@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from orthojac import layers as ly
 from orthojac import pwl
 from orthojac.errors import (
+    DimensionError,
     InvalidGateError,
     MissingRegionError,
     MixedCaseError,
@@ -633,6 +635,54 @@ def test_to_json_gives_back_the_explicit_spec(family):
     back = ly.layer_from_json(spec).to_json()
     assert back == spec
     assert list(back) == list(spec)
+
+
+def _set(spec, path, value):
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return spec
+
+
+@pytest.mark.parametrize("family, path, value, message", [
+    ("case_ii", ("n",), 4.9, "n must be a positive integer"),
+    ("case_ii", ("d",), "-2.0", "d must be a finite number"),
+    ("case_ii", ("ell",), True, "ell must be a finite number"),
+    ("case_ii", ("strict",), "", "strict must be a bool"),
+    ("case_ii", ("sigma", "anchor_value"), None, "anchor_value must be a finite number"),
+    ("case_ii", ("sigma", "breakpoints"), ["-1", 0.0, 1.0], "vector of numbers"),
+    ("case_i", ("c",), "0.5", "c must be a finite number"),
+    ("case_i", ("A", 0, 0), True, "matrix of numbers"),
+    ("case_i", ("B", 1), [0.0], "matrix of finite numbers"),
+    ("gated", ("b", 0), "0.1", "vector of numbers"),
+    ("partitioned", ("regions", 0, "signs", 0), -1.0, "signs must be a list of integers"),
+    ("partitioned", ("regions", 1, "signs"), 1, "signs must be a list of integers"),
+    ("partitioned", ("regions", 1), [1], "regions must be a list of JSON objects"),
+    ("partitioned", ("hyperplanes", 0, "offset"), "0.25", "offset must be a finite number"),
+    ("partitioned", ("hyperplanes", 0), [0.25], "hyperplanes must be a list of JSON objects"),
+    # a missing key reads as null, which no rule accepts
+    ("partitioned", ("default",), {}, "an activation must be a JSON object, got None"),
+])
+def test_spec_values_are_never_coerced(family, path, value, message):
+    spec = _set(explicit_specs()[family], path, value)
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        ly.layer_from_json(spec)
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"kind": "mini_net", "n": 4, "hidden": "16", "seed": 1}, "hidden must be a positive integer"),
+    ({"kind": "mini_net", "n": 4, "seed": 1.0}, "seed must be an integer"),
+    ({"kind": "constant", "value": "0"}, "value must be a finite number"),
+    ({"kind": "gaussian_bump"}, "scale must be a finite number, got None"),
+    # the field is read, but it does not fit a width-4 layer
+    ({"kind": "mini_net", "n": 3, "seed": 1}, "of shape (None, 4), got shape (16, 3)"),
+])
+def test_limit_spec_fields_are_never_coerced(field, message):
+    spec = {"type": "limit", "n": 4, "B": orth(1, 4).tolist(), "b": [0.1] * 4,
+            "m": field, "q": {"kind": "constant", "value": 0.0}}
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        ly.layer_from_json(spec)
 
 
 def test_families_are_region_affine_layers():

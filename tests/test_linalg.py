@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -435,3 +437,31 @@ def test_derive_seed_decorrelates():
     assert derive_seed(1, 0) != derive_seed(1, 1)
     assert derive_seed(1, 0) != derive_seed(2, 0)
     assert derive_seed(5, 1, 2) == derive_seed(5, 1, 2)
+
+
+@pytest.mark.parametrize("bad", [["0.1"], [True], [None], [{}], [[1.0]], [10**400],
+                                 "0.1", None, [1.0, [2.0]]])
+def test_as_vector_coerces_nothing(bad):
+    with pytest.raises(DimensionError):
+        linalg.as_vector(bad)
+
+
+def test_as_matrix_rejects_ragged_rows_and_reads_numbers():
+    with pytest.raises(DimensionError):
+        linalg.as_matrix([[1.0, 2.0], [3.0]])
+    with pytest.raises(DimensionError):
+        linalg.as_matrix(np.array([["1", "2"]]))
+    m = linalg.as_matrix([[1, 2.5], (np.float64(3.0), np.int64(4))])
+    assert m.dtype == np.float64 and m.tolist() == [[1.0, 2.5], [3.0, 4.0]]
+    assert linalg.as_vector(np.arange(3)).tolist() == [0.0, 1.0, 2.0]
+
+
+def test_checked_names_the_key_and_the_rule():
+    assert linalg.checked(3, "n", "a positive integer") == 3
+    for value, rule in ((True, "an integer"), (4.9, "an integer"), ("1", "a finite number"),
+                        (float("nan"), "a finite number"), (0, "a positive integer"),
+                        (-0.5, "a non-negative finite number"), (0, "a bool")):
+        with pytest.raises(DimensionError, match=f"^n must be {re.escape(rule)}, got"):
+            linalg.checked(value, "n", rule)
+    with pytest.raises(DimensionError, match="signs must be a list of integers"):
+        linalg.checked([1, True], "signs", "a list of integers")
