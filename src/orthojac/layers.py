@@ -3,14 +3,14 @@
 Every layer maps R^n -> R^n and exposes the same surface:
 
 * ``forward(x)`` / ``forward_batch(X)`` evaluate the map,
-* ``jacobian_batch(X)`` assembles the exact Jacobians of the rows of X,
-  ``(P, n, n)``; ``jacobian(x, margin)`` is its one-row form away from kinks,
+* ``linearize_batch(X)`` returns the outputs ``(P, n)``, exact Jacobians
+  ``(P, n, n)`` and kink distances ``(P,)`` of the rows of X from one pass
+  (the distance to the nearest pre-activation node, gate plane or partition
+  plane, in those coordinates); ``jacobian(x, margin)`` (away from kinks)
+  and ``kink_distance(x)`` are its one-row forms,
 * ``vjp(x, v)`` / ``vjp_batch(X, V)`` pull a cotangent back through the
   layer, returning the input gradient and per-parameter gradients
   (summed over the batch in the batched form),
-* ``kink_distance_batch(X)`` / ``kink_distance(x)`` measure how far each
-  row is from the nearest non-differentiability locus (pre-activation
-  node, gate plane, or partition plane, in those coordinates),
 * ``params()`` names the trainable arrays,
 * ``to_json()`` round-trips the layer.
 
@@ -65,19 +65,22 @@ def _require_slopes(sigma: PwlScalar, allowed: Sequence[float], context: str) ->
 # ---------------------------------------------------------------------------
 
 
-def _core_forward(ell, c, d, A, B, b, sigma, X):
-    Z = X @ B.T + b
+def _core_forward(ell, c, d, A, B, b, sigma, X, Z=None):
+    """``ell X + c + d sigma(Z) A``, with ``Z = X B^T + b`` unless it is given."""
+    Z = X @ B.T + b if Z is None else Z
     return ell * X + c + d * (sigma.value(Z) @ A)
 
 
-def _core_jacobian_batch(ell, d, A, B, b, sigma, X):
-    slopes = sigma.deriv(X @ B.T + b)
-    jac = d * ((A.T * slopes[:, np.newaxis, :]) @ B)
+def _core_linearize(ell, c, d, A, B, b, sigma, X):
+    """Outputs, Jacobians and pre-activation kink distances of the rows of X."""
+    Z = X @ B.T + b
+    jac = d * ((A.T * sigma.deriv(Z)[:, np.newaxis, :]) @ B)
     if ell != 0.0:
         n = B.shape[0]
         # every n+1-th entry of a flattened n x n matrix is on its diagonal
         jac.reshape(len(jac), n * n)[:, :: n + 1] += ell
-    return jac
+    return (_core_forward(ell, c, d, A, B, b, sigma, X, Z), jac,
+            np.min(sigma.distance_to_breakpoint(Z), axis=1))
 
 
 def _core_vjp(ell, d, A, B, b, sigma, X, V):
@@ -111,17 +114,17 @@ def _vjp_one(self, x, v):
 
 
 def _kink_distance_one(self, x) -> float:
-    """``kink_distance`` of every layer class: ``kink_distance_batch`` on one sample."""
-    return float(self.kink_distance_batch(np.asarray(x, dtype=np.float64)[np.newaxis])[0])
+    """``kink_distance`` of every layer class: ``linearize_batch``'s distance of one sample."""
+    return float(self.linearize_batch(np.asarray(x, dtype=np.float64)[np.newaxis])[2][0])
 
 
 def _jacobian_one(self, x, margin: float = DEFAULT_MARGIN):
-    """``jacobian`` of every layer class: ``jacobian_batch`` on one sample,
+    """``jacobian`` of every layer class: ``linearize_batch``'s Jacobian of one sample,
     raising NearKinkError within ``margin`` of a kink (a NaN distance passes)."""
-    distance = self.kink_distance(x)
-    if distance < margin:
-        raise NearKinkError(distance, margin)
-    return self.jacobian_batch(np.asarray(x, dtype=np.float64)[np.newaxis])[0]
+    _, jac, dist = self.linearize_batch(np.asarray(x, dtype=np.float64)[np.newaxis])
+    if dist[0] < margin:
+        raise NearKinkError(float(dist[0]), margin)
+    return jac[0]
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +147,7 @@ class ComposedLayer:
     kind = "ComposedLayer"
 
     def __post_init__(self):
+        checked(self.strict, "strict", "a bool")
         n = self.inner.width
         as_matrix(self.rotation, n, n)
         if self.strict:
@@ -160,11 +164,9 @@ class ComposedLayer:
     def forward_batch(self, X):
         return self.inner.forward_batch(X) @ self.rotation.T
 
-    def kink_distance_batch(self, X):
-        return self.inner.kink_distance_batch(X)
-
-    def jacobian_batch(self, X):
-        return self.rotation @ self.inner.jacobian_batch(X)
+    def linearize_batch(self, X):
+        out, jac, dist = self.inner.linearize_batch(X)
+        return out @ self.rotation.T, self.rotation @ jac, dist
 
     vjp = _vjp_one
 
@@ -255,6 +257,7 @@ class PartitionedLayer:
     family: str = "partitioned"
 
     def __post_init__(self):
+        checked(self.strict, "strict", "a bool")
         n = self.B.shape[0]
         as_matrix(self.A, n, n)
         as_matrix(self.B, n, n)
@@ -306,7 +309,9 @@ class PartitionedLayer:
         return _KINDS[self.family]
 
     def _planes(self, X):
-        """Signed offset of every row of X from every hyperplane, ``(P, planes)``."""
+        """Signed offset of every row of X from every hyperplane, ``(P, planes)``, or None."""
+        if not self.hyperplanes:
+            return None
         normals = np.stack([normal for normal, _ in self.hyperplanes])
         offsets = np.asarray([offset for _, offset in self.hyperplanes])
         return X @ normals.T - offsets
@@ -322,75 +327,67 @@ class PartitionedLayer:
             raise MissingRegionError(key)
         return coeffs
 
-    def _cells(self, X) -> list:
-        """(coeffs, rows) of every cell the rows of X fall in.
-
-        Cells come in sorted sign order, so per-cell gradients add up in
-        a fixed order.  ``rows`` is None when every row falls in one cell
-        (always so without hyperplanes): the caller then uses X whole.
-        """
-        if not self.hyperplanes:
-            return [(self._coeffs(()), None)]
-        above = self._planes(X) >= 0.0
+    def _cells(self, planes) -> list:
+        """(coeffs, rows) of every cell that rows with these ``_planes`` fall in, in
+        sorted sign order; ``rows`` is ``slice(None)`` when there is one cell."""
+        if planes is None:
+            return [(self._coeffs(()), slice(None))]
+        above = planes >= 0.0
         if len(above) and (above == above[0]).all():
-            return [(self._coeffs(_sign_key(above[0])), None)]
+            return [(self._coeffs(_sign_key(above[0])), slice(None))]
         # False sorts before True, so the rows sort as their sign vectors do
         cells, inverse = np.unique(above, axis=0, return_inverse=True)
         inverse = inverse.ravel()
         return [(self._coeffs(_sign_key(cell)), np.flatnonzero(inverse == i))
                 for i, cell in enumerate(cells)]
 
-    def _by_cell(self, X, core, shape):
-        """``core(coeffs, rows)`` on each cell's rows of X, gathered into ``shape``."""
-        cells = self._cells(X)
-        if cells and cells[0][1] is None:
-            return core(cells[0][0], X)
-        out = np.empty(shape)
+    def _by_cell(self, planes, core, shapes, summed=0):
+        """``core(coeffs, rows)`` on every cell of ``_cells(planes)``.
+
+        One cell's outputs come back as they are.  Otherwise core's outputs,
+        of ``shapes`` without the row axis, are gathered in row order, except
+        the last ``summed``, which add up from zeros in sorted sign order.
+        """
+        cells = self._cells(planes)
+        if len(cells) == 1:
+            return core(*cells[0])
+        per_row = len(shapes) - summed
+        outs = ([np.empty((len(planes), *s)) for s in shapes[:per_row]]
+                + [np.zeros(s) for s in shapes[per_row:]])
         for co, rows in cells:
-            out[rows] = core(co, X[rows])
-        return out
+            for k, part in enumerate(core(co, rows)):
+                if k < per_row:
+                    outs[k][rows] = part
+                else:
+                    outs[k] += part
+        return outs
 
     forward = _forward_one
     jacobian = _jacobian_one
     kink_distance = _kink_distance_one
 
     def forward_batch(self, X):
-        return self._by_cell(X, lambda co, Xc: _core_forward(
-            co.ell, co.c, co.d, self.A, self.B, self.b, co.sigma, Xc), X.shape)
+        return self._by_cell(self._planes(X), lambda co, rows: (_core_forward(
+            co.ell, co.c, co.d, self.A, self.B, self.b, co.sigma, X[rows]),),
+            [(self.width,)])[0]
 
-    def kink_distance_batch(self, X):
-        dist = self._by_cell(X, lambda co, Xc: np.min(
-            co.sigma.distance_to_breakpoint(Xc @ self.B.T + self.b), axis=1), len(X))
-        if not self.hyperplanes:
-            return dist
-        return np.minimum(dist, np.min(np.abs(self._planes(X)), axis=1))
-
-    def jacobian_batch(self, X):
+    def linearize_batch(self, X):
         n = self.width
-        return self._by_cell(X, lambda co, Xc: _core_jacobian_batch(
-            co.ell, co.d, self.A, self.B, self.b, co.sigma, Xc), (len(X), n, n))
+        planes = self._planes(X)
+        out, jac, dist = self._by_cell(planes, lambda co, rows: _core_linearize(
+            co.ell, co.c, co.d, self.A, self.B, self.b, co.sigma, X[rows]),
+            [(n,), (n, n), ()])
+        if planes is None:
+            return out, jac, dist
+        return out, jac, np.minimum(dist, np.min(np.abs(planes), axis=1))
 
     vjp = _vjp_one
 
     def vjp_batch(self, X, V):
-        cells = self._cells(X)
-        if cells and cells[0][1] is None:
-            co = cells[0][0]
-            dX, gA, gB, gb = _core_vjp(
-                co.ell, co.d, self.A, self.B, self.b, co.sigma, X, V
-            )
-        else:
-            n = self.width
-            dX = np.empty(X.shape)
-            gA, gB, gb = np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
-            for co, rows in cells:
-                part_dX, part_gA, part_gB, part_gb = _core_vjp(
-                    co.ell, co.d, self.A, self.B, self.b, co.sigma, X[rows], V[rows]
-                )
-                dX[rows] = part_dX
-                gA += part_gA
-                gB += part_gB
-                gb += part_gb
+        n = self.width
+        dX, gA, gB, gb = self._by_cell(self._planes(X), lambda co, rows: _core_vjp(
+            co.ell, co.d, self.A, self.B, self.b, co.sigma, X[rows], V[rows]),
+            [(n,), (n, n), (n, n), (n,)], summed=3)
         if self.shared_weights:
             return dX, {"B": gA + gB, "b": gb}
         return dX, {"A": gA, "B": gB, "b": gb}
@@ -636,6 +633,7 @@ class LimitLayer:
     kind = "LimitLayer"
 
     def __post_init__(self):
+        checked(self.strict, "strict", "a bool")
         n = self.B.shape[0]
         as_matrix(self.B, n, n)
         as_vector(self.b, n)
@@ -652,29 +650,29 @@ class LimitLayer:
     def _bias_pull(self) -> np.ndarray:
         return self.B.T @ self.b
 
+    def _with_fields(self, core, X):
+        """``core``, the output of the reflection part (the case-ii core), plus the field terms."""
+        mvals = self.m_field.eval_batch(X)
+        qvals = self.q_field.eval_batch(X)
+        return core + qvals[:, np.newaxis] + (1.0 - mvals)[:, np.newaxis] * self._bias_pull()
+
     forward = _forward_one
     jacobian = _jacobian_one
     kink_distance = _kink_distance_one
 
     def forward_batch(self, X):
-        # the reflection part is the case-ii core
-        core = _core_forward(1.0, 0.0, -2.0, self.B, self.B, self.b, _RELU, X)
-        mvals = self.m_field.eval_batch(X)
-        qvals = self.q_field.eval_batch(X)
-        return core + qvals[:, np.newaxis] + (1.0 - mvals)[:, np.newaxis] * self._bias_pull()
+        return self._with_fields(
+            _core_forward(1.0, 0.0, -2.0, self.B, self.B, self.b, _RELU, X), X)
 
-    def kink_distance_batch(self, X):
-        dist = np.min(np.abs(X @ self.B.T + self.b), axis=1)
-        dist = np.minimum(dist, self.m_field.kink_distance_batch(X))
-        return np.minimum(dist, self.q_field.kink_distance_batch(X))
-
-    def jacobian_batch(self, X):
-        # the reflection part is the case-ii core; then the rank-two
-        # correction 1 grad_q^T - (B^T b) grad_m^T, row by row
-        jac = _core_jacobian_batch(1.0, -2.0, self.B, self.B, self.b, _RELU, X)
+    def linearize_batch(self, X):
+        # the reflection part is the case-ii core; then the field terms, the
+        # rank-two correction 1 grad_q^T - (B^T b) grad_m^T and the field kinks
+        out, jac, dist = _core_linearize(1.0, 0.0, -2.0, self.B, self.B, self.b, _RELU, X)
         jac += self.q_field.grad_batch(X)[:, np.newaxis, :]
         jac -= self._bias_pull()[:, np.newaxis] * self.m_field.grad_batch(X)[:, np.newaxis, :]
-        return jac
+        dist = np.minimum(dist, self.m_field.kink_distance_batch(X))
+        return (self._with_fields(out, X), jac,
+                np.minimum(dist, self.q_field.kink_distance_batch(X)))
 
     vjp = _vjp_one
 
@@ -854,7 +852,7 @@ def _layer_from_spec(obj: dict, tables) -> Layer:
     seeded = next(tables)
     kind, n = obj["type"], obj["n"]
     b = as_vector(obj.get("b", np.zeros(n)), n)
-    strict = checked(obj.get("strict", True), "strict", "a bool")
+    strict = obj.get("strict", True)
 
     def matrix(entry) -> np.ndarray:
         if isinstance(entry, dict) and "seed" in entry:

@@ -46,6 +46,9 @@ class PwlScalar:
     _bp_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("breakpoints", "slopes", "anchor_value"):
+            for v in np.ravel(np.asarray(getattr(self, name), dtype=object)):
+                checked(v, f"an entry of {name}", "a number")
         bp = np.asarray(self.breakpoints, dtype=np.float64)
         sl = np.asarray(self.slopes, dtype=np.float64)
         if bp.ndim != 1 or bp.size < 1:

@@ -61,23 +61,21 @@ def _as_stack(target) -> list:
 def stack_jacobian(stack: list, X: np.ndarray, margin: float = DEFAULT_MARGIN):
     """Chained Jacobians of a layer stack at the rows of ``X``, away from kinks.
 
-    At each layer the rows within ``margin`` of a kink are dropped (a NaN
-    distance is kept), and only the rows left go on to the next layer.
-    Returns the indices of the kept rows of X and their Jacobians as one
-    ``(kept, n, n)`` array.
+    Each layer takes the rows in one ``linearize_batch`` call; those within
+    ``margin`` of a kink are dropped (a NaN distance is kept), and only the
+    rows left go on to the next layer.  Returns the indices of the kept rows
+    of X and their Jacobians as one ``(kept, n, n)`` array.
     """
     kept = np.arange(len(X))
     cur = np.asarray(X, dtype=np.float64)
     jacs = None
-    for depth, layer in enumerate(stack):
-        keep = ~(layer.kink_distance_batch(cur) < margin)
+    for layer in stack:
+        cur, part, dist = layer.linearize_batch(cur)
+        keep = ~(dist < margin)
         if not keep.all():
-            kept, cur = kept[keep], cur[keep]
+            kept, cur, part = kept[keep], cur[keep], part[keep]
             jacs = None if jacs is None else jacs[keep]
-        part = layer.jacobian_batch(cur)
         jacs = part if jacs is None else part @ jacs
-        if depth + 1 < len(stack):
-            cur = layer.forward_batch(cur)
     return kept, jacs
 
 

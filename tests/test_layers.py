@@ -745,7 +745,7 @@ def test_grouped_rows_name_the_undeclared_cell():
     layer = three_plane_layer(default=False, missing=(hole,))
     assert len({layer.sign_vector(x) for x in X}) >= 4
     for call in (lambda: layer.forward_batch(X), lambda: layer.vjp_batch(X, X),
-                 lambda: layer.kink_distance_batch(X), lambda: layer.jacobian_batch(X)):
+                 lambda: layer.linearize_batch(X)):
         with pytest.raises(MissingRegionError) as exc:
             call()
         assert exc.value.sign_vector == hole
@@ -814,7 +814,7 @@ def single_kink_distance(layer, x):
 def test_jacobian_batch_matches_single_sample_formula(name):
     layer = batch_families()[name]
     X = SplitMix64(31).gaussian_matrix(40, N)
-    jacs = layer.jacobian_batch(X)
+    jacs = layer.linearize_batch(X)[1]
     assert jacs.shape == (40, N, N)
     expected = np.stack([single_jacobian(layer, x) for x in X])
     if name == "limit_mini_net":
@@ -826,30 +826,74 @@ def test_jacobian_batch_matches_single_sample_formula(name):
     # the one-row wrapper is the batch on one row
     for x in X[:5]:
         assert np.array_equal(layer.jacobian(x, margin=0.0),
-                              layer.jacobian_batch(x[np.newaxis])[0])
-    assert layer.jacobian_batch(X[:0]).shape == (0, N, N)
+                              layer.linearize_batch(x[np.newaxis])[1][0])
+    assert layer.linearize_batch(X[:0])[1].shape == (0, N, N)
 
 
 @pytest.mark.parametrize("name", sorted(batch_families()))
 def test_kink_distance_batch_matches_single_sample_formula(name):
     layer = batch_families()[name]
     X = SplitMix64(32).gaussian_matrix(40, N)
-    dist = layer.kink_distance_batch(X)
+    dist = layer.linearize_batch(X)[2]
     expected = np.array([single_kink_distance(layer, x) for x in X])
     # pre-activations of many rows come from one matmul, whose low bits
     # depend on the row count; one row reproduces the formula exactly
     assert np.max(np.abs(dist - expected)) <= 1e-14
     for x, want in zip(X, expected):
         assert layer.kink_distance(x) == want
-    assert layer.kink_distance_batch(X[:0]).shape == (0,)
+    assert layer.linearize_batch(X[:0])[2].shape == (0,)
 
 
 def test_jacobian_wrapper_checks_margin_with_the_batch_distance():
     layer = three_plane_layer()
     X = SplitMix64(33).gaussian_matrix(40, N)
-    dist = layer.kink_distance_batch(X)
+    dist = layer.linearize_batch(X)[2]
     x = X[np.argmin(dist)]
     with pytest.raises(NearKinkError):
         layer.jacobian(x, margin=np.min(dist) * 1.5)
     assert layer.jacobian(x, margin=np.min(dist) * 0.5).shape == (N, N)
 
+
+@pytest.mark.parametrize("name", sorted(batch_families()))
+def test_linearize_batch_output_is_forward_batch(name):
+    layer = batch_families()[name]
+    X = SplitMix64(34).gaussian_matrix(40, N)
+    out, jacs, dist = layer.linearize_batch(X)
+    assert np.array_equal(out, layer.forward_batch(X))
+    assert jacs.shape == (40, N, N) and dist.shape == (40,)
+    # an empty block keeps every shape
+    out, jacs, dist = layer.linearize_batch(X[:0])
+    assert (out.shape, jacs.shape, dist.shape) == ((0, N), (0, N, N), (0,))
+
+
+def test_linearize_batch_of_an_empty_block_needs_no_region():
+    # a partitioned layer that declares no cell cannot take a row, but it
+    # takes an empty block
+    planes = [(SplitMix64(35).gaussian(N), 0.0)]
+    layer = ly.make_partitioned(orth(2), orth(2), bias(3), planes, {})
+    out, jacs, dist = layer.linearize_batch(np.empty((0, N)))
+    assert (out.shape, jacs.shape, dist.shape) == ((0, N), (0, N, N), (0,))
+    assert layer.vjp_batch(np.empty((0, N)), np.empty((0, N)))[0].shape == (0, N)
+    with pytest.raises(MissingRegionError):
+        layer.linearize_batch(SplitMix64(36).gaussian_matrix(1, N))
+
+
+@pytest.mark.parametrize("build", [
+    lambda strict: ly.make_case_ii(orth(2), bias(3), 1.0, 0.0, -2.0, RELU, strict=strict),
+    lambda strict: ly.make_partitioned(orth(2), orth(2), bias(3), [],
+                                       {(): ly.RegionCoeffs(0.0, 0.0, 1.0, ABS)}, strict=strict),
+    lambda strict: ly.make_composed(orth(5), ly.make_case_ii(
+        orth(2), bias(3), 1.0, 0.0, -2.0, RELU), strict=strict),
+    lambda strict: ly.make_limit(orth(2), bias(3), ly.ConstantField(0.0),
+                                 ly.ConstantField(0.0), strict=strict),
+], ids=["case_ii", "partitioned", "composed", "limit"])
+def test_strict_must_be_a_bool(build):
+    # read by truthiness, "" would build a non-strict layer whose JSON form
+    # does not round-trip
+    for value in ("", "false", 0, 1, None, np.bool_(True)):
+        with pytest.raises(DimensionError, match="strict must be a bool"):
+            build(value)
+    for value in (True, False):
+        layer = build(value)
+        assert layer.strict is value
+        assert ly.layer_from_json(layer.to_json()).to_json() == layer.to_json()

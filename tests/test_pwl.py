@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from orthojac.errors import (
     DegenerateSlopesError,
+    DimensionError,
     InvalidAssignmentError,
     InvalidBreakpointsError,
 )
@@ -228,3 +229,38 @@ def test_nan_takes_the_rightmost_slope(nodes):
     assert f.deriv(np.nan) == f.slopes[-1]
     assert np.array_equal(f.deriv(np.array([np.nan, -5.0])), [f.slopes[-1], f.slopes[0]])
     assert np.isnan(f(np.nan))
+
+
+@pytest.mark.parametrize("args", [
+    (("0.5",), ("0", "1"), 0.0),
+    ((0.0,), (0.0, 1.0), "0"),
+    ((True,), (0.0, 1.0), 0.0),
+    ((0.0,), (False, 1.0), 0.0),
+    ((0.0,), (0.0, 1.0), True),
+    ((None,), (0.0, 1.0), 0.0),
+    ((0.0,), (0.0, None), 0.0),
+    ((0.0,), (0.0, 1.0), None),
+])
+def test_non_number_entries_are_rejected_before_conversion(args):
+    with pytest.raises(DimensionError, match="must be a number"):
+        PwlScalar(*args)
+
+
+def test_numbers_of_any_real_type_are_taken():
+    f = PwlScalar((np.float32(0.5),), (0, np.int64(1)), np.float64(0.0))
+    assert f == PwlScalar((0.5,), (0.0, 1.0), 0.0)
+    assert type(f.anchor_value) is float
+
+
+def test_non_finite_entries_keep_their_errors():
+    for bp in ((np.nan,), (np.inf,), (0.0, -np.inf)):
+        with pytest.raises(InvalidBreakpointsError):
+            PwlScalar(bp, (0.0,) * (len(bp) + 1), 0.0)
+    with pytest.raises(InvalidAssignmentError):
+        PwlScalar((0.0,), (0.0, np.inf), 0.0)
+    with pytest.raises(InvalidAssignmentError):
+        PwlScalar((0.0,), (0.0, 1.0), np.nan)
+    with pytest.raises(InvalidBreakpointsError):
+        PwlScalar((1.0, 0.0), (0.0, 1.0, 0.0), 0.0)
+    with pytest.raises(InvalidAssignmentError):
+        PwlScalar((0.0,), (0.0, 1.0, 0.0), 0.0)

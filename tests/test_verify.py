@@ -27,6 +27,7 @@ from orthojac.layers import (
     make_gated,
     make_limit,
     make_partitioned,
+    PartitionedLayer,
     RegionCoeffs,
 )
 from orthojac.linalg import random_orthogonal
@@ -538,7 +539,44 @@ def test_stack_jacobian_skips_a_dropped_probe_before_the_next_layer():
                   [1.0, 0.5, -0.7, 2.0],
                   [-0.8, 0.3, 0.9, -1.2]])
     with pytest.raises(MissingRegionError):
-        holed.jacobian_batch(abs_layer.forward_batch(X[:1]))
+        holed.linearize_batch(abs_layer.forward_batch(X[:1]))
     kept, jacs = stack_jacobian([abs_layer, holed], X, margin=0.1)
     assert kept.tolist() == [1, 2]
     assert jacs.shape == (2, n, n)
+
+
+def test_stack_jacobian_passes_an_emptied_block_through_a_layer_with_no_region():
+    n = 6
+    # no row can reach this layer: it declares neither a cell nor a default
+    bare = make_partitioned(np.eye(n), np.eye(n), np.zeros(n),
+                            [(SplitMix64(111).gaussian(n), 0.0)], {})
+    stack = [strict_case_ii(n, 112), bare, strict_case_ii(n, 113)]
+    X = SplitMix64(114).gaussian_matrix(5, n)
+    # every kink distance of the first layer is below this margin
+    kept, jacs = stack_jacobian(stack, X, margin=1e6)
+    assert kept.shape == (0,)
+    assert jacs.shape == (0, n, n)
+    with pytest.raises(MissingRegionError):
+        stack_jacobian(stack, X, margin=0.0)
+
+
+def test_stack_jacobian_makes_one_layer_call_per_block(monkeypatch):
+    n = 8
+    stack = mixed_stack(n) + [make_limit(random_orthogonal(n, 115), 0.1 * np.ones(n),
+                                         GaussianBumpField(0.01), ConstantField(0.0))]
+    calls = []
+    for cls in {type(layer) for layer in stack}:
+        for name in ("linearize_batch", "_cells", "forward_batch"):
+            if name in vars(cls):
+                def counted(self, *args, _name=name, _inner=vars(cls)[name]):
+                    calls.append((_name, id(self)))
+                    return _inner(self, *args)
+                monkeypatch.setattr(cls, name, counted)
+    X = 1.5 * SplitMix64(116).gaussian_matrix(16, n)
+    kept, jacs = stack_jacobian(stack, X, margin=0.03)
+    # the margin drops some rows, but not all, along the way
+    assert 0 < len(kept) < len(X)
+    layers = stack + [stack[2].inner]
+    assert sorted(calls) == sorted(
+        [("linearize_batch", id(layer)) for layer in layers]
+        + [("_cells", id(layer)) for layer in layers if isinstance(layer, PartitionedLayer)])
