@@ -29,12 +29,10 @@ from .errors import (
 from .layers import LimitLayer, layer_from_json, layers_from_json
 from .linalg import checked
 from .rng import SplitMix64, derive_seed
-from .train import TrainConfig, make_network, save_snapshot, train
+from .train import TrainConfig, check_model, make_network, save_snapshot, train
 # check_dynamical_isometry is not called here, but the probe entry points
 # stay bound on this module, where perfbench's first-item marker wraps them
 from .verify import (
-    DEFAULT_MARGIN,
-    PASS_TOL,
     ProbeRequest,
     check_dynamical_isometry,
     density_gap,
@@ -93,31 +91,34 @@ def _write_text(out_dir: str, filename: str, text: str) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-# each entry setting: the entry's value, else the config's, else this default
-ENTRY_DEFAULTS = {"criterion": "orthogonal", "probes": 1000, "seed": 0,
-                  "margin": DEFAULT_MARGIN, "input_scale": 1.0, "tol": PASS_TOL,
-                  "epsilon": None}
+# the probe settings a verify config or entry may set; each is the entry's
+# value, else the config's, else ProbeRequest's default
+PROBE_KEYS = ("criterion", "probes", "seed", "margin", "input_scale", "tol", "epsilon")
+
+
+def _probe_settings(keys: tuple, *sources) -> dict:
+    """The ``keys`` that ``sources`` set (a later source wins), as ProbeRequest keywords."""
+    return {"n_probes" if key == "probes" else key: source[key]
+            for source in sources for key in keys if key in source}
 
 
 def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
-    _check_keys(config, "verify config", ("layers",), ("command", *ENTRY_DEFAULTS))
+    _check_keys(config, "verify config", ("layers",), ("command", *PROBE_KEYS))
     entries = checked(config["layers"], "layers", "a non-empty list", ConfigError)
 
     # every entry is checked, with its spec standing in for its layer, then
     # every layer is built, before the first probe
     names, requests = [], []
     for entry in entries:
-        _check_keys(entry, "layer entry", ("name", "layer"), tuple(ENTRY_DEFAULTS))
+        _check_keys(entry, "layer entry", ("name", "layer"), PROBE_KEYS)
         name = entry["name"]
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ConfigError(f"layer entry name {name!r} is not filename-safe")
         if name in names:
             raise ConfigError(f"duplicate layer entry name {name!r}")
-        settings = {key: entry.get(key, config.get(key, default))
-                    for key, default in ENTRY_DEFAULTS.items()}
-        settings["n_probes"] = settings.pop("probes")
         names.append(name)
-        requests.append(ProbeRequest(entry["layer"], name=name, **settings))
+        requests.append(ProbeRequest(entry["layer"], name=name,
+                                     **_probe_settings(PROBE_KEYS, config, entry)))
 
     layers = layers_from_json([req.target for req in requests])
     reports = spectrum_probe([dataclasses.replace(req, target=layer)
@@ -139,14 +140,12 @@ def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
 
 
 def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
-    _check_keys(config, "spectrum config", ("layers",),
-                ("command", "seed", "probes", "margin", "input_scale"))
+    keys = ("seed", "probes", "margin", "input_scale")
+    _check_keys(config, "spectrum config", ("layers",), ("command", *keys))
     specs = checked(config["layers"], "layers", "a non-empty list", ConfigError)
     # the settings are checked, with the specs standing in for the stack,
     # before any layer is built
-    req = ProbeRequest(specs, config.get("probes", 1000), config.get("seed", 0),
-                       input_scale=config.get("input_scale", 1.0),
-                       margin=config.get("margin", DEFAULT_MARGIN), criterion="none")
+    req = ProbeRequest(specs, criterion="none", **_probe_settings(keys, config))
     req = dataclasses.replace(req, target=layers_from_json(specs))
 
     # stack_jacobian is looked up here per block, so a wrapper put on or taken off
@@ -275,11 +274,11 @@ def cmd_train(config: dict, out_dir: str, digest: str, data_root) -> int:
                             batch_size=config.get("batch_size", 512),
                             alpha=config.get("alpha", 0.0),
                             patience=config.get("patience", 10), seed=config.get("seed", 0))
-    train_set, val_set = _load_train_data(config["data"], train_cfg.seed, data_root)
-
+    model = check_model(config["model"])
     width = checked(config["width"], "width", "a positive integer", ConfigError)
     depth = checked(config["depth"], "depth", "a non-negative integer", ConfigError)
-    network = make_network(config["model"], width, depth,
+    train_set, val_set = _load_train_data(config["data"], train_cfg.seed, data_root)
+    network = make_network(model, width, depth,
                            train_set.class_count, train_set.dim, train_cfg.seed)
 
     try:
@@ -291,12 +290,11 @@ def cmd_train(config: dict, out_dir: str, digest: str, data_root) -> int:
 
     _write_text(out_dir, "metrics.csv",
                 f"# config_sha256={digest}\n" + metrics.to_csv())
-    summary = dict(metrics.summary(), model=config["model"],
-                   config_sha256=digest)
+    summary = dict(metrics.summary(), model=model, config_sha256=digest)
     _write_text(out_dir, "summary.json",
                 json.dumps(summary, sort_keys=True, indent=2) + "\n")
     save_snapshot(os.path.join(out_dir, "snapshot.bin"), network,
-                  meta={"model": config["model"], "config_sha256": digest})
+                  meta={"model": model, "config_sha256": digest})
     print(f"best_val_acc={metrics.best_val_acc!r} best_epoch={metrics.best_epoch}"
           f" epochs_run={len(metrics.rows)} stopped_early={metrics.stopped_early}")
     return 0

@@ -48,6 +48,9 @@ def is_finite_number(value) -> bool:
 # what a JSON value must be, each rule keyed by the words its message uses
 RULES = {
     "a number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    # NaN and the infinities fit; an integer beyond the float range does not
+    "a number that fits a float": lambda v: RULES["a number"](v) and (
+        isinstance(v, (float, np.floating)) or abs(v) <= sys.float_info.max),
     "finite": is_finite_number,
     "a finite number": is_finite_number,
     "a positive finite number": lambda v: is_finite_number(v) and v > 0,

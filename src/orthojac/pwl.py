@@ -48,7 +48,7 @@ class PwlScalar:
     def __post_init__(self):
         for name in ("breakpoints", "slopes", "anchor_value"):
             for v in np.ravel(np.asarray(getattr(self, name), dtype=object)):
-                checked(v, f"an entry of {name}", "a number")
+                checked(v, f"an entry of {name}", "a number that fits a float")
         bp = np.asarray(self.breakpoints, dtype=np.float64)
         sl = np.asarray(self.slopes, dtype=np.float64)
         if bp.ndim != 1 or bp.size < 1:

@@ -27,17 +27,8 @@ from .errors import (
     DimensionError,
     TrainingDivergedError,
 )
-from .layers import (
-    ConstantField,
-    GaussianBumpField,
-    make_case_i,
-    make_case_ii,
-    make_limit,
-    make_mini_net_field,
-    make_partitioned,
-    RegionCoeffs,
-)
-from .linalg import checked, frobenius_defect, random_orthogonal, random_orthogonal_batch
+from .layers import layers_from_json
+from .linalg import checked, frobenius_defect, random_orthogonal
 from .pwl import make_relu_k, make_sigma_k, make_two_slope
 from .rng import SplitMix64, derive_seed
 from .serial import load_arrays, save_arrays
@@ -49,21 +40,6 @@ ADAM_EPS = 1e-8
 # rows evaluated per forward pass
 EVAL_CHUNK = 1024
 METRICS_HEADER = "epoch,train_loss,train_acc,val_acc,lr,grad_ratio,ms_per_sample"
-
-MODEL_NAMES = (
-    "resnet_relu",
-    "resnet_relu3",
-    "ff_sigma1",
-    "ff_sigma3",
-    "resnet_AB_baseline",
-    "ff_relu_partial",
-    "ff_leakyrelu",
-    "resnet_B_partial",
-    "limit_m1",
-    "limit_m2",
-    "limit_m3",
-    "gaussian_ff_baseline",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -309,82 +285,62 @@ def evaluate(network: Network, dataset: Dataset) -> float:
 # model menu
 # ---------------------------------------------------------------------------
 
-DEFAULT_NODES = (-1.0, 0.0, 1.0)
+_RELU = make_relu_k([0.0]).to_json()
+_ZERO = {"kind": "constant", "value": 0.0}
+
+# each model's layer spec without ``n`` and the weights; ``_layer_spec`` adds them
+MODELS = {
+    "resnet_relu": {"type": "case_ii", "ell": 1.0, "d": -2.0, "sigma": _RELU},
+    "resnet_relu3": {"type": "case_ii", "ell": 1.0, "d": -2.0,
+                     "sigma": make_relu_k([-1.0, 0.0, 1.0]).to_json()},
+    "ff_sigma1": {"type": "case_i", "d": 1.0, "sigma": make_sigma_k([0.0]).to_json()},
+    "ff_sigma3": {"type": "case_i", "d": 1.0,
+                  "sigma": make_sigma_k([-1.0, 0.0, 1.0]).to_json()},
+    "resnet_AB_baseline": {"type": "partitioned", "strict": False, "regions": [
+        {"signs": [], "ell": 1.0, "c": 0.0, "d": 2.0, "sigma": _RELU}]},
+    "ff_relu_partial": {"type": "case_i", "d": 1.0, "sigma": _RELU, "strict": False},
+    "ff_leakyrelu": {"type": "case_i", "d": 1.0,
+                     "sigma": make_two_slope(0.3, 1.0, [0.0]).to_json(), "strict": False},
+    "resnet_B_partial": {"type": "case_ii", "ell": 1.0, "d": -1.0, "sigma": _RELU,
+                         "strict": False},
+    "limit_m1": {"type": "limit", "m": {"kind": "constant", "value": 1.0}, "q": _ZERO},
+    "limit_m2": {"type": "limit", "m": {"kind": "gaussian_bump", "scale": 0.01}, "q": _ZERO},
+    "limit_m3": {"type": "limit", "m": {"kind": "mini_net"}, "q": _ZERO},
+    "gaussian_ff_baseline": {"type": "case_i", "d": 1.0, "sigma": _RELU, "strict": False},
+}
+MODEL_NAMES = tuple(MODELS)
 
 
-def _relu(nodes=(0.0,)):
-    return make_relu_k(list(nodes))
+def check_model(model) -> str:
+    """``model`` if it names a model of MODELS, else ConfigError."""
+    # a tuple, not the dict: an unhashable model is just not a name
+    if model not in MODEL_NAMES:
+        raise ConfigError(f"unknown model {model!r} (choose from {', '.join(MODEL_NAMES)})")
+    return model
 
 
-# models whose layers use A as well as B; gaussian_ff_baseline uses neither
-_A_MODELS = ("ff_sigma1", "ff_sigma3", "resnet_AB_baseline", "ff_relu_partial",
-             "ff_leakyrelu")
-
-
-def _orthogonal_seeds(model: str, seed: int) -> list:
-    """Seeds of the orthogonal weights one layer of ``model`` uses: B, then A.
-
-    Every weight has its own derived seed, so skipping an unused one shifts
-    nothing.
-    """
-    if model == "gaussian_ff_baseline":
-        return []
-    if model in _A_MODELS:
-        return [derive_seed(seed, 0), derive_seed(seed, 1)]
-    return [derive_seed(seed, 0)]
-
-
-def _make_layer(model: str, width: int, seed: int, weights):
-    """One layer of ``model``; ``weights`` are its orthogonal matrices, in
-    ``_orthogonal_seeds`` order."""
-    b = np.zeros(width)
+def _layer_spec(model: str, width: int, seed: int) -> dict:
+    """One layer of ``model`` as a spec: its MODELS entry, ``n`` and its weights.  Each seeded
+    weight has its own derived seed (B 0, A 1, the mini-net 2), so a skipped one moves none."""
+    spec = dict(MODELS[model], n=width, B={"seed": derive_seed(seed, 0)})
     if model == "gaussian_ff_baseline":
         W = SplitMix64(derive_seed(seed, 3)).gaussian_matrix(width, width)
         W /= np.sqrt(width)
-        return make_case_i(np.eye(width), W, b, c=0.0, d=1.0, sigma=_relu(),
-                           strict=False)
-    B = weights[0]
-    if model == "resnet_relu":
-        return make_case_ii(B, b, ell=1.0, c=0.0, d=-2.0, sigma=_relu())
-    if model == "resnet_relu3":
-        return make_case_ii(B, b, ell=1.0, c=0.0, d=-2.0, sigma=_relu(DEFAULT_NODES))
-    if model == "resnet_B_partial":
-        return make_case_ii(B, b, ell=1.0, c=0.0, d=-1.0, sigma=_relu(), strict=False)
-    if model == "limit_m1":
-        return make_limit(B, b, ConstantField(1.0), ConstantField(0.0))
-    if model == "limit_m2":
-        return make_limit(B, b, GaussianBumpField(0.01), ConstantField(0.0))
-    if model == "limit_m3":
-        m = make_mini_net_field(width, seed=derive_seed(seed, 2))
-        return make_limit(B, b, m, ConstantField(0.0))
-    A = weights[1]
-    if model == "ff_sigma1":
-        return make_case_i(A, B, b, c=0.0, d=1.0, sigma=make_sigma_k([0.0]))
-    if model == "ff_sigma3":
-        return make_case_i(A, B, b, c=0.0, d=1.0, sigma=make_sigma_k(list(DEFAULT_NODES)))
-    if model == "resnet_AB_baseline":
-        coeffs = RegionCoeffs(ell=1.0, c=0.0, d=2.0, sigma=_relu())
-        return make_partitioned(A, B, b, [], {(): coeffs}, strict=False)
-    if model == "ff_relu_partial":
-        return make_case_i(A, B, b, c=0.0, d=1.0, sigma=_relu(), strict=False)
-    # ff_leakyrelu
-    sigma = make_two_slope(0.3, 1.0, [0.0])
-    return make_case_i(A, B, b, c=0.0, d=1.0, sigma=sigma, strict=False)
+        spec.update(A=np.eye(width), B=W)
+    elif spec["type"] in ("case_i", "partitioned"):
+        spec["A"] = {"seed": derive_seed(seed, 1)}
+    elif model == "limit_m3":
+        spec["m"] = dict(spec["m"], n=width, seed=derive_seed(seed, 2))
+    return spec
 
 
 def make_network(model: str, width: int, depth: int, class_count: int,
                  raw_dim: int, seed: int) -> Network:
-    """Build a model-menu network with seeded weights and a fresh head.
-
-    The orthogonal weights of every layer are factored in one batch.
-    """
-    if model not in MODEL_NAMES:
-        raise ConfigError(f"unknown model {model!r} (choose from {', '.join(MODEL_NAMES)})")
-    seeds = [derive_seed(seed, 0x7A, i) for i in range(depth)]
-    wanted = [_orthogonal_seeds(model, layer_seed) for layer_seed in seeds]
-    weights = iter(random_orthogonal_batch(width, [k for ks in wanted for k in ks]))
-    layers = [_make_layer(model, width, layer_seed, [next(weights) for _ in ks])
-              for layer_seed, ks in zip(seeds, wanted)]
+    """A model-menu network with a fresh head; its layers are one ``layers_from_json``
+    call on their specs, which factors every orthogonal weight in one batch."""
+    check_model(model)
+    layers = layers_from_json([_layer_spec(model, width, derive_seed(seed, 0x7A, i))
+                               for i in range(depth)])
     head_w = SplitMix64(derive_seed(seed, 0x4E)).gaussian_matrix(class_count, width)
     head_w /= np.sqrt(width)
     adapter = make_input_adapter(raw_dim, width, seed)

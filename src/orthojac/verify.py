@@ -155,8 +155,8 @@ class ProbeRequest:
     """
 
     target: object
-    n_probes: int
-    seed: int
+    n_probes: int = 1000
+    seed: int = 0
     input_scale: float = 1.0
     margin: float = DEFAULT_MARGIN
     criterion: str = "orthogonal"

@@ -1,13 +1,15 @@
-"""The names the benchmark in ``perfbench/`` looks up in the package still exist.
+"""The names the benchmark in ``perfbench/`` looks up in the package still exist,
+and each of its workloads runs once and passes its own output check.
 
 The tracer wraps functions and methods by name, and each workload marks the
-end of its set-up by a ``cli`` binding; a refactor that renames one of them
-breaks the benchmark, not the package.  The benchmark files are read here,
-never edited.
+end of its set-up by a ``cli`` binding; a refactor that renames one of them,
+never calls a marker or changes an output the workload checks breaks the
+benchmark, not the package.  The benchmark files are read here, never edited.
 """
 
 import importlib.util
 import inspect
+import json
 import os
 import sys
 
@@ -65,3 +67,21 @@ def test_every_traced_layer_class_is_bound_on_layers():
 def test_every_workload_marker_is_bound_on_cli(workload):
     for name in workloads.WORKLOADS[workload].marker:
         assert callable(vars(cli).get(name)), f"cli.{name}"
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_every_workload_runs_once_and_passes_its_check(workload, tmp_path, monkeypatch):
+    w = workloads.WORKLOADS[workload]
+    config = w.make_config(1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    fired = []
+    for name in w.marker:
+        def marked(*args, _name=name, _inner=getattr(cli, name), **kwargs):
+            fired.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(cli, name, marked)
+    out = str(tmp_path / "out")
+    code = cli.main([w.command, "--config", str(path), "--out", out])
+    assert fired, f"no marker of {w.marker} fired"
+    assert w.evaluate(config, out, code) == []

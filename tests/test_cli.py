@@ -175,6 +175,22 @@ def test_verify_strict_layer_passes(tmp_path, capsys):
     assert len(report["config_sha256"]) == 64
 
 
+def test_probe_settings_fall_back_from_entry_to_config_to_probe_request(tmp_path, capsys):
+    config = {"tol": 1e-9, "layers": [
+        {"name": "a", "layer": reflection_layer(n=4)},
+        {"name": "b", "layer": reflection_layer(n=4), "seed": 4, "probes": 5}]}
+    code, out_dir = run(tmp_path, "verify", config)
+    assert code == 0
+    reports = [json.loads((out_dir / f"verify_{name}.json").read_text()) for name in "ab"]
+    assert [(r["probes"] + r["skipped_near_kink"], r["seed"], r["tol"], r["criterion"])
+            for r in reports] == [(1000, 0, 1e-9, "orthogonal"), (5, 4, 1e-9, "orthogonal")]
+    capsys.readouterr()
+    code, out_dir = run(tmp_path, "spectrum", {"layers": [reflection_layer(n=4)]})
+    assert code == 0
+    kept = len((out_dir / "spectrum_probes.csv").read_text().splitlines()) - 2
+    assert f"{kept} probes ({1000 - kept} skipped near kinks)" in capsys.readouterr().out
+
+
 def test_verify_unchecked_leaky_fails(tmp_path):
     layer = dict(reflection_layer(seed=15, bias=0.0), strict=False, sigma=LEAKY)
     config = {"seed": 3, "probes": 50,
@@ -622,6 +638,16 @@ def test_train_fashion_without_data_root_exits_2(tmp_path, capsys, monkeypatch):
     assert "ORTHOJAC_DATA" in capsys.readouterr().err
 
 
+def test_train_unknown_model_is_named_before_the_data_root_is_missing(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ORTHOJAC_DATA", raising=False)
+    config = train_config(model="mystery", data={"kind": "fashion_mnist"})
+    code, _ = run(tmp_path, "train", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown model 'mystery'" in err and "ORTHOJAC_DATA" not in err
+
+
 def test_train_missing_dataset_files_exit_2(tmp_path, capsys):
     config = train_config(data={"kind": "fashion_mnist"})
     code, _ = run(tmp_path, "train", config,
@@ -646,6 +672,10 @@ def test_train_unknown_model_exits_2(tmp_path):
     ({"lr0": "0.001"}, "lr0 must be a positive finite number"),
     ({"lr0": True}, "lr0 must be a positive finite number"),
     ({"seed": True}, "seed must be an integer"),
+    ({"model": "mystery"}, "unknown model 'mystery'"),
+    ({"model": ["resnet_relu"]}, "unknown model ['resnet_relu']"),
+    ({"width": 0}, "width must be a positive integer"),
+    ({"depth": -1}, "depth must be a non-negative integer"),
 ])
 def test_train_bad_setting_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, bad, message):

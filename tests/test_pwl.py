@@ -240,6 +240,10 @@ def test_nan_takes_the_rightmost_slope(nodes):
     ((None,), (0.0, 1.0), 0.0),
     ((0.0,), (0.0, None), 0.0),
     ((0.0,), (0.0, 1.0), None),
+    # integers beyond the float range
+    ((10**400,), (0.0, 1.0), 0.0),
+    ((0.0,), (0.0, 10**400), 0.0),
+    ((0.0,), (0.0, 1.0), -10**400),
 ])
 def test_non_number_entries_are_rejected_before_conversion(args):
     with pytest.raises(DimensionError, match="must be a number"):

@@ -12,7 +12,7 @@ from orthojac.errors import (
     DimensionError,
     TrainingDivergedError,
 )
-from orthojac import train as train_module
+from orthojac import layers as layers_module
 from orthojac.layers import (
     ConstantField,
     GaussianBumpField,
@@ -21,6 +21,7 @@ from orthojac.layers import (
     make_case_ii,
     make_limit,
     make_mini_net_field,
+    layers_from_json,
     make_partitioned,
 )
 from orthojac.linalg import frobenius_defect, random_orthogonal, random_orthogonal_batch
@@ -38,6 +39,7 @@ from orthojac.train import (
     Network,
     TrainConfig,
     adam_step,
+    check_model,
     cosine_lr,
     evaluate,
     load_snapshot,
@@ -397,7 +399,8 @@ def test_model_menu_deterministic():
 
 
 def parent_make_layer(model, width, seed):
-    """``_make_layer`` as it was, drawing A and B for every model: the oracle."""
+    """One layer of ``model`` from the layer constructors, drawing each of A and B
+    alone, as the model menu built it before its layers were specs: the oracle."""
     B = random_orthogonal(width, derive_seed(seed, 0))
     b = np.zeros(width)
     relu = make_relu_k([0.0])
@@ -427,18 +430,17 @@ def parent_make_layer(model, width, seed):
     return make_case_i(np.eye(width), W, b, c=0.0, d=1.0, sigma=relu, strict=False)
 
 
-def test_model_params_unchanged_by_skipping_unused_draws(monkeypatch):
-    built = {model: make_network(model, 8, 3, 3, 6, seed=47).params()
-             for model in MODEL_NAMES}
+def test_model_params_unchanged_by_skipping_unused_draws():
     # the oracle draws each weight alone; make_network factors them in one batch
-    monkeypatch.setattr(train_module, "_make_layer",
-                        lambda model, width, seed, _weights: parent_make_layer(model, width, seed))
     for model in MODEL_NAMES:
-        want = make_network(model, 8, 3, 3, 6, seed=47).params()
-        assert sorted(built[model]) == sorted(want), model
+        built = make_network(model, 8, 3, 3, 6, seed=47).params()
+        want = {f"layers.{i}.{name}": arr
+                for i in range(3)
+                for name, arr in parent_make_layer(model, 8, derive_seed(47, 0x7A, i))
+                .params().items()}
+        assert sorted(k for k in built if k.startswith("layers.")) == sorted(want), model
         for name, arr in want.items():
-            assert np.array_equal(built[model][name].view(np.int64),
-                                  arr.view(np.int64)), (model, name)
+            assert np.array_equal(built[name].view(np.int64), arr.view(np.int64)), (model, name)
 
 
 # random orthogonal weights each model draws per layer: B, then A when used
@@ -456,15 +458,31 @@ def test_models_draw_only_the_weights_they_use(monkeypatch):
         calls.append((n, list(seeds)))
         return random_orthogonal_batch(n, seeds)
 
-    monkeypatch.setattr(train_module, "random_orthogonal_batch", counted)
+    monkeypatch.setattr(layers_module, "random_orthogonal_batch", counted)
     for model in MODEL_NAMES:
         calls.clear()
         # raw_dim == width: the input adapter draws nothing
         make_network(model, 8, 3, 3, 8, seed=48)
+        if ORTHOGONAL_DRAWS[model] == 0:
+            assert calls == [], model
+            continue
         # one factorization per network, of every weight the layers use
         assert len(calls) == 1, model
         n, seeds = calls[0]
         assert n == 8 and len(seeds) == 3 * ORTHOGONAL_DRAWS[model], model
+
+
+def test_model_layers_rebuild_from_their_own_json():
+    for model in MODEL_NAMES:
+        net = make_network(model, 8, 3, 3, 6, seed=50)
+        rebuilt = layers_from_json([layer.to_json() for layer in net.layers])
+        for layer, again in zip(net.layers, rebuilt, strict=True):
+            assert again.to_json() == layer.to_json(), model
+            params = layer.params()
+            assert sorted(again.params()) == sorted(params), model
+            for name, arr in again.params().items():
+                assert np.array_equal(arr.view(np.int64), params[name].view(np.int64)), (
+                    model, name)
 
 
 def test_unknown_model_rejected():
@@ -473,6 +491,10 @@ def test_unknown_model_rejected():
     # before any weight is drawn, so a network without layers is refused too
     with pytest.raises(ConfigError):
         make_network("mystery", 8, 0, 3, 6, seed=1)
+    # a name is looked up in a tuple, so an unhashable model is just unknown
+    with pytest.raises(ConfigError, match="unknown model"):
+        check_model(["resnet_relu"])
+    assert check_model("limit_m3") == "limit_m3"
 
 
 def test_network_layers_share_no_weight_array():
