@@ -16,15 +16,16 @@ Every layer maps R^n -> R^n and exposes the same surface:
 
 There are three layer classes: the region-affine ``PartitionedLayer``,
 whose constructors build the case-i, case-ii, gated and partitioned
-families, ``ComposedLayer`` and the smooth-coefficient ``LimitLayer``.
-Strict constructors enforce the slope and weight conditions under which
+families, ``ComposedLayer`` and the smooth-coefficient ``LimitLayer``,
+which are built directly.  Each layer and field class converts and checks
+its own arrays (or nested lists) and numbers.  Strict constructors enforce the slope and weight conditions under which
 the Jacobian is exactly orthogonal wherever it exists; ``strict=False``
 skips those checks so deliberately broken layers can be probed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -38,12 +39,21 @@ from .errors import (
     OrthogonalityError,
     SlopeMismatchError,
 )
-from .linalg import as_matrix, as_vector, checked, frobenius_defect, random_orthogonal_batch
+from .linalg import (as_matrix, as_vector, checked, frobenius_defect, is_integer,
+                     random_orthogonal_batch)
 from .pwl import SLOPE_TOL, PwlScalar, slope_violation
 from .rng import SplitMix64, derive_seed
 
 ORTHO_TOL = 1e-10
 DEFAULT_MARGIN = 1e-8
+
+
+def _square(obj, name: str) -> np.ndarray:
+    """``obj`` as a square matrix (``linalg.as_matrix``), else DimensionError."""
+    m = as_matrix(obj)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{name} must be a square matrix, got shape {m.shape}")
+    return m
 
 
 def _require_orthogonal(m: np.ndarray, name: str) -> None:
@@ -149,7 +159,7 @@ class ComposedLayer:
     def __post_init__(self):
         checked(self.strict, "strict", "a bool")
         n = self.inner.width
-        as_matrix(self.rotation, n, n)
+        object.__setattr__(self, "rotation", as_matrix(self.rotation, n, n))
         if self.strict:
             _require_orthogonal(self.rotation, "rotation")
 
@@ -229,8 +239,10 @@ class PartitionedLayer:
     enforces, per region, the case-i slope set {-1/d, +1/d} when ell = 0
     and the case-ii slope set {(1 - ell)/d, -(1 + ell)/d} plus shared
     weights when ell != 0, so every Jacobian ell*I + d A^T D B is
-    orthogonal wherever it exists.  A and B are shared when they are one
-    array, and then train as one parameter.
+    orthogonal wherever it exists.  A and B are shared when they are given
+    as one object, and then train as one parameter.  The weights, bias and
+    plane normals may be arrays or nested lists of numbers; every array,
+    offset and region key is checked (DimensionError) and kept converted.
 
     The constructors build the families of the paper as members:
 
@@ -258,23 +270,28 @@ class PartitionedLayer:
 
     def __post_init__(self):
         checked(self.strict, "strict", "a bool")
-        n = self.B.shape[0]
-        as_matrix(self.A, n, n)
-        as_matrix(self.B, n, n)
-        as_vector(self.b, n)
-        for normal, _offset in self.hyperplanes:
-            hn = as_vector(normal, n)
-            if not np.any(hn != 0.0):
-                raise InvalidGateError("partition hyperplane normal must be nonzero")
-        j = len(self.hyperplanes)
-        coeff_list = list(self.regions.values())
+        B = _square(self.B, "B")
+        n = len(B)
+        # A and B given as one object are one array
+        object.__setattr__(self, "A", B if self.A is self.B else as_matrix(self.A, n, n))
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "b", as_vector(self.b, n))
+        planes = tuple((as_vector(normal, n), float(checked(offset, "offset")))
+                       for normal, offset in self.hyperplanes)
+        if any(not np.any(normal != 0.0) for normal, _ in planes):
+            raise InvalidGateError("partition hyperplane normal must be nonzero")
+        object.__setattr__(self, "hyperplanes", planes)
+        regions = {}
+        for key, coeffs in self.regions.items():
+            if not (isinstance(key, tuple) and len(key) == len(planes)
+                    and all(is_integer(s) and s in (-1, 1) for s in key)):
+                raise DimensionError(
+                    f"region key {key!r} does not match {len(planes)} hyperplanes")
+            regions[tuple(map(int, key))] = coeffs
+        object.__setattr__(self, "regions", regions)
+        coeff_list = list(regions.values())
         if self.default is not None:
             coeff_list.append(self.default)
-        for key in self.regions:
-            if len(key) != j or any(s not in (-1, 1) for s in key):
-                raise DimensionError(
-                    f"region key {key!r} does not match {j} hyperplanes"
-                )
         if self.strict:
             if not self.shared_weights:
                 _require_orthogonal(self.A, "A")
@@ -463,6 +480,11 @@ def _power_iteration_norm(w: np.ndarray, iters: int = 200, tol: float = 1e-13) -
 class _SmoothField:
     """The kink-free, parameter-free part of the constant and bump fields."""
 
+    def __post_init__(self):
+        # the field's one number, checked and kept as a float
+        (key,) = (f.name for f in fields(self))
+        object.__setattr__(self, key, float(checked(getattr(self, key), key)))
+
     def kink_distance_batch(self, X):
         return np.full(len(X), np.inf)
 
@@ -528,10 +550,9 @@ class MiniNetField:
     w_out: np.ndarray
 
     def __post_init__(self):
-        h = self.w_in.shape[0]
-        as_matrix(self.w_in)
-        as_vector(self.bias, h)
-        as_vector(self.w_out, h)
+        object.__setattr__(self, "w_in", as_matrix(self.w_in))
+        for key in ("bias", "w_out"):
+            object.__setattr__(self, key, as_vector(getattr(self, key), len(self.w_in)))
 
     def _hidden(self, X):
         return X @ self.w_in.T + self.bias
@@ -591,9 +612,9 @@ def make_mini_net_field(
 def field_from_json(obj: dict) -> SlopeField:
     kind = checked(obj, "a slope field", "a JSON object").get("kind")
     if kind == "constant":
-        return ConstantField(float(checked(obj.get("value"), "value")))
+        return ConstantField(obj.get("value"))
     if kind == "gaussian_bump":
-        return GaussianBumpField(float(checked(obj.get("scale"), "scale")))
+        return GaussianBumpField(obj.get("scale"))
     if kind == "mini_net":
         if "seed" in obj:
             return make_mini_net_field(
@@ -602,11 +623,7 @@ def field_from_json(obj: dict) -> SlopeField:
                 checked(obj["seed"], "seed", "an integer"),
                 float(checked(obj.get("init_std", 0.05), "init_std")),
             )
-        return MiniNetField(
-            as_matrix(obj.get("w_in")),
-            as_vector(obj.get("bias")),
-            as_vector(obj.get("w_out")),
-        )
+        return MiniNetField(obj.get("w_in"), obj.get("bias"), obj.get("w_out"))
     raise DimensionError(f"unknown slope-field kind {kind!r}")
 
 
@@ -634,12 +651,13 @@ class LimitLayer:
 
     def __post_init__(self):
         checked(self.strict, "strict", "a bool")
-        n = self.B.shape[0]
-        as_matrix(self.B, n, n)
-        as_vector(self.b, n)
+        object.__setattr__(self, "B", _square(self.B, "B"))
+        n = len(self.B)
+        object.__setattr__(self, "b", as_vector(self.b, n))
         for f in (self.m_field, self.q_field):
-            if isinstance(f, MiniNetField):
-                as_matrix(f.w_in, cols=n)
+            if isinstance(f, MiniNetField) and f.w_in.shape[1] != n:
+                raise DimensionError(f"a mini-net field's w_in must be of shape (None, {n}),"
+                                     f" got shape {f.w_in.shape}")
         if self.strict:
             _require_orthogonal(self.B, "B")
 
@@ -731,69 +749,30 @@ Layer = Union[ComposedLayer, PartitionedLayer, LimitLayer]
 
 
 def make_case_i(A, B, b, c, d, sigma, strict: bool = True) -> PartitionedLayer:
-    A = as_matrix(A)
-    B = as_matrix(B)
     if A is B:
         # a case-i layer trains A and B as two parameters
-        A = A.copy()
-    region = RegionCoeffs(0.0, c, d, sigma)
-    return PartitionedLayer(
-        A, B, as_vector(b, B.shape[0]), (), {(): region}, None, strict, "case_i"
-    )
+        A = np.array(A)
+    return PartitionedLayer(A, B, b, (), {(): RegionCoeffs(0.0, c, d, sigma)}, None, strict,
+                            "case_i")
 
 
 def make_case_ii(B, b, ell, c, d, sigma, strict: bool = True) -> PartitionedLayer:
-    B = as_matrix(B)
-    region = RegionCoeffs(ell, c, d, sigma)
-    return PartitionedLayer(
-        B, B, as_vector(b, B.shape[0]), (), {(): region}, None, strict, "case_ii"
-    )
+    return PartitionedLayer(B, B, b, (), {(): RegionCoeffs(ell, c, d, sigma)}, None, strict,
+                            "case_ii")
 
 
 def make_gated(B, b, gate, sigma, strict: bool = True) -> PartitionedLayer:
-    B = as_matrix(B)
-    n = B.shape[0]
-    regions = {
-        (1,): RegionCoeffs(1.0, 0.0, -2.0, sigma),
-        (-1,): RegionCoeffs(-1.0, 0.0, 2.0, sigma),
-    }
-    planes = ((as_vector(gate, n), 0.0),)
-    return PartitionedLayer(
-        B, B, as_vector(b, n), planes, regions, None, strict, "gated"
-    )
+    regions = {(1,): RegionCoeffs(1.0, 0.0, -2.0, sigma),
+               (-1,): RegionCoeffs(-1.0, 0.0, 2.0, sigma)}
+    return PartitionedLayer(B, B, b, ((gate, 0.0),), regions, None, strict, "gated")
 
 
-def make_composed(rotation, inner: Layer, strict: bool = True) -> ComposedLayer:
-    return ComposedLayer(as_matrix(rotation), inner, strict)
-
-
-def make_partitioned(
-    A,
-    B,
-    b,
-    hyperplanes,
-    regions,
-    default: RegionCoeffs | None = None,
-    strict: bool = True,
-) -> PartitionedLayer:
-    A = as_matrix(A)
-    B = as_matrix(B)
+def make_partitioned(A, B, b, hyperplanes, regions, default: RegionCoeffs | None = None,
+                     strict: bool = True) -> PartitionedLayer:
+    # equal weights are one array, which trains as one parameter
     if A is not B and np.array_equal(A, B):
         A = B
-    planes = tuple((as_vector(normal, B.shape[0]), float(checked(offset, "offset")))
-                   for normal, offset in hyperplanes)
-    region_map = {tuple(checked(s, "signs", "an integer") for s in key): co
-                  for key, co in regions.items()}
-    return PartitionedLayer(
-        A, B, as_vector(b, B.shape[0]), planes, region_map, default, strict
-    )
-
-
-def make_limit(
-    B, b, m_field: SlopeField, q_field: SlopeField, strict: bool = True
-) -> LimitLayer:
-    B = as_matrix(B)
-    return LimitLayer(B, as_vector(b, B.shape[0]), m_field, q_field, strict)
+    return PartitionedLayer(A, B, b, hyperplanes, regions, default, strict)
 
 
 # the keys of each layer type that hold an n x n weight
@@ -848,30 +827,29 @@ def layer_from_json(obj: dict) -> Layer:
 
 def _layer_from_spec(obj: dict, tables) -> Layer:
     """Build one spec (``layers_from_json`` checked its type and ``n``); ``tables``
-    yields each spec's seeded weights, outer spec first."""
+    yields each spec's seeded weights, outer spec first.  The layer classes check
+    the spec's values, and the built layer's width must be the spec's ``n``."""
     seeded = next(tables)
     kind, n = obj["type"], obj["n"]
-    b = as_vector(obj.get("b", np.zeros(n)), n)
+    b = obj.get("b", np.zeros(n))
     strict = obj.get("strict", True)
 
-    def matrix(entry) -> np.ndarray:
-        if isinstance(entry, dict) and "seed" in entry:
-            return seeded[entry["seed"]]
-        return as_matrix(entry, n, n)
+    def matrix(key: str):
+        entry = obj.get(key)
+        return seeded[entry["seed"]] if isinstance(entry, dict) and "seed" in entry else entry
 
     if kind == "case_i":
-        return make_case_i(matrix(obj.get("A")), matrix(obj.get("B")), b, obj.get("c", 0.0),
-                           obj.get("d"), PwlScalar.from_json(obj.get("sigma")), strict)
-    if kind == "case_ii":
-        return make_case_ii(matrix(obj.get("B")), b, obj.get("ell"), obj.get("c", 0.0),
-                            obj.get("d"), PwlScalar.from_json(obj.get("sigma")), strict)
-    if kind == "gated":
-        return make_gated(matrix(obj.get("B")), b, obj.get("gate"),
-                          PwlScalar.from_json(obj.get("sigma")), strict)
-    if kind == "composed":
-        return make_composed(matrix(obj.get("rotation")), _layer_from_spec(obj["inner"], tables),
-                             strict)
-    if kind == "partitioned":
+        layer = make_case_i(matrix("A"), matrix("B"), b, obj.get("c", 0.0), obj.get("d"),
+                            PwlScalar.from_json(obj.get("sigma")), strict)
+    elif kind == "case_ii":
+        layer = make_case_ii(matrix("B"), b, obj.get("ell"), obj.get("c", 0.0), obj.get("d"),
+                             PwlScalar.from_json(obj.get("sigma")), strict)
+    elif kind == "gated":
+        layer = make_gated(matrix("B"), b, obj.get("gate"), PwlScalar.from_json(obj.get("sigma")),
+                           strict)
+    elif kind == "composed":
+        layer = ComposedLayer(matrix("rotation"), _layer_from_spec(obj["inner"], tables), strict)
+    elif kind == "partitioned":
         # the signs are checked before they key a dict
         regions = {tuple(checked(entry.get("signs"), "signs", "a list of integers")):
                    RegionCoeffs.from_json(entry)
@@ -879,8 +857,10 @@ def _layer_from_spec(obj: dict, tables) -> Layer:
         default = None if obj.get("default") is None else RegionCoeffs.from_json(obj["default"])
         planes = [(h.get("normal"), h.get("offset")) for h in
                   checked(obj.get("hyperplanes", []), "hyperplanes", "a list of JSON objects")]
-        return make_partitioned(matrix(obj.get("A")), matrix(obj.get("B")), b, planes,
-                                regions, default, strict)
-    # limit
-    return make_limit(matrix(obj.get("B")), b, field_from_json(obj.get("m")),
-                      field_from_json(obj.get("q")), strict)
+        layer = make_partitioned(matrix("A"), matrix("B"), b, planes, regions, default, strict)
+    else:
+        layer = LimitLayer(matrix("B"), b, field_from_json(obj.get("m")),
+                           field_from_json(obj.get("q")), strict)
+    if layer.width != n:
+        raise DimensionError(f"a layer spec of n = {n} has weights of width {layer.width}")
+    return layer

@@ -363,36 +363,47 @@ class DensityReport:
 
 def density_gap(
     layer: LimitLayer,
-    resolution: int,
+    resolutions: list,
     domain_radius: float,
     n_probes: int,
     seed: int,
-) -> DensityReport:
-    """Compare a limit layer against its piecewise-constant-field surrogate.
+) -> list:
+    """Compare a limit layer against its piecewise-constant-field surrogates.
 
-    The surrogate's coefficient fields are the layer's fields sampled at
-    the centers of an axis-aligned grid with ``resolution`` cells per
+    The surrogate at each resolution has the layer's coefficient fields
+    sampled at the centers of an axis-aligned grid with that many cells per
     axis over the first two coordinates of the radius-``domain_radius``
-    ball (remaining coordinates unpartitioned).  The measured sup-norm
-    gap over ball-uniform probes never exceeds the bound
-    ``sup|q - q~| + sup|m - m~| * ||b||``.  A bad argument raises DimensionError.
+    ball (remaining coordinates unpartitioned).  The measured sup-norm gap
+    over ball-uniform probes never exceeds the bound
+    ``sup|q - q~| + sup|m - m~| * ||b||``.  The probes are drawn, and the
+    layer and its fields evaluated, once for all resolutions.  Returns one
+    DensityReport per resolution, in ascending order.  A bad argument raises
+    DimensionError.
     """
-    checked(resolution, "resolution", "a positive integer")
+    resolutions = sorted(checked(r, "resolution", "a positive integer")
+                         for r in checked(resolutions, "resolutions", "a non-empty list"))
     checked(domain_radius, "radius", "a positive finite number")
+    checked(n_probes, "probes", "a positive integer")
     checked(seed, "seed", "an integer")
-    m_tilde = _CellQuantizedField(layer.m_field, resolution, domain_radius)
-    q_tilde = _CellQuantizedField(layer.q_field, resolution, domain_radius)
-    surrogate = LimitLayer(layer.B, layer.b, m_tilde, q_tilde, strict=False)
     X = SplitMix64(derive_seed(seed, 0xD6)).ball(n_probes, layer.width, domain_radius)
-    gap = np.max(np.abs(layer.forward_batch(X) - surrogate.forward_batch(X)), axis=1)
-    m_err = np.abs(layer.m_field.eval_batch(X) - m_tilde.eval_batch(X))
-    q_err = np.abs(layer.q_field.eval_batch(X) - q_tilde.eval_batch(X))
+    exact = layer.forward_batch(X)
+    m_vals = layer.m_field.eval_batch(X)
+    q_vals = layer.q_field.eval_batch(X)
     b_norm = float(np.sqrt(layer.b @ layer.b))
-    return DensityReport(
-        resolution=resolution,
-        domain_radius=domain_radius,
-        n_probes=n_probes,
-        seed=seed,
-        measured_gap=float(np.max(gap)),
-        theoretical_bound=float(np.max(q_err) + np.max(m_err) * b_norm),
-    )
+    reports = []
+    for resolution in resolutions:
+        m_tilde = _CellQuantizedField(layer.m_field, resolution, domain_radius)
+        q_tilde = _CellQuantizedField(layer.q_field, resolution, domain_radius)
+        surrogate = LimitLayer(layer.B, layer.b, m_tilde, q_tilde, strict=False)
+        gap = np.max(np.abs(exact - surrogate.forward_batch(X)), axis=1)
+        m_err = np.abs(m_vals - m_tilde.eval_batch(X))
+        q_err = np.abs(q_vals - q_tilde.eval_batch(X))
+        reports.append(DensityReport(
+            resolution=resolution,
+            domain_radius=domain_radius,
+            n_probes=n_probes,
+            seed=seed,
+            measured_gap=float(np.max(gap)),
+            theoretical_bound=float(np.max(q_err) + np.max(m_err) * b_norm),
+        ))
+    return reports

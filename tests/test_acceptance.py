@@ -65,7 +65,7 @@ def strict_families(n: int, seed: int) -> dict:
         "residual_relu": inner,
         "residual_relu3": ly.make_case_ii(B, b, 1.0, 0.0, -2.0, RELU3),
         "gated": ly.make_gated(B, b, gate, RELU3),
-        "composed": ly.make_composed(R, inner),
+        "composed": ly.ComposedLayer(R, inner),
         "two_region": ly.make_partitioned(B, B, b, [(gate, 0.0)], regions),
     }
 
@@ -206,7 +206,7 @@ def test_criterion5_smooth_coefficient_fields_bound_singular_values():
     b = SplitMix64(92).gaussian(N)
     b /= np.linalg.norm(b)
 
-    bump = ly.make_limit(B, b, ly.GaussianBumpField(0.01), ly.ConstantField(0.0))
+    bump = ly.LimitLayer(B, b, ly.GaussianBumpField(0.01), ly.ConstantField(0.0))
     report = check_dynamical_isometry(bump, PROBES, seed=93)
     expected_eps = 2.0 * np.sqrt(2.0) * np.exp(-0.5) / 100.0
     assert abs(report.bound_epsilon - expected_eps) <= 1e-12
@@ -215,7 +215,7 @@ def test_criterion5_smooth_coefficient_fields_bound_singular_values():
     assert report.sv_min >= 1.0 - 0.01716
     assert report.sv_max <= 1.0 + 0.01716
 
-    constant = ly.make_limit(B, b, ly.ConstantField(1.0), ly.ConstantField(0.0))
+    constant = ly.LimitLayer(B, b, ly.ConstantField(1.0), ly.ConstantField(0.0))
     flat = check_dynamical_isometry(constant, PROBES, seed=94, tol=1e-9)
     assert flat.passed
     assert flat.sv_min >= 1.0 - 1e-9
@@ -233,10 +233,9 @@ def test_criterion6_grid_quantization_gap_respects_bound():
     B = random_orthogonal(N, 101)
     b = SplitMix64(103).gaussian(N)
     b /= np.linalg.norm(b)
-    layer = ly.make_limit(B, b, ly.GaussianBumpField(0.01),
+    layer = ly.LimitLayer(B, b, ly.GaussianBumpField(0.01),
                           ly.ConstantField(0.0))
-    reports = {res: density_gap(layer, res, 1.5, 400, 107)
-               for res in (2, 4, 8, 16)}
+    reports = {rep.resolution: rep for rep in density_gap(layer, [2, 4, 8, 16], 1.5, 400, 107)}
     for res, rep in reports.items():
         # measured_gap is the sup over probes, so this covers every probe
         assert rep.measured_gap <= rep.theoretical_bound, res
@@ -261,10 +260,10 @@ def far_from_kinks(layer, seed: int, floor: float = 1e-3) -> np.ndarray:
 
 def test_criterion7_analytic_derivatives_match_finite_differences():
     families = dict(strict_families(N, 0))
-    families["limit_bump"] = ly.make_limit(
+    families["limit_bump"] = ly.LimitLayer(
         random_orthogonal(N, 111), 0.3 * SplitMix64(112).gaussian(N),
         ly.GaussianBumpField(0.01), ly.ConstantField(0.0))
-    families["limit_mini_net"] = ly.make_limit(
+    families["limit_mini_net"] = ly.LimitLayer(
         random_orthogonal(N, 113), 0.3 * SplitMix64(114).gaussian(N),
         ly.make_mini_net_field(N, seed=115), ly.ConstantField(0.0),
         strict=False)
@@ -297,7 +296,7 @@ def _param_gradient_worst_error() -> float:
         ly.make_case_ii(random_orthogonal(n, 4),
                         0.2 * SplitMix64(5).gaussian(n),
                         1.0, 0.0, -2.0, RELU),
-        ly.make_limit(random_orthogonal(n, 6),
+        ly.LimitLayer(random_orthogonal(n, 6),
                       0.3 * SplitMix64(7).gaussian(n),
                       ly.make_mini_net_field(n, seed=8),
                       ly.ConstantField(0.0), strict=False),

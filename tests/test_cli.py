@@ -564,6 +564,10 @@ def test_density_rejects_non_limit_layer(tmp_path):
     ({"radius": -1.5}, "radius must be a positive finite number"),
     ({"radius": True}, "radius must be a positive finite number"),
     ({"seed": True}, "seed must be an integer"),
+    # density_gap checks these too, before any probe is drawn
+    ({"probes": 0}, "probes must be a positive integer"),
+    ({"resolutions": []}, "resolutions must be a non-empty list"),
+    ({"resolutions": [4, "2"]}, "resolution must be a positive integer"),
 ])
 def test_density_bad_radius_or_seed_exits_2(tmp_path, capsys, bad, message):
     config = dict({"seed": 7, "probes": 50, "radius": 1.5, "layer": bump_limit()}, **bad)

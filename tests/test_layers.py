@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from orthojac import layers as ly
+from orthojac import linalg
 from orthojac import pwl
 from orthojac.errors import (
     DimensionError,
@@ -51,9 +52,9 @@ def every_family(n=N):
         "case_ii_relu": inner,
         "case_ii_relu3": ly.make_case_ii(B, b, 1.0, 0.0, -2.0, RELU3),
         "gated": ly.make_gated(B, b, gate, RELU3),
-        "composed": ly.make_composed(orth(5, n), inner),
+        "composed": ly.ComposedLayer(orth(5, n), inner),
         "partitioned": ly.make_partitioned(B, B, b, [(gate, 0.0)], regions),
-        "limit": ly.make_limit(
+        "limit": ly.LimitLayer(
             B, b, ly.GaussianBumpField(0.01), ly.ConstantField(0.0)
         ),
     }
@@ -111,7 +112,7 @@ def test_gated_sign_zero_is_positive():
 
 def test_limit_constant_fields_match_case_ii():
     B, b = orth(4), bias(5)
-    lim = ly.make_limit(B, b, ly.ConstantField(1.0), ly.ConstantField(0.0))
+    lim = ly.LimitLayer(B, b, ly.ConstantField(1.0), ly.ConstantField(0.0))
     ref = ly.make_case_ii(B, b, 1.0, 0.0, -2.0, RELU)
     X = SplitMix64(6).gaussian_matrix(20, N)
     assert np.max(np.abs(lim.forward_batch(X) - ref.forward_batch(X))) < 1e-14
@@ -122,7 +123,7 @@ def test_limit_general_constant_m_matches_case_ii_twin():
     # weights (-B, -b), ell=m0, d=1 and the max-form two-slope activation
     B, b = orth(4), bias(5)
     m0, q0 = 0.25, -0.1
-    lim = ly.make_limit(B, b, ly.ConstantField(m0), ly.ConstantField(q0))
+    lim = ly.LimitLayer(B, b, ly.ConstantField(m0), ly.ConstantField(q0))
     sigma = pwl.make_two_slope(-(1.0 + m0), 1.0 - m0, [0.0])
     ref = ly.make_case_ii(-B, -b, m0, q0, 1.0, sigma)
     X = SplitMix64(6).gaussian_matrix(20, N)
@@ -130,7 +131,7 @@ def test_limit_general_constant_m_matches_case_ii_twin():
 
 
 def test_limit_bump_at_origin():
-    lim = ly.make_limit(
+    lim = ly.LimitLayer(
         np.eye(3), np.zeros(3), ly.GaussianBumpField(0.01), ly.ConstantField(0.0)
     )
     assert np.allclose(lim.forward(np.zeros(3)), np.zeros(3), atol=1e-15)
@@ -500,11 +501,11 @@ def test_isometry_epsilon_values():
     B = orth(4)
     unit_b = np.zeros(N)
     unit_b[0] = 1.0
-    lim = ly.make_limit(B, unit_b, ly.GaussianBumpField(0.01), ly.ConstantField(0.0))
+    lim = ly.LimitLayer(B, unit_b, ly.GaussianBumpField(0.01), ly.ConstantField(0.0))
     assert lim.isometry_epsilon() == pytest.approx(
         2.0 * np.sqrt(2.0) * np.exp(-0.5) * 0.01, rel=1e-12
     )
-    const = ly.make_limit(B, unit_b, ly.ConstantField(1.0), ly.ConstantField(0.0))
+    const = ly.LimitLayer(B, unit_b, ly.ConstantField(1.0), ly.ConstantField(0.0))
     assert const.isometry_epsilon() == 0.0
 
 
@@ -663,6 +664,8 @@ def _set(spec, path, value):
     ("partitioned", ("hyperplanes", 0), [0.25], "hyperplanes must be a list of JSON objects"),
     # a missing key reads as null, which no rule accepts
     ("partitioned", ("default",), {}, "an activation must be a JSON object, got None"),
+    # the weights and b are 4 wide
+    ("case_ii", ("n",), 3, "a layer spec of n = 3 has weights of width 4"),
 ])
 def test_spec_values_are_never_coerced(family, path, value, message):
     spec = _set(explicit_specs()[family], path, value)
@@ -768,7 +771,7 @@ def batch_families(n=N):
         "gated": fams["gated"],
         "composed": fams["composed"],
         "three_plane": three_plane_layer(),
-        "limit_mini_net": ly.make_limit(
+        "limit_mini_net": ly.LimitLayer(
             orth(2, n), bias(3, n), ly.make_mini_net_field(n, hidden=6, seed=4),
             ly.GaussianBumpField(0.01)),
     }
@@ -882,9 +885,9 @@ def test_linearize_batch_of_an_empty_block_needs_no_region():
     lambda strict: ly.make_case_ii(orth(2), bias(3), 1.0, 0.0, -2.0, RELU, strict=strict),
     lambda strict: ly.make_partitioned(orth(2), orth(2), bias(3), [],
                                        {(): ly.RegionCoeffs(0.0, 0.0, 1.0, ABS)}, strict=strict),
-    lambda strict: ly.make_composed(orth(5), ly.make_case_ii(
+    lambda strict: ly.ComposedLayer(orth(5), ly.make_case_ii(
         orth(2), bias(3), 1.0, 0.0, -2.0, RELU), strict=strict),
-    lambda strict: ly.make_limit(orth(2), bias(3), ly.ConstantField(0.0),
+    lambda strict: ly.LimitLayer(orth(2), bias(3), ly.ConstantField(0.0),
                                  ly.ConstantField(0.0), strict=strict),
 ], ids=["case_ii", "partitioned", "composed", "limit"])
 def test_strict_must_be_a_bool(build):
@@ -897,3 +900,112 @@ def test_strict_must_be_a_bool(build):
         layer = build(value)
         assert layer.strict is value
         assert ly.layer_from_json(layer.to_json()).to_json() == layer.to_json()
+
+
+# ---------------------------------------------------------------------------
+# each class reads its own arrays and numbers
+# ---------------------------------------------------------------------------
+
+
+def array_args(n=4):
+    """Arguments of each class that holds arrays, given as arrays."""
+    B, b = orth(2, n), bias(3, n)
+    regions = {(1,): ly.RegionCoeffs(0.0, 0.0, 1.0, ABS),
+               (-1,): ly.RegionCoeffs(0.0, 1.0, 1.0, ABS)}
+    return {
+        ly.ComposedLayer: dict(rotation=orth(5, n),
+                               inner=ly.make_case_ii(B, b, 1.0, 0.0, -2.0, RELU)),
+        ly.PartitionedLayer: dict(A=orth(1, n), B=B, b=b,
+                                  hyperplanes=((SplitMix64(11).gaussian(n), 0.25),),
+                                  regions=regions),
+        ly.LimitLayer: dict(B=B, b=b, m_field=ly.ConstantField(0.5),
+                            q_field=ly.ConstantField(0.0)),
+        ly.MiniNetField: dict(w_in=SplitMix64(12).gaussian_matrix(3, n), bias=bias(13, 3),
+                              w_out=bias(14, 3)),
+    }
+
+
+def as_lists(value):
+    """Arrays and tuples as nested lists; any other value as it is."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [as_lists(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("cls", list(array_args()), ids=lambda cls: cls.__name__)
+def test_classes_take_nested_lists(cls):
+    args = array_args()[cls]
+    from_arrays = cls(**args)
+    from_lists = cls(**{key: as_lists(value) for key, value in args.items()})
+    for key, value in args.items():
+        if isinstance(value, np.ndarray):
+            got = getattr(from_lists, key)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert np.array_equal(got.view(np.int64), value.view(np.int64)), key
+    assert from_lists.to_json() == from_arrays.to_json()
+
+
+def test_number_fields_are_kept_as_floats():
+    assert type(ly.ConstantField(2).value) is float
+    assert type(ly.GaussianBumpField(np.int64(1)).scale) is float
+    assert ly.ConstantField(2).eval_batch(np.zeros((3, 4))).dtype == np.float64
+
+
+def _number_args(cls):
+    return {ly.ConstantField: dict(value=0.5), ly.GaussianBumpField: dict(scale=0.01)}[cls]
+
+
+@pytest.mark.parametrize("cls, path", [
+    (ly.ComposedLayer, ("rotation", 1, 2)),
+    (ly.PartitionedLayer, ("A", 0, 3)),
+    (ly.PartitionedLayer, ("B", 2, 1)),
+    (ly.PartitionedLayer, ("b", 1)),
+    (ly.PartitionedLayer, ("hyperplanes", 0, 0, 2)),
+    (ly.PartitionedLayer, ("hyperplanes", 0, 1)),
+    (ly.LimitLayer, ("B", 3, 0)),
+    (ly.LimitLayer, ("b", 0)),
+    (ly.MiniNetField, ("w_in", 2, 1)),
+    (ly.MiniNetField, ("bias", 0)),
+    (ly.MiniNetField, ("w_out", 2)),
+    (ly.ConstantField, ("value",)),
+    (ly.GaussianBumpField, ("scale",)),
+], ids=lambda v: v.__name__ if isinstance(v, type) else ".".join(map(str, v)))
+def test_bad_entries_of_every_field_raise_dimension_error(cls, path):
+    # a string, a bool, a non-finite number or a nested list (a ragged array)
+    for bad in ("0.5", True, float("nan"), float("inf"), [0.5]):
+        args = array_args().get(cls) or _number_args(cls)
+        args = {key: as_lists(value) for key, value in args.items()}
+        _set(args, path, bad)
+        with pytest.raises(DimensionError):
+            cls(**args)
+
+
+def test_an_explicit_spec_reads_each_array_once(monkeypatch):
+    spec = explicit_specs()["case_ii"]
+    reads = []
+    read = linalg._as_array
+
+    def counted(obj, shape, what):
+        reads.append(what)
+        return read(obj, shape, what)
+
+    monkeypatch.setattr(linalg, "_as_array", counted)
+    ly.layer_from_json(spec)
+    # the activation's breakpoints and slopes, B and b
+    assert len(reads) <= 4
+
+
+@pytest.mark.parametrize("wrap", [np.array, np.ndarray.tolist, lambda m: tuple(map(tuple, m))],
+                         ids=["array", "list", "tuple"])
+def test_case_i_trains_one_weight_twice_and_partitioned_ties_equal_ones(wrap):
+    W = wrap(orth(2))
+    case_i = ly.make_case_i(W, W, bias(3), 0.0, 1.0, ABS)
+    assert case_i.A is not case_i.B
+    assert np.array_equal(case_i.A, case_i.B)
+    assert sorted(case_i.params()) == ["A", "B", "b"]
+    regions = {(): ly.RegionCoeffs(1.0, 0.0, -2.0, RELU)}
+    tied = ly.make_partitioned(wrap(orth(2)), wrap(orth(2)), bias(3), [], regions)
+    assert tied.A is tied.B
+    assert sorted(tied.params()) == ["B", "b"]

@@ -16,10 +16,10 @@ from orthojac import layers as layers_module
 from orthojac.layers import (
     ConstantField,
     GaussianBumpField,
+    LimitLayer,
     RegionCoeffs,
     make_case_i,
     make_case_ii,
-    make_limit,
     make_mini_net_field,
     layers_from_json,
     make_partitioned,
@@ -420,12 +420,12 @@ def parent_make_layer(model, width, seed):
     if model == "resnet_B_partial":
         return make_case_ii(B, b, ell=1.0, c=0.0, d=-1.0, sigma=relu, strict=False)
     if model == "limit_m1":
-        return make_limit(B, b, ConstantField(1.0), ConstantField(0.0))
+        return LimitLayer(B, b, ConstantField(1.0), ConstantField(0.0))
     if model == "limit_m2":
-        return make_limit(B, b, GaussianBumpField(0.01), ConstantField(0.0))
+        return LimitLayer(B, b, GaussianBumpField(0.01), ConstantField(0.0))
     if model == "limit_m3":
         m = make_mini_net_field(width, seed=derive_seed(seed, 2))
-        return make_limit(B, b, m, ConstantField(0.0))
+        return LimitLayer(B, b, m, ConstantField(0.0))
     W = SplitMix64(derive_seed(seed, 3)).gaussian_matrix(width, width) / np.sqrt(width)
     return make_case_i(np.eye(width), W, b, c=0.0, d=1.0, sigma=relu, strict=False)
 

@@ -19,13 +19,13 @@ from orthojac.errors import (
     NoValidProbeError,
 )
 from orthojac.layers import (
+    ComposedLayer,
     ConstantField,
     GaussianBumpField,
+    LimitLayer,
     make_case_i,
     make_case_ii,
-    make_composed,
     make_gated,
-    make_limit,
     make_partitioned,
     PartitionedLayer,
     RegionCoeffs,
@@ -289,7 +289,7 @@ def _unit_bias(n: int, seed: int) -> np.ndarray:
 
 def test_isometry_constant_fields_exact():
     n = 16
-    layer = make_limit(random_orthogonal(n, 51), _unit_bias(n, 52),
+    layer = LimitLayer(random_orthogonal(n, 51), _unit_bias(n, 52),
                        ConstantField(0.6), ConstantField(-0.1))
     rep = check_dynamical_isometry(layer, 200, seed=53)
     assert rep.bound_epsilon == 0.0
@@ -300,7 +300,7 @@ def test_isometry_constant_fields_exact():
 
 def test_isometry_gaussian_bump_band():
     n = 16
-    layer = make_limit(random_orthogonal(n, 54), _unit_bias(n, 55),
+    layer = LimitLayer(random_orthogonal(n, 54), _unit_bias(n, 55),
                        GaussianBumpField(0.01), ConstantField(0.0))
     rep = check_dynamical_isometry(layer, 500, seed=56)
     expected_eps = 2.0 * np.sqrt(2.0) * np.exp(-0.5) / 100.0
@@ -313,7 +313,7 @@ def test_isometry_gaussian_bump_band():
 
 def test_isometry_scaled_bump_loose_but_valid():
     n = 16
-    layer = make_limit(random_orthogonal(n, 57), _unit_bias(n, 58),
+    layer = LimitLayer(random_orthogonal(n, 57), _unit_bias(n, 58),
                        GaussianBumpField(1.0), ConstantField(0.0))
     rep = check_dynamical_isometry(layer, 300, seed=59)
     assert rep.bound_epsilon == pytest.approx(2.0 * np.sqrt(2.0) * np.exp(-0.5),
@@ -327,7 +327,7 @@ def test_isometry_band_never_violated_across_configs():
     for k in range(20):
         n = 8 + (k % 3) * 4
         scale = (0.001, 0.01, 0.1, 1.0)[k % 4]
-        layer = make_limit(
+        layer = LimitLayer(
             random_orthogonal(n, derive_seed(60, k, 0)),
             0.7 * SplitMix64(derive_seed(60, k, 1)).gaussian(n),
             GaussianBumpField(scale),
@@ -344,23 +344,22 @@ def test_isometry_band_never_violated_across_configs():
 
 def _bump_limit_layer(n: int = 16):
     b = _unit_bias(n, 103)
-    return make_limit(random_orthogonal(n, 101), b,
+    return LimitLayer(random_orthogonal(n, 101), b,
                       GaussianBumpField(0.01), ConstantField(0.0))
 
 
 def test_density_constant_fields_zero_gap():
     n = 8
-    layer = make_limit(random_orthogonal(n, 71), _unit_bias(n, 72),
+    layer = LimitLayer(random_orthogonal(n, 71), _unit_bias(n, 72),
                        ConstantField(0.3), ConstantField(0.1))
-    rep = density_gap(layer, 4, 1.5, 200, seed=73)
+    (rep,) = density_gap(layer, [4], 1.5, 200, seed=73)
     assert rep.measured_gap == 0.0
     assert rep.theoretical_bound == 0.0
 
 
 def test_density_refinement_monotone_and_bounded():
     layer = _bump_limit_layer()
-    reports = [density_gap(layer, res, 1.5, 400, seed=107)
-               for res in (2, 4, 8, 16)]
+    reports = density_gap(layer, [2, 4, 8, 16], 1.5, 400, seed=107)
     for rep in reports:
         assert rep.measured_gap <= rep.theoretical_bound + 1e-12
     measured = [rep.measured_gap for rep in reports]
@@ -371,16 +370,23 @@ def test_density_refinement_monotone_and_bounded():
 
 def test_density_varying_offset_field_bounded():
     n = 16
-    layer = make_limit(random_orthogonal(n, 101), _unit_bias(n, 103),
+    layer = LimitLayer(random_orthogonal(n, 101), _unit_bias(n, 103),
                        GaussianBumpField(0.01), GaussianBumpField(0.005))
-    for res in (2, 16):
-        rep = density_gap(layer, res, 1.5, 300, seed=11)
+    reports = density_gap(layer, [16, 2], 1.5, 300, seed=11)
+    assert [rep.resolution for rep in reports] == [2, 16]
+    for rep in reports:
         assert 0.0 < rep.measured_gap <= rep.theoretical_bound + 1e-12
+    # one draw serves every resolution: each report is the one of its own call
+    for rep in reports:
+        assert density_gap(layer, [rep.resolution], 1.5, 300, seed=11) == [rep]
 
 
 def test_density_rejects_bad_resolution():
-    with pytest.raises(DimensionError):
-        density_gap(_bump_limit_layer(), 0, 1.5, 10, seed=1)
+    layer = _bump_limit_layer()
+    for resolutions, n_probes in [([0], 10), ([2, 2.0], 10), (2, 10), ([], 10),
+                                  ([2], 0), ([2], -1), ([2], 2.5), ([2], True)]:
+        with pytest.raises(DimensionError):
+            density_gap(layer, resolutions, 1.5, n_probes, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +471,7 @@ def test_stack_jacobian_mixed_families():
         strict_case_ii(n, 94),
         make_gated(random_orthogonal(n, 95), 0.3 * SplitMix64(96).gaussian(n),
                    gate, make_relu_k(NODES)),
-        make_composed(random_orthogonal(n, 97), strict_case_ii(n, 98)),
+        ComposedLayer(random_orthogonal(n, 97), strict_case_ii(n, 98)),
     ]
     x = SplitMix64(99).gaussian(n)
     kept, jacs = stack_jacobian(layers, x[np.newaxis])
@@ -486,7 +492,7 @@ def mixed_stack(n: int) -> list:
         strict_case_ii(n, 103),
         make_gated(random_orthogonal(n, 104), 0.3 * SplitMix64(105).gaussian(n),
                    gate, make_relu_k(NODES)),
-        make_composed(random_orthogonal(n, 106), strict_case_ii(n, 107)),
+        ComposedLayer(random_orthogonal(n, 106), strict_case_ii(n, 107)),
         make_partitioned(B, B, 0.3 * SplitMix64(108).gaussian(n),
                          [(SplitMix64(109).gaussian(n), 0.1)], regions),
     ]
@@ -562,7 +568,7 @@ def test_stack_jacobian_passes_an_emptied_block_through_a_layer_with_no_region()
 
 def test_stack_jacobian_makes_one_layer_call_per_block(monkeypatch):
     n = 8
-    stack = mixed_stack(n) + [make_limit(random_orthogonal(n, 115), 0.1 * np.ones(n),
+    stack = mixed_stack(n) + [LimitLayer(random_orthogonal(n, 115), 0.1 * np.ones(n),
                                          GaussianBumpField(0.01), ConstantField(0.0))]
     calls = []
     for cls in {type(layer) for layer in stack}:
