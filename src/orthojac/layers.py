@@ -16,16 +16,18 @@ Every layer maps R^n -> R^n and exposes the same surface:
 
 There are three layer classes: the region-affine ``PartitionedLayer``,
 whose constructors build the case-i, case-ii, gated and partitioned
-families, ``ComposedLayer`` and the smooth-coefficient ``LimitLayer``,
-which are built directly.  Each layer and field class converts and checks
-its own arrays (or nested lists) and numbers.  Strict constructors enforce the slope and weight conditions under which
-the Jacobian is exactly orthogonal wherever it exists; ``strict=False``
-skips those checks so deliberately broken layers can be probed.
+families, ``ComposedLayer`` and the smooth-coefficient ``LimitLayer``, a
+case-ii reflection layer plus its coefficient fields; the last two are
+built directly.  Each layer and field class converts and checks its own
+arrays (or nested lists) and numbers.  Strict constructors enforce the
+slope and weight conditions under which the Jacobian is exactly
+orthogonal wherever it exists; ``strict=False`` skips those checks so
+deliberately broken layers can be probed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -48,14 +50,6 @@ ORTHO_TOL = 1e-10
 DEFAULT_MARGIN = 1e-8
 
 
-def _square(obj, name: str) -> np.ndarray:
-    """``obj`` as a square matrix (``linalg.as_matrix``), else DimensionError."""
-    m = as_matrix(obj)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionError(f"{name} must be a square matrix, got shape {m.shape}")
-    return m
-
-
 def _require_orthogonal(m: np.ndarray, name: str) -> None:
     defect = frobenius_defect(m)
     if defect > ORTHO_TOL:
@@ -68,43 +62,6 @@ def _require_slopes(sigma: PwlScalar, allowed: Sequence[float], context: str) ->
         raise SlopeMismatchError(
             f"{context}: activation slopes must lie in {sorted(set(allowed))}", bad
         )
-
-
-# ---------------------------------------------------------------------------
-# shared core of  ell*x + c*1 + d * A^T sigma(Bx + b)  on one region
-# ---------------------------------------------------------------------------
-
-
-def _core_forward(ell, c, d, A, B, b, sigma, X, Z=None):
-    """``ell X + c + d sigma(Z) A``, with ``Z = X B^T + b`` unless it is given."""
-    Z = X @ B.T + b if Z is None else Z
-    return ell * X + c + d * (sigma.value(Z) @ A)
-
-
-def _core_linearize(ell, c, d, A, B, b, sigma, X):
-    """Outputs, Jacobians and pre-activation kink distances of the rows of X."""
-    Z = X @ B.T + b
-    jac = d * ((A.T * sigma.deriv(Z)[:, np.newaxis, :]) @ B)
-    if ell != 0.0:
-        n = B.shape[0]
-        # every n+1-th entry of a flattened n x n matrix is on its diagonal
-        jac.reshape(len(jac), n * n)[:, :: n + 1] += ell
-    return (_core_forward(ell, c, d, A, B, b, sigma, X, Z), jac,
-            np.min(sigma.distance_to_breakpoint(Z), axis=1))
-
-
-def _core_vjp(ell, d, A, B, b, sigma, X, V):
-    """Input gradient and (gA, gB, gb) summed over rows of X/V."""
-    Z = X @ B.T + b
-    S = sigma.value(Z)
-    W = sigma.deriv(Z) * (d * (V @ A.T))
-    dX = W @ B
-    if ell != 0.0:
-        dX = dX + ell * V
-    gA = d * (S.T @ V)
-    gB = W.T @ X
-    gb = W.sum(axis=0)
-    return dX, gA, gB, gb
 
 
 def _sign_key(above: np.ndarray) -> tuple[int, ...]:
@@ -270,7 +227,9 @@ class PartitionedLayer:
 
     def __post_init__(self):
         checked(self.strict, "strict", "a bool")
-        B = _square(self.B, "B")
+        B = as_matrix(self.B)
+        if B.shape[0] != B.shape[1]:
+            raise DimensionError(f"B must be a square matrix, got shape {B.shape}")
         n = len(B)
         # A and B given as one object are one array
         object.__setattr__(self, "A", B if self.A is self.B else as_matrix(self.A, n, n))
@@ -379,21 +338,46 @@ class PartitionedLayer:
                     outs[k] += part
         return outs
 
+    # the map on one cell's rows X:  ell X + c + d sigma(X B^T + b) A
+
+    def _forward(self, co: RegionCoeffs, X, Z=None):
+        """Outputs of one cell's rows X, with ``Z = X B^T + b`` unless it is given."""
+        Z = X @ self.B.T + self.b if Z is None else Z
+        return co.ell * X + co.c + co.d * (co.sigma.value(Z) @ self.A)
+
+    def _linearize(self, co: RegionCoeffs, X):
+        """Outputs, Jacobians and pre-activation kink distances of one cell's rows X."""
+        Z = X @ self.B.T + self.b
+        jac = co.d * ((self.A.T * co.sigma.deriv(Z)[:, np.newaxis, :]) @ self.B)
+        if co.ell != 0.0:
+            n = self.width
+            # every n+1-th entry of a flattened n x n matrix is on its diagonal
+            jac.reshape(len(jac), n * n)[:, :: n + 1] += co.ell
+        return (self._forward(co, X, Z), jac,
+                np.min(co.sigma.distance_to_breakpoint(Z), axis=1))
+
+    def _vjp(self, co: RegionCoeffs, X, V):
+        """Input gradient of one cell's rows X/V and (gA, gB, gb) summed over them."""
+        Z = X @ self.B.T + self.b
+        W = co.sigma.deriv(Z) * (co.d * (V @ self.A.T))
+        dX = W @ self.B
+        if co.ell != 0.0:
+            dX = dX + co.ell * V
+        return dX, co.d * (co.sigma.value(Z).T @ V), W.T @ X, W.sum(axis=0)
+
     forward = _forward_one
     jacobian = _jacobian_one
     kink_distance = _kink_distance_one
 
     def forward_batch(self, X):
-        return self._by_cell(self._planes(X), lambda co, rows: (_core_forward(
-            co.ell, co.c, co.d, self.A, self.B, self.b, co.sigma, X[rows]),),
-            [(self.width,)])[0]
+        return self._by_cell(self._planes(X), lambda co, rows: (self._forward(co, X[rows]),),
+                             [(self.width,)])[0]
 
     def linearize_batch(self, X):
         n = self.width
         planes = self._planes(X)
-        out, jac, dist = self._by_cell(planes, lambda co, rows: _core_linearize(
-            co.ell, co.c, co.d, self.A, self.B, self.b, co.sigma, X[rows]),
-            [(n,), (n, n), ()])
+        out, jac, dist = self._by_cell(planes, lambda co, rows: self._linearize(co, X[rows]),
+                                       [(n,), (n, n), ()])
         if planes is None:
             return out, jac, dist
         return out, jac, np.minimum(dist, np.min(np.abs(planes), axis=1))
@@ -402,8 +386,8 @@ class PartitionedLayer:
 
     def vjp_batch(self, X, V):
         n = self.width
-        dX, gA, gB, gb = self._by_cell(self._planes(X), lambda co, rows: _core_vjp(
-            co.ell, co.d, self.A, self.B, self.b, co.sigma, X[rows], V[rows]),
+        dX, gA, gB, gb = self._by_cell(
+            self._planes(X), lambda co, rows: self._vjp(co, X[rows], V[rows]),
             [(n,), (n, n), (n, n), (n,)], summed=3)
         if self.shared_weights:
             return dX, {"B": gA + gB, "b": gb}
@@ -635,10 +619,13 @@ class LimitLayer:
     """Reflection layer with smooth scalar coefficient fields.
 
     Evaluates ``q(x)*1 + (1 - m(x)) * B^T b + (x - 2 B^T relu(Bx + b))``.
-    With constant m and q this is an exact member of the case-ii family;
-    in general its Jacobian is the orthogonal reflection part plus the
-    rank-two correction ``1 grad_q(x)^T - (B^T b) grad_m(x)^T``, so all
-    singular values stay within max(2*Lip(m)*||b||, 2*sqrt(n)*Lip(q)) of 1.
+    The reflection part ``x - 2 B^T relu(Bx + b)`` is ``reflection``, the
+    case-ii layer (ell 1, c 0, d -2, relu) that reads and checks B, b and
+    ``strict``; its B and b are this layer's.  With constant m and q the
+    layer is an exact member of the case-ii family; in general its Jacobian
+    is the reflection's plus the rank-two correction
+    ``1 grad_q(x)^T - (B^T b) grad_m(x)^T``, so all singular values stay
+    within max(2*Lip(m)*||b||, 2*sqrt(n)*Lip(q)) of 1.
     """
 
     B: np.ndarray
@@ -646,20 +633,19 @@ class LimitLayer:
     m_field: SlopeField
     q_field: SlopeField
     strict: bool = True
+    reflection: PartitionedLayer = field(init=False, repr=False, compare=False)
 
     kind = "LimitLayer"
 
     def __post_init__(self):
-        checked(self.strict, "strict", "a bool")
-        object.__setattr__(self, "B", _square(self.B, "B"))
-        n = len(self.B)
-        object.__setattr__(self, "b", as_vector(self.b, n))
+        reflection = make_case_ii(self.B, self.b, 1.0, 0.0, -2.0, _RELU, self.strict)
+        object.__setattr__(self, "reflection", reflection)
+        object.__setattr__(self, "B", reflection.B)
+        object.__setattr__(self, "b", reflection.b)
         for f in (self.m_field, self.q_field):
-            if isinstance(f, MiniNetField) and f.w_in.shape[1] != n:
-                raise DimensionError(f"a mini-net field's w_in must be of shape (None, {n}),"
-                                     f" got shape {f.w_in.shape}")
-        if self.strict:
-            _require_orthogonal(self.B, "B")
+            if isinstance(f, MiniNetField) and f.w_in.shape[1] != self.width:
+                raise DimensionError(f"a mini-net field's w_in must be of shape"
+                                     f" (None, {self.width}), got shape {f.w_in.shape}")
 
     @property
     def width(self) -> int:
@@ -668,44 +654,40 @@ class LimitLayer:
     def _bias_pull(self) -> np.ndarray:
         return self.B.T @ self.b
 
-    def _with_fields(self, core, X):
-        """``core``, the output of the reflection part (the case-ii core), plus the field terms."""
-        mvals = self.m_field.eval_batch(X)
-        qvals = self.q_field.eval_batch(X)
-        return core + qvals[:, np.newaxis] + (1.0 - mvals)[:, np.newaxis] * self._bias_pull()
+    def with_fields(self, core, m_vals, q_vals):
+        """``core``, the reflection's output rows, plus the field terms of m and q values."""
+        return core + q_vals[:, np.newaxis] + (1.0 - m_vals)[:, np.newaxis] * self._bias_pull()
 
     forward = _forward_one
     jacobian = _jacobian_one
     kink_distance = _kink_distance_one
 
     def forward_batch(self, X):
-        return self._with_fields(
-            _core_forward(1.0, 0.0, -2.0, self.B, self.B, self.b, _RELU, X), X)
+        return self.with_fields(self.reflection.forward_batch(X), self.m_field.eval_batch(X),
+                                self.q_field.eval_batch(X))
 
     def linearize_batch(self, X):
-        # the reflection part is the case-ii core; then the field terms, the
-        # rank-two correction 1 grad_q^T - (B^T b) grad_m^T and the field kinks
-        out, jac, dist = _core_linearize(1.0, 0.0, -2.0, self.B, self.B, self.b, _RELU, X)
+        # the reflection's, then the field terms, the rank-two correction
+        # 1 grad_q^T - (B^T b) grad_m^T and the field kinks
+        out, jac, dist = self.reflection.linearize_batch(X)
         jac += self.q_field.grad_batch(X)[:, np.newaxis, :]
         jac -= self._bias_pull()[:, np.newaxis] * self.m_field.grad_batch(X)[:, np.newaxis, :]
         dist = np.minimum(dist, self.m_field.kink_distance_batch(X))
-        return (self._with_fields(out, X), jac,
-                np.minimum(dist, self.q_field.kink_distance_batch(X)))
+        return (self.with_fields(out, self.m_field.eval_batch(X), self.q_field.eval_batch(X)),
+                jac, np.minimum(dist, self.q_field.kink_distance_batch(X)))
 
     vjp = _vjp_one
 
     def vjp_batch(self, X, V):
-        # the reflection part is the case-ii core; B is its A and its B
-        dX, gA, gB, gb = _core_vjp(1.0, -2.0, self.B, self.B, self.b, _RELU, X, V)
+        dX, grads = self.reflection.vjp_batch(X, V)
         bias_pull = self._bias_pull()
-        mvals = self.m_field.eval_batch(X)
         v_sum = V.sum(axis=1)
         v_pull = V @ bias_pull
         dX += v_sum[:, np.newaxis] * self.q_field.grad_batch(X)
         dX -= v_pull[:, np.newaxis] * self.m_field.grad_batch(X)
-        one_minus_m = (1.0 - mvals)[:, np.newaxis] * V
-        grads = {"B": gA + gB + np.outer(self.b, one_minus_m.sum(axis=0)),
-                 "b": gb + (one_minus_m @ self.B.T).sum(axis=0)}
+        one_minus_m = (1.0 - self.m_field.eval_batch(X))[:, np.newaxis] * V
+        grads["B"] += np.outer(self.b, one_minus_m.sum(axis=0))
+        grads["b"] += (one_minus_m @ self.B.T).sum(axis=0)
         for name, g in self.m_field.param_grads_batch(X, -v_pull).items():
             grads[f"m.{name}"] = g
         for name, g in self.q_field.param_grads_batch(X, v_sum).items():
@@ -750,8 +732,8 @@ Layer = Union[ComposedLayer, PartitionedLayer, LimitLayer]
 
 def make_case_i(A, B, b, c, d, sigma, strict: bool = True) -> PartitionedLayer:
     if A is B:
-        # a case-i layer trains A and B as two parameters
-        A = np.array(A)
+        # a case-i layer trains A and B as two parameters; read before the copy
+        A = as_matrix(A).copy()
     return PartitionedLayer(A, B, b, (), {(): RegionCoeffs(0.0, c, d, sigma)}, None, strict,
                             "case_i")
 

@@ -17,6 +17,7 @@ for its accuracy on small singular values (Demmel & Veselic 1992).
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 
@@ -42,7 +43,7 @@ def is_integer(value) -> bool:
 def is_finite_number(value) -> bool:
     """Whether ``value`` is a real number, not NaN, infinite or beyond the
     float range; bools are not numbers here."""
-    return RULES["a number"](value) and abs(value) <= sys.float_info.max
+    return RULES["a number that fits a float"](value) and math.isfinite(value)
 
 
 # what a JSON value must be, each rule keyed by the words its message uses

@@ -77,13 +77,12 @@ class SplitMix64:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         start = self._count + 1
         self._count += n
-        with np.errstate(over="ignore"):
-            k = np.arange(start, start + n, dtype=np.uint64)
-            z = np.uint64(self._seed) + k * np.uint64(_GOLDEN)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
-        return z
+        # uint64 array arithmetic wraps silently
+        k = np.arange(start, start + n, dtype=np.uint64)
+        z = np.uint64(self._seed) + k * np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return z ^ (z >> np.uint64(31))
 
     def raw(self) -> int:
         """Next raw output as a Python int."""

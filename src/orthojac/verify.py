@@ -324,31 +324,6 @@ def check_dynamical_isometry(layer: LimitLayer, n_probes: int, seed: int,
                                         criterion="isometry", tol=tol)])[0]
 
 
-class _CellQuantizedField:
-    """Base field sampled at cell centers of a 2-D grid on coords (0, 1).
-
-    The remaining coordinates pass through unpartitioned, so the result
-    is constant on each cell of the induced partition along the first
-    two axes.  Used only to build density comparisons.
-    """
-
-    def __init__(self, base, resolution: int, radius: float):
-        self.base = base
-        self.resolution = int(resolution)
-        self.radius = float(radius)
-
-    def _snap(self, X: np.ndarray) -> np.ndarray:
-        width = 2.0 * self.radius / self.resolution
-        snapped = X.copy()
-        idx = np.floor((X[:, :2] + self.radius) / width)
-        idx = np.clip(idx, 0, self.resolution - 1)
-        snapped[:, :2] = -self.radius + (idx + 0.5) * width
-        return snapped
-
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.base.eval_batch(self._snap(X))
-
-
 @dataclass
 class DensityReport:
     """Sup-norm gap between a limit layer and its cell-sampled surrogate."""
@@ -376,7 +351,9 @@ def density_gap(
     ball (remaining coordinates unpartitioned).  The measured sup-norm gap
     over ball-uniform probes never exceeds the bound
     ``sup|q - q~| + sup|m - m~| * ||b||``.  The probes are drawn, and the
-    layer and its fields evaluated, once for all resolutions.  Returns one
+    layer's reflection part and fields evaluated, once for all resolutions;
+    every surrogate shares that reflection output and evaluates each field
+    once, at the probes snapped to their cell centers.  Returns one
     DensityReport per resolution, in ascending order.  A bad argument raises
     DimensionError.
     """
@@ -386,24 +363,29 @@ def density_gap(
     checked(n_probes, "probes", "a positive integer")
     checked(seed, "seed", "an integer")
     X = SplitMix64(derive_seed(seed, 0xD6)).ball(n_probes, layer.width, domain_radius)
-    exact = layer.forward_batch(X)
+    core = layer.reflection.forward_batch(X)
     m_vals = layer.m_field.eval_batch(X)
     q_vals = layer.q_field.eval_batch(X)
+    exact = layer.with_fields(core, m_vals, q_vals)
     b_norm = float(np.sqrt(layer.b @ layer.b))
+    radius = float(domain_radius)
     reports = []
     for resolution in resolutions:
-        m_tilde = _CellQuantizedField(layer.m_field, resolution, domain_radius)
-        q_tilde = _CellQuantizedField(layer.q_field, resolution, domain_radius)
-        surrogate = LimitLayer(layer.B, layer.b, m_tilde, q_tilde, strict=False)
-        gap = np.max(np.abs(exact - surrogate.forward_batch(X)), axis=1)
-        m_err = np.abs(m_vals - m_tilde.eval_batch(X))
-        q_err = np.abs(q_vals - q_tilde.eval_batch(X))
+        # the probes snapped to the centers of their cells
+        width = 2.0 * radius / resolution
+        snapped = X.copy()
+        idx = np.clip(np.floor((X[:, :2] + radius) / width), 0, resolution - 1)
+        snapped[:, :2] = -radius + (idx + 0.5) * width
+        m_tilde = layer.m_field.eval_batch(snapped)
+        q_tilde = layer.q_field.eval_batch(snapped)
+        gap = np.max(np.abs(exact - layer.with_fields(core, m_tilde, q_tilde)), axis=1)
         reports.append(DensityReport(
             resolution=resolution,
             domain_radius=domain_radius,
             n_probes=n_probes,
             seed=seed,
             measured_gap=float(np.max(gap)),
-            theoretical_bound=float(np.max(q_err) + np.max(m_err) * b_norm),
+            theoretical_bound=float(np.max(np.abs(q_vals - q_tilde))
+                                    + np.max(np.abs(m_vals - m_tilde)) * b_norm),
         ))
     return reports

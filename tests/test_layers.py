@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -953,8 +954,23 @@ def test_number_fields_are_kept_as_floats():
     assert ly.ConstantField(2).eval_batch(np.zeros((3, 4))).dtype == np.float64
 
 
-def _number_args(cls):
-    return {ly.ConstantField: dict(value=0.5), ly.GaussianBumpField: dict(scale=0.01)}[cls]
+def test_a_float32_number_is_read_with_no_warning():
+    # the finite check does not cast the float range to the number's type
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ly.GaussianBumpField(np.float32(0.5)).scale == 0.5
+    with pytest.raises(DimensionError):
+        ly.GaussianBumpField(np.float32("inf"))
+
+
+def case_i_one_weight(W, b):
+    """A case-i layer given one weight as both A and B."""
+    return ly.make_case_i(W, W, b, 0.0, 1.0, ABS)
+
+
+def _other_args(cls):
+    return {ly.ConstantField: dict(value=0.5), ly.GaussianBumpField: dict(scale=0.01),
+            case_i_one_weight: dict(W=orth(2, 4), b=bias(3, 4))}[cls]
 
 
 @pytest.mark.parametrize("cls, path", [
@@ -971,11 +987,12 @@ def _number_args(cls):
     (ly.MiniNetField, ("w_out", 2)),
     (ly.ConstantField, ("value",)),
     (ly.GaussianBumpField, ("scale",)),
-], ids=lambda v: v.__name__ if isinstance(v, type) else ".".join(map(str, v)))
+    (case_i_one_weight, ("W", 1, 0)),
+], ids=lambda v: v.__name__ if callable(v) else ".".join(map(str, v)))
 def test_bad_entries_of_every_field_raise_dimension_error(cls, path):
     # a string, a bool, a non-finite number or a nested list (a ragged array)
     for bad in ("0.5", True, float("nan"), float("inf"), [0.5]):
-        args = array_args().get(cls) or _number_args(cls)
+        args = array_args().get(cls) or _other_args(cls)
         args = {key: as_lists(value) for key, value in args.items()}
         _set(args, path, bad)
         with pytest.raises(DimensionError):

@@ -26,6 +26,7 @@ from orthojac.layers import (
     make_case_i,
     make_case_ii,
     make_gated,
+    make_mini_net_field,
     make_partitioned,
     PartitionedLayer,
     RegionCoeffs,
@@ -389,6 +390,73 @@ def test_density_rejects_bad_resolution():
             density_gap(layer, resolutions, 1.5, n_probes, seed=1)
 
 
+class _CellQuantizedField:
+    """A field sampled at the cell centers of a grid on coordinates (0, 1), the
+    other coordinates passed through: the reference form of a surrogate field."""
+
+    def __init__(self, base, resolution: int, radius: float):
+        self.base = base
+        self.resolution = int(resolution)
+        self.radius = float(radius)
+
+    def _snap(self, X: np.ndarray) -> np.ndarray:
+        width = 2.0 * self.radius / self.resolution
+        snapped = X.copy()
+        idx = np.floor((X[:, :2] + self.radius) / width)
+        idx = np.clip(idx, 0, self.resolution - 1)
+        snapped[:, :2] = -self.radius + (idx + 0.5) * width
+        return snapped
+
+    def eval_batch(self, X: np.ndarray) -> np.ndarray:
+        return self.base.eval_batch(self._snap(X))
+
+
+def _surrogate_layer_gap(layer, resolution, radius, n_probes, seed):
+    """(measured gap, bound) of one resolution from a surrogate LimitLayer with
+    cell-sampled fields: the reference form of one density_gap report."""
+    X = SplitMix64(derive_seed(seed, 0xD6)).ball(n_probes, layer.width, radius)
+    m_tilde = _CellQuantizedField(layer.m_field, resolution, radius)
+    q_tilde = _CellQuantizedField(layer.q_field, resolution, radius)
+    surrogate = LimitLayer(layer.B, layer.b, m_tilde, q_tilde, strict=False)
+    gap = np.max(np.abs(layer.forward_batch(X) - surrogate.forward_batch(X)), axis=1)
+    m_err = np.abs(layer.m_field.eval_batch(X) - m_tilde.eval_batch(X))
+    q_err = np.abs(layer.q_field.eval_batch(X) - q_tilde.eval_batch(X))
+    b_norm = float(np.sqrt(layer.b @ layer.b))
+    return float(np.max(gap)), float(np.max(q_err) + np.max(m_err) * b_norm)
+
+
+@pytest.mark.parametrize("mini_net", ["m", "q"])
+def test_density_gap_is_bitwise_the_surrogate_layer_oracle(mini_net):
+    n = 6
+    for seed in (1, 2, 3):
+        net = make_mini_net_field(n, 5, seed, 0.3)
+        bump = GaussianBumpField(0.02 * seed)
+        m, q = (net, bump) if mini_net == "m" else (bump, net)
+        layer = LimitLayer(random_orthogonal(n, seed), _unit_bias(n, seed + 10), m, q)
+        reports = density_gap(layer, [1, 2, 3, 5, 8, 16], 1.5, 120, seed)
+        for rep in reports:
+            want = _surrogate_layer_gap(layer, rep.resolution, 1.5, 120, seed)
+            assert (rep.measured_gap, rep.theoretical_bound) == want, (seed, rep.resolution)
+            assert rep.measured_gap > 0.0
+
+
+def test_limit_layer_weights_are_its_reflection_weights():
+    n = 5
+    fields = (GaussianBumpField(0.1), ConstantField(0.2))
+    layer = LimitLayer(random_orthogonal(n, 3), _unit_bias(n, 4), *fields)
+    reflection = layer.reflection
+    assert reflection.B is layer.B and reflection.A is layer.B and reflection.b is layer.b
+    X = SplitMix64(5).gaussian_matrix(4, n)
+    before = layer.forward_batch(X)
+    # an in-place step, as Adam takes it, moves both
+    params = layer.params()
+    params["B"][...] = random_orthogonal(n, 6)
+    params["b"] *= 0.5
+    moved = LimitLayer(random_orthogonal(n, 6), 0.5 * _unit_bias(n, 4), *fields)
+    assert layer.forward_batch(X).tobytes() == moved.forward_batch(X).tobytes()
+    assert not np.array_equal(before, layer.forward_batch(X))
+
+
 # ---------------------------------------------------------------------------
 # gradient norm ratio
 # ---------------------------------------------------------------------------
@@ -582,7 +650,8 @@ def test_stack_jacobian_makes_one_layer_call_per_block(monkeypatch):
     kept, jacs = stack_jacobian(stack, X, margin=0.03)
     # the margin drops some rows, but not all, along the way
     assert 0 < len(kept) < len(X)
-    layers = stack + [stack[2].inner]
+    # the limit layer's reflection part is a layer of its own
+    layers = stack + [stack[2].inner, stack[-1].reflection]
     assert sorted(calls) == sorted(
         [("linearize_batch", id(layer)) for layer in layers]
         + [("_cells", id(layer)) for layer in layers if isinstance(layer, PartitionedLayer)])
