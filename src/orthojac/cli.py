@@ -172,8 +172,8 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     _write_text(out_dir, "spectrum_histogram.csv", "".join(hist_lines))
 
     print(f"spectrum: {len(rows)} probes ({skipped} skipped near kinks),"
-          f" sv range [{min(r[1] for r in rows):.6f},"
-          f" {max(r[2] for r in rows):.6f}]")
+          f" sv range [{min(r[1] for r in rows):.6e},"
+          f" {max(r[2] for r in rows):.6e}]")
     return 0
 
 

@@ -284,8 +284,9 @@ def _sweep(w: np.ndarray, tol: float, step: np.ndarray) -> tuple[np.ndarray, np.
     """
     half = w.shape[1] // 2
     rotated = np.zeros(len(w), dtype=bool)
-    # zeta is inf or nan only on pairs that are not rotated
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # zeta and t overflow or are inf or nan only on pairs that are not rotated
+    # (a rotated pair has |apq| > tol * sqrt(app * aqq)); np.where drops their t
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(w.shape[1] - 1):
             p, q = w[:, :half], w[:, half:]
             app = np.einsum("bij,bij->bi", p, p)

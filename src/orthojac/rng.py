@@ -26,11 +26,17 @@ seed, in any language.  The exact algorithms, in consumption order:
   variate discarded.
 
 * **Permutations** (Fisher-Yates).  For i = n-1 down to 1, draw a raw
-  output ``z`` and swap positions ``i`` and ``z % (i + 1)``.
+  output ``z`` and swap positions ``i`` and ``z % (i + 1)``.  The n - 1
+  words are drawn as one block, in that order of i.
 
 * **Points uniform in a ball** of radius R in dimension n.  Per point,
   draw n Gaussian variates g (as above), then one uniform u, and return
-  ``R * u**(1/n) * g / ||g||``.
+  ``R * u**(1/n) * g / ||g||``.  Point i reads its own
+  ``2*ceil(n/2) + 1`` words, so all points are drawn as one block.
+  ``u**(1/n)`` is the scalar C ``pow`` of each point (NumPy's array power
+  may differ in the last bit), ``||g||`` is NumPy's pairwise sum of
+  ``g*g`` then ``sqrt``, and the point is ``((R * u**(1/n)) * g) / ||g||``
+  in that order.
 
 * **Derived seeds.**  ``derive_seed(s, a, b, ...)`` folds each index into
   the state with an extra SplitMix64 mixing step (see the function body);
@@ -66,6 +72,27 @@ def derive_seed(seed: int, *indices: int) -> int:
     return s
 
 
+def _uniform(z: np.ndarray) -> np.ndarray:
+    """Doubles uniform on [0, 1) from raw words, one per word."""
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _box_muller(z: np.ndarray) -> np.ndarray:
+    """Standard Gaussians from raw words paired along the last axis.
+
+    Words ``2k`` and ``2k + 1`` of each row give variates ``2k`` and
+    ``2k + 1``; the last axis has even length.
+    """
+    u1 = ((z[..., 0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    u2 = _uniform(z[..., 1::2])
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(z.shape)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out
+
+
 class SplitMix64:
     """Counter-based SplitMix64 stream over a single 64-bit seed."""
 
@@ -90,21 +117,11 @@ class SplitMix64:
 
     def uniform(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1)."""
-        z = self._raw_block(n)
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _uniform(self._raw_block(n))
 
     def gaussian(self, n: int) -> np.ndarray:
         """``n`` standard Gaussian doubles via Box-Muller."""
-        pairs = (n + 1) // 2
-        z = self._raw_block(2 * pairs)
-        u1 = ((z[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-        u2 = (z[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return _box_muller(self._raw_block(2 * ((n + 1) // 2)))[:n]
 
     def gaussian_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Row-major (rows, cols) matrix of standard Gaussians."""
@@ -112,21 +129,22 @@ class SplitMix64:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of arange(n)."""
-        perm = np.arange(n)
         if n < 2:
-            return perm
-        z = self._raw_block(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = int(z[n - 1 - i] % np.uint64(i + 1))
+            return np.arange(n)
+        # the swap partner of position i is z % (i + 1), for i = n-1 down to 1
+        partners = (self._raw_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), partners):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm)
 
     def ball(self, n_points: int, dim: int, radius: float) -> np.ndarray:
         """``n_points`` points uniform in the radius-``radius`` ball."""
-        out = np.empty((n_points, dim))
-        for i in range(n_points):
-            g = self.gaussian(dim)
-            u = self.uniform(1)[0]
-            norm = float(np.sqrt(np.sum(g * g)))
-            out[i] = radius * u ** (1.0 / dim) * g / norm
-        return out
+        # row i holds point i's words: its Gaussian pairs, then its u
+        stride = 2 * ((dim + 1) // 2) + 1
+        z = self._raw_block(n_points * stride).reshape(n_points, stride)
+        g = _box_muller(z[:, :-1])[:, :dim]
+        norm = np.sqrt(np.sum(g * g, axis=1))
+        # scalar C pow per point: NumPy's array power may differ in the last bit
+        scale = np.array([radius * u ** (1.0 / dim) for u in _uniform(z[:, -1]).tolist()])
+        return scale[:, np.newaxis] * g / norm[:, np.newaxis]

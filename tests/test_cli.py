@@ -442,6 +442,16 @@ def test_spectrum_strict_stack_single_bin(tmp_path):
     assert count == 100 * 8
 
 
+def test_spectrum_prints_a_collapsed_sv_range_in_e_notation(tmp_path, capsys):
+    # three non-strict layers x -> 0.001 x: every singular value is 1e-9,
+    # which a fixed-point format would print as 0.000000
+    shrink = dict(reflection_layer(n=4), ell=0.001, d=0.0, strict=False)
+    code, _ = run(tmp_path, "spectrum", {"seed": 5, "probes": 10, "layers": [shrink] * 3})
+    assert code == 0
+    assert ("spectrum: 10 probes (0 skipped near kinks), sv range"
+            " [1.000000e-09, 1.000000e-09]") in capsys.readouterr().out
+
+
 def test_spectrum_all_probes_skipped_exits_1(tmp_path, capsys):
     code, _ = run(tmp_path, "spectrum", spectrum_config(probes=5, margin=1e9))
     assert code == 1

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,18 @@ def test_svd_values_entries_far_outside_the_normal_range():
     assert np.array_equal(values[0], linalg.svd_values(m))
     assert np.array_equal(values[1], np.ldexp(values[0], -600))
     assert np.array_equal(values[2], np.ldexp(values[0], 600))
+
+
+def test_svd_values_unrotated_pair_with_a_subnormal_product_does_not_warn():
+    # columns 0 and 1 have the subnormal inner product 5e-310, so the pair
+    # passes the rotation test while its zeta overflows to inf
+    m = np.array([[0.5, 0.0, 0.0, 0.0], [1e-309, 0.9, 0.0, 0.0],
+                  [0.0, 0.0, 0.7, 0.3], [0.0, 0.0, 0.3, 0.7]]).T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg.svd_values(m)
+    _assert_matches_lapack(got, m)
+    assert np.allclose(got, [1.0, 0.9, 0.5, 0.4], rtol=0.0, atol=1e-15)
 
 
 def test_svd_values_empty_and_bad_stacks():
