@@ -2,15 +2,20 @@
 
 Every layer maps R^n -> R^n and exposes the same surface:
 
-* ``forward(x)`` / ``forward_batch(X)`` evaluate the map,
+* ``forward(x)`` / ``forward_batch(X)`` evaluate the map; ``forward_batch(X,
+  keep=True)`` also returns ``kept``, what the backward pass reads of it (each
+  cell's rows, activations and activation pieces; a limit layer adds its
+  field values and mini-net hidden pre-activations),
 * ``linearize_batch(X)`` returns the outputs ``(P, n)``, exact Jacobians
   ``(P, n, n)`` and kink distances ``(P,)`` of the rows of X from one pass
   (the distance to the nearest pre-activation node, gate plane or partition
   plane, in those coordinates); ``jacobian(x, margin)`` (away from kinks)
   and ``kink_distance(x)`` are its one-row forms,
-* ``vjp(x, v)`` / ``vjp_batch(X, V)`` pull a cotangent back through the
-  layer, returning the input gradient and per-parameter gradients
-  (summed over the batch in the batched form),
+* ``vjp(x, v)`` / ``vjp_batch(X, V, kept=None)`` pull a cotangent back
+  through the layer, returning the input gradient and per-parameter
+  gradients (summed over the batch in the batched form); ``vjp_batch``
+  reads ``kept`` and recomputes none of it, or runs ``forward_batch(X,
+  keep=True)`` first when it is not given,
 * ``params()`` names the trainable arrays,
 * ``to_json()`` round-trips the layer.
 
@@ -94,6 +99,10 @@ def _jacobian_one(self, x, margin: float = DEFAULT_MARGIN):
     return jac[0]
 
 
+# every layer class's forward, vjp, jacobian and kink_distance
+_ONE_SAMPLE = (_forward_one, _vjp_one, _jacobian_one, _kink_distance_one)
+
+
 # ---------------------------------------------------------------------------
 # layer families
 # ---------------------------------------------------------------------------
@@ -124,33 +133,25 @@ class ComposedLayer:
     def width(self) -> int:
         return self.inner.width
 
-    forward = _forward_one
-    jacobian = _jacobian_one
-    kink_distance = _kink_distance_one
+    forward, vjp, jacobian, kink_distance = _ONE_SAMPLE
 
-    def forward_batch(self, X):
-        return self.inner.forward_batch(X) @ self.rotation.T
+    def forward_batch(self, X, keep=False):
+        out = self.inner.forward_batch(X, keep=keep)
+        return (out[0] @ self.rotation.T, out[1]) if keep else out @ self.rotation.T
 
     def linearize_batch(self, X):
         out, jac, dist = self.inner.linearize_batch(X)
         return out @ self.rotation.T, self.rotation @ jac, dist
 
-    vjp = _vjp_one
-
-    def vjp_batch(self, X, V):
-        return self.inner.vjp_batch(X, V @ self.rotation)
+    def vjp_batch(self, X, V, kept=None):
+        return self.inner.vjp_batch(X, V @ self.rotation, kept)
 
     def params(self) -> dict:
         return self.inner.params()
 
     def to_json(self) -> dict:
-        return {
-            "type": "composed",
-            "n": self.width,
-            "rotation": self.rotation.tolist(),
-            "inner": self.inner.to_json(),
-            "strict": self.strict,
-        }
+        return {"type": "composed", "n": self.width, "rotation": self.rotation.tolist(),
+                "inner": self.inner.to_json(), "strict": self.strict}
 
 
 @dataclass(frozen=True)
@@ -317,77 +318,77 @@ class PartitionedLayer:
         return [(self._coeffs(_sign_key(cell)), np.flatnonzero(inverse == i))
                 for i, cell in enumerate(cells)]
 
-    def _by_cell(self, planes, core, shapes, summed=0):
-        """``core(coeffs, rows)`` on every cell of ``_cells(planes)``.
-
-        One cell's outputs come back as they are.  Otherwise core's outputs,
-        of ``shapes`` without the row axis, are gathered in row order, except
-        the last ``summed``, which add up from zeros in sorted sign order.
-        """
-        cells = self._cells(planes)
-        if len(cells) == 1:
-            return core(*cells[0])
+    @staticmethod
+    def _gather(cells, parts, shapes, summed=0):
+        """Batch arrays of ``parts``, the outputs of each cell ``(coeffs, rows, ...)`` of ``cells``.
+        One cell's come back as they are; otherwise those of ``shapes`` (no row axis) gather in
+        row order, except the last ``summed``, which add up from zeros in sorted sign order."""
+        if len(parts) == 1:
+            return parts[0]
         per_row = len(shapes) - summed
-        outs = ([np.empty((len(planes), *s)) for s in shapes[:per_row]]
+        n_rows = sum(len(cell[1]) for cell in cells)
+        outs = ([np.empty((n_rows, *s)) for s in shapes[:per_row]]
                 + [np.zeros(s) for s in shapes[per_row:]])
-        for co, rows in cells:
-            for k, part in enumerate(core(co, rows)):
-                if k < per_row:
-                    outs[k][rows] = part
-                else:
-                    outs[k] += part
+        for cell, part in zip(cells, parts):
+            for out, arr in zip(outs[:per_row], part):
+                out[cell[1]] = arr
+            for out, arr in zip(outs[per_row:], part[per_row:]):
+                out += arr
         return outs
 
     # the map on one cell's rows X:  ell X + c + d sigma(X B^T + b) A
 
     def _forward(self, co: RegionCoeffs, X, Z=None):
-        """Outputs of one cell's rows X, with ``Z = X B^T + b`` unless it is given."""
-        Z = X @ self.B.T + self.b if Z is None else Z
-        return co.ell * X + co.c + co.d * (co.sigma.value(Z) @ self.A)
+        """Outputs of one cell's rows X, the activations ``S = sigma(Z)`` and their pieces,
+        with ``Z = X B^T + b`` unless it is given."""
+        S, piece = co.sigma.value_and_piece(X @ self.B.T + self.b if Z is None else Z)
+        return co.ell * X + co.c + co.d * (S @ self.A), S, piece
 
     def _linearize(self, co: RegionCoeffs, X):
         """Outputs, Jacobians and pre-activation kink distances of one cell's rows X."""
         Z = X @ self.B.T + self.b
-        jac = co.d * ((self.A.T * co.sigma.deriv(Z)[:, np.newaxis, :]) @ self.B)
+        out, _, piece = self._forward(co, X, Z)
+        jac = co.d * ((self.A.T * co.sigma.slope(piece)[:, np.newaxis, :]) @ self.B)
         if co.ell != 0.0:
             n = self.width
             # every n+1-th entry of a flattened n x n matrix is on its diagonal
             jac.reshape(len(jac), n * n)[:, :: n + 1] += co.ell
-        return (self._forward(co, X, Z), jac,
-                np.min(co.sigma.distance_to_breakpoint(Z), axis=1))
+        return out, jac, np.min(co.sigma.distance_to_breakpoint(Z), axis=1)
 
-    def _vjp(self, co: RegionCoeffs, X, V):
-        """Input gradient of one cell's rows X/V and (gA, gB, gb) summed over them."""
-        Z = X @ self.B.T + self.b
-        W = co.sigma.deriv(Z) * (co.d * (V @ self.A.T))
+    def _vjp(self, co: RegionCoeffs, X, V, S, piece):
+        """Input gradient of one cell's rows X/V and (gA, gB, gb) summed over them, from
+        the activations S and pieces of its forward pass."""
+        W = co.sigma.slope(piece) * (co.d * (V @ self.A.T))
         dX = W @ self.B
         if co.ell != 0.0:
-            dX = dX + co.ell * V
-        return dX, co.d * (co.sigma.value(Z).T @ V), W.T @ X, W.sum(axis=0)
+            dX += co.ell * V
+        gA = S.T @ V
+        gA *= co.d
+        return dX, gA, W.T @ X, W.sum(axis=0)
 
-    forward = _forward_one
-    jacobian = _jacobian_one
-    kink_distance = _kink_distance_one
+    forward, vjp, jacobian, kink_distance = _ONE_SAMPLE
 
-    def forward_batch(self, X):
-        return self._by_cell(self._planes(X), lambda co, rows: (self._forward(co, X[rows]),),
-                             [(self.width,)])[0]
+    def forward_batch(self, X, keep=False):
+        cells = self._cells(self._planes(X))
+        parts = [self._forward(co, X[rows]) for co, rows in cells]
+        out = self._gather(cells, [part[:1] for part in parts], [(self.width,)])[0]
+        kept = [(co, rows, S, piece) for (co, rows), (_, S, piece) in zip(cells, parts)]
+        return (out, kept) if keep else out
 
     def linearize_batch(self, X):
-        n = self.width
         planes = self._planes(X)
-        out, jac, dist = self._by_cell(planes, lambda co, rows: self._linearize(co, X[rows]),
-                                       [(n,), (n, n), ()])
+        cells = self._cells(planes)
+        out, jac, dist = self._gather(cells, [self._linearize(co, X[rows]) for co, rows in cells],
+                                      [(self.width,), (self.width,) * 2, ()])
         if planes is None:
             return out, jac, dist
         return out, jac, np.minimum(dist, np.min(np.abs(planes), axis=1))
 
-    vjp = _vjp_one
-
-    def vjp_batch(self, X, V):
+    def vjp_batch(self, X, V, kept=None):
         n = self.width
-        dX, gA, gB, gb = self._by_cell(
-            self._planes(X), lambda co, rows: self._vjp(co, X[rows], V[rows]),
+        kept = self.forward_batch(X, keep=True)[1] if kept is None else kept
+        dX, gA, gB, gb = self._gather(
+            kept, [self._vjp(co, X[rows], V[rows], S, piece) for co, rows, S, piece in kept],
             [(n,), (n, n), (n, n), (n,)], summed=3)
         if self.shared_weights:
             return dX, {"B": gA + gB, "b": gb}
@@ -469,13 +470,16 @@ class _SmoothField:
         (key,) = (f.name for f in fields(self))
         object.__setattr__(self, key, float(checked(getattr(self, key), key)))
 
+    def hidden_batch(self, X):
+        return None
+
     def kink_distance_batch(self, X):
         return np.full(len(X), np.inf)
 
     def params(self) -> dict:
         return {}
 
-    def param_grads_batch(self, X, coeff) -> dict:
+    def param_grads_batch(self, X, coeff, H=None) -> dict:
         return {}
 
 
@@ -485,10 +489,10 @@ class ConstantField(_SmoothField):
 
     value: float
 
-    def eval_batch(self, X):
+    def eval_batch(self, X, H=None):
         return np.full(X.shape[0], self.value)
 
-    def grad_batch(self, X):
+    def grad_batch(self, X, H=None):
         return np.zeros_like(X)
 
     def lipschitz_bound(self) -> float:
@@ -508,10 +512,10 @@ class GaussianBumpField(_SmoothField):
 
     scale: float
 
-    def eval_batch(self, X):
+    def eval_batch(self, X, H=None):
         return self.scale * np.exp(-np.sum(X * X, axis=1))
 
-    def grad_batch(self, X):
+    def grad_batch(self, X, H=None):
         return -2.0 * self.eval_batch(X)[:, np.newaxis] * X
 
     def lipschitz_bound(self) -> float:
@@ -538,14 +542,18 @@ class MiniNetField:
         for key in ("bias", "w_out"):
             object.__setattr__(self, key, as_vector(getattr(self, key), len(self.w_in)))
 
-    def _hidden(self, X):
+    def hidden_batch(self, X):
+        """Pre-activations w_in x + bias of the rows of X; the batch methods take them as H."""
         return X @ self.w_in.T + self.bias
 
-    def eval_batch(self, X):
-        return np.maximum(self._hidden(X), 0.0) @ self.w_out
+    def _hidden(self, X, H):
+        return self.hidden_batch(X) if H is None else H
 
-    def grad_batch(self, X):
-        mask = (self._hidden(X) >= 0.0).astype(np.float64)
+    def eval_batch(self, X, H=None):
+        return np.maximum(self._hidden(X, H), 0.0) @ self.w_out
+
+    def grad_batch(self, X, H=None):
+        mask = (self._hidden(X, H) >= 0.0).astype(np.float64)
         return (mask * self.w_out) @ self.w_in
 
     def lipschitz_bound(self) -> float:
@@ -553,14 +561,14 @@ class MiniNetField:
         return out_norm * _power_iteration_norm(self.w_in)
 
     def kink_distance_batch(self, X):
-        return np.min(np.abs(self._hidden(X)), axis=1)
+        return np.min(np.abs(self.hidden_batch(X)), axis=1)
 
     def params(self) -> dict:
         return {"w_in": self.w_in, "bias": self.bias, "w_out": self.w_out}
 
-    def param_grads_batch(self, X, coeff) -> dict:
+    def param_grads_batch(self, X, coeff, H=None) -> dict:
         """Gradients of sum_s coeff_s * m(x_s) w.r.t. the net weights."""
-        H = self._hidden(X)
+        H = self._hidden(X, H)
         act = np.maximum(H, 0.0)
         mask = (H >= 0.0).astype(np.float64)
         weighted = coeff[:, np.newaxis] * mask * self.w_out
@@ -658,13 +666,17 @@ class LimitLayer:
         """``core``, the reflection's output rows, plus the field terms of m and q values."""
         return core + q_vals[:, np.newaxis] + (1.0 - m_vals)[:, np.newaxis] * self._bias_pull()
 
-    forward = _forward_one
-    jacobian = _jacobian_one
-    kink_distance = _kink_distance_one
+    forward, vjp, jacobian, kink_distance = _ONE_SAMPLE
 
-    def forward_batch(self, X):
-        return self.with_fields(self.reflection.forward_batch(X), self.m_field.eval_batch(X),
-                                self.q_field.eval_batch(X))
+    def forward_batch(self, X, keep=False):
+        if not keep:
+            return self.with_fields(self.reflection.forward_batch(X), self.m_field.eval_batch(X),
+                                    self.q_field.eval_batch(X))
+        core, kept = self.reflection.forward_batch(X, keep=True)
+        H_m, H_q = self.m_field.hidden_batch(X), self.q_field.hidden_batch(X)
+        m_vals = self.m_field.eval_batch(X, H_m)
+        return (self.with_fields(core, m_vals, self.q_field.eval_batch(X, H_q)),
+                (kept, m_vals, H_m, H_q))
 
     def linearize_batch(self, X):
         # the reflection's, then the field terms, the rank-two correction
@@ -676,31 +688,26 @@ class LimitLayer:
         return (self.with_fields(out, self.m_field.eval_batch(X), self.q_field.eval_batch(X)),
                 jac, np.minimum(dist, self.q_field.kink_distance_batch(X)))
 
-    vjp = _vjp_one
-
-    def vjp_batch(self, X, V):
-        dX, grads = self.reflection.vjp_batch(X, V)
-        bias_pull = self._bias_pull()
+    def vjp_batch(self, X, V, kept=None):
+        core_kept, m_vals, H_m, H_q = self.forward_batch(X, True)[1] if kept is None else kept
+        dX, grads = self.reflection.vjp_batch(X, V, core_kept)
         v_sum = V.sum(axis=1)
-        v_pull = V @ bias_pull
-        dX += v_sum[:, np.newaxis] * self.q_field.grad_batch(X)
-        dX -= v_pull[:, np.newaxis] * self.m_field.grad_batch(X)
-        one_minus_m = (1.0 - self.m_field.eval_batch(X))[:, np.newaxis] * V
+        v_pull = V @ self._bias_pull()
+        dX += v_sum[:, np.newaxis] * self.q_field.grad_batch(X, H_q)
+        dX -= v_pull[:, np.newaxis] * self.m_field.grad_batch(X, H_m)
+        one_minus_m = (1.0 - m_vals)[:, np.newaxis] * V
         grads["B"] += np.outer(self.b, one_minus_m.sum(axis=0))
         grads["b"] += (one_minus_m @ self.B.T).sum(axis=0)
-        for name, g in self.m_field.param_grads_batch(X, -v_pull).items():
-            grads[f"m.{name}"] = g
-        for name, g in self.q_field.param_grads_batch(X, v_sum).items():
-            grads[f"q.{name}"] = g
+        grads.update({f"m.{name}": g for name, g in
+                      self.m_field.param_grads_batch(X, -v_pull, H_m).items()})
+        grads.update({f"q.{name}": g for name, g in
+                      self.q_field.param_grads_batch(X, v_sum, H_q).items()})
         return dX, grads
 
     def params(self) -> dict:
-        out = {"B": self.B, "b": self.b}
-        for name, arr in self.m_field.params().items():
-            out[f"m.{name}"] = arr
-        for name, arr in self.q_field.params().items():
-            out[f"q.{name}"] = arr
-        return out
+        return {"B": self.B, "b": self.b,
+                **{f"m.{name}": arr for name, arr in self.m_field.params().items()},
+                **{f"q.{name}": arr for name, arr in self.q_field.params().items()}}
 
     def isometry_epsilon(self) -> float:
         """Theoretical half-width of the singular-value interval around 1."""
@@ -711,15 +718,8 @@ class LimitLayer:
         )
 
     def to_json(self) -> dict:
-        return {
-            "type": "limit",
-            "n": self.width,
-            "B": self.B.tolist(),
-            "b": self.b.tolist(),
-            "m": self.m_field.to_json(),
-            "q": self.q_field.to_json(),
-            "strict": self.strict,
-        }
+        return {"type": "limit", "n": self.width, "B": self.B.tolist(), "b": self.b.tolist(),
+                "m": self.m_field.to_json(), "q": self.q_field.to_json(), "strict": self.strict}
 
 
 Layer = Union[ComposedLayer, PartitionedLayer, LimitLayer]

@@ -80,33 +80,47 @@ class PwlScalar:
         object.__setattr__(self, "_bp_values", vals)
 
     def _piece(self, x):
-        return np.searchsorted(np.asarray(self.breakpoints), x, side="right")
+        """The piece of every element of the array ``x``: with one breakpoint a bool,
+        True on the left piece, else the smallest unsigned int that holds its index."""
+        if len(self.breakpoints) == 1:
+            return x < self.breakpoints[0]
+        p = np.searchsorted(np.asarray(self.breakpoints), x, side="right")
+        return p.astype(np.min_scalar_type(len(self.breakpoints)))
+
+    def slope(self, piece):
+        """The slope of every piece ``_piece`` gives: ``deriv`` at its element."""
+        if len(self.breakpoints) == 1:
+            return np.where(piece, *self.slopes)
+        return np.asarray(self.slopes)[piece]
+
+    def value_and_piece(self, x):
+        """``value(x)`` of an array ``x``, and the piece of every element, from one
+        lookup; ``slope`` of the piece is ``deriv(x)``."""
+        x = np.asarray(x, dtype=np.float64)
+        p = self._piece(x)
+        # base value + slope * (x - base breakpoint), computed in place; one breakpoint
+        # is the general formula with base 0, so its bits are the same
+        if len(self.breakpoints) == 1:
+            out = x - self.breakpoints[0]
+            out *= self.slope(p)
+            out += self.anchor_value
+            return out, p
+        base = np.maximum(p, 1) - 1
+        out = x - np.asarray(self.breakpoints)[base]
+        out *= self.slope(p)
+        out += self._bp_values[base]
+        return out, p
 
     def value(self, x):
         """Evaluate at a scalar or array ``x``."""
-        x = np.asarray(x, dtype=np.float64)
-        if len(self.breakpoints) == 1:
-            # one comparison picks the piece; the arithmetic below is the
-            # general formula's with base 0, so the bits are the same
-            t = self.breakpoints[0]
-            out = self.anchor_value + np.where(x < t, *self.slopes) * (x - t)
-        else:
-            p = self._piece(x)
-            base = np.maximum(p - 1, 0)
-            bp = np.asarray(self.breakpoints)
-            sl = np.asarray(self.slopes)
-            out = self._bp_values[base] + sl[p] * (x - bp[base])
+        out = self.value_and_piece(x)[0]
         return float(out) if out.ndim == 0 else out
 
     __call__ = value
 
     def deriv(self, x):
         """Right-hand derivative at a scalar or array ``x``."""
-        x = np.asarray(x, dtype=np.float64)
-        if len(self.breakpoints) == 1:
-            out = np.where(x < self.breakpoints[0], *self.slopes)
-        else:
-            out = np.asarray(self.slopes)[self._piece(x)]
+        out = self.slope(self._piece(np.asarray(x, dtype=np.float64)))
         return float(out) if out.ndim == 0 else out
 
     def distance_to_breakpoint(self, x):

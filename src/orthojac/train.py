@@ -232,28 +232,32 @@ class Network:
                 for name, arr in layer.params().items() if name in ("A", "B")}
 
     def forward_cache(self, X_raw: np.ndarray):
-        """Forward pass keeping each layer's input for the backward pass."""
+        """Forward pass for ``backward_batch``: ``(logits, stack output, cache)``, where
+        the cache holds one ``(X, kept)`` per layer, its input and what its ``vjp_batch``
+        reads (``forward_batch(X, keep=True)``)."""
         cur = self.adapter.apply(np.asarray(X_raw, dtype=np.float64))
-        inputs = []
+        cache = []
         for layer in self.layers:
-            inputs.append(cur)
-            cur = layer.forward_batch(cur)
+            out, kept = layer.forward_batch(cur, keep=True)
+            cache.append((cur, kept))
+            cur = out
         logits = cur @ self.head_w.T + self.head_b
-        return logits, cur, inputs
+        return logits, cur, cache
 
     def forward_batch(self, X_raw: np.ndarray) -> np.ndarray:
-        """Logits only: the forward pass without keeping layer inputs."""
+        """Logits only: the forward pass without keeping anything."""
         cur = self.adapter.apply(np.asarray(X_raw, dtype=np.float64))
         for layer in self.layers:
             cur = layer.forward_batch(cur)
         return cur @ self.head_w.T + self.head_b
 
-    def backward_batch(self, inputs: list, stack_out: np.ndarray,
+    def backward_batch(self, cache: list, stack_out: np.ndarray,
                        dlogits: np.ndarray):
         """Chain VJPs from logit cotangents down to the stack input.
 
-        Returns (grads keyed like params(), stack-input cotangent,
-        stack-output cotangent).
+        Pops each layer's entry off ``forward_cache``'s ``cache`` as it uses
+        it, so the cache is empty on return.  Returns (grads keyed like
+        params(), stack-input cotangent, stack-output cotangent).
         """
         grads = {
             "head.w": dlogits.T @ stack_out,
@@ -262,7 +266,8 @@ class Network:
         cot_out = dlogits @ self.head_w
         cot = cot_out
         for i in range(len(self.layers) - 1, -1, -1):
-            cot, layer_grads = self.layers[i].vjp_batch(inputs[i], cot)
+            X, kept = cache.pop()
+            cot, layer_grads = self.layers[i].vjp_batch(X, cot, kept)
             for name, g in layer_grads.items():
                 grads[f"layers.{i}.{name}"] = g
         return grads, cot, cot_out
@@ -470,12 +475,11 @@ def train(network: Network, config: TrainConfig, train_set: Dataset,
         epoch_seed = derive_seed(config.seed, 0xE9, epoch)
         for batch_idx, (X, y) in enumerate(batches(train_set, config.batch_size,
                                                    epoch_seed)):
-            logits, stack_out, inputs = network.forward_cache(X)
+            logits, stack_out, cache = network.forward_cache(X)
             loss, dlogits = softmax_cross_entropy_batch(logits, y)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, batch_idx)
-            grads, cot_in, cot_out = network.backward_batch(inputs, stack_out,
-                                                            dlogits)
+            grads, cot_in, cot_out = network.backward_batch(cache, stack_out, dlogits)
             if config.alpha > 0.0:
                 for name, w in network.square_weights().items():
                     value, grad = ortho_regularizer(w, config.alpha)

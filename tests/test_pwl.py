@@ -223,6 +223,41 @@ def test_value_and_deriv_bitwise_match_searchsorted_oracle(case):
                 assert np.array_equal(bits(got), bits(want))
 
 
+@settings(max_examples=200, deadline=None)
+@given(pwl_and_inputs())
+def test_value_and_piece_is_value_and_deriv_from_one_lookup(case):
+    f, xs = case
+    # a 0-d array, a 1-D array and a 2-D array
+    inputs = [np.asarray(xs[0]), np.array(xs)]
+    if len(xs) % 2 == 0:
+        inputs.append(np.array(xs).reshape(2, -1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x in inputs:
+            value, piece = f.value_and_piece(x)
+            assert np.shape(piece) == x.shape
+            if len(f.breakpoints) == 1:
+                # the left piece; NaN is on the right one
+                assert piece.dtype == bool
+                assert np.array_equal(piece, x < f.breakpoints[0])
+            else:
+                assert piece.dtype == np.uint8
+            want_value, want_deriv = searchsorted_oracle(f, x)
+            for got, want in ((value, f.value(x)), (value, want_value),
+                              (f.slope(piece), f.deriv(x)), (f.slope(piece), want_deriv)):
+                assert np.array_equal(bits(got), bits(want))
+
+
+def test_pieces_of_many_breakpoints_take_a_wider_unsigned_int():
+    f = make_relu_k([float(i) for i in range(300)])
+    x = np.array([-1.0, 0.0, 150.5, 299.0, np.inf, np.nan])
+    with np.errstate(invalid="ignore"):  # the last slope 0 times inf
+        value, piece = f.value_and_piece(x)
+        assert np.array_equal(bits(value), bits(f.value(x)))
+    assert piece.dtype == np.uint16
+    assert piece.tolist() == [0, 1, 151, 300, 300, 300]
+    assert np.array_equal(bits(f.slope(piece)), bits(f.deriv(x)))
+
+
 @pytest.mark.parametrize("nodes", [[0.0], [-1.0, 0.0, 1.0]])
 def test_nan_takes_the_rightmost_slope(nodes):
     f = make_two_slope(0.3, 1.0, nodes)

@@ -391,6 +391,189 @@ def test_forward_batch_bitwise_matches_forward_cache():
                               net.forward_cache(X)[0].view(np.int64)), model
 
 
+# ---------------------------------------------------------------------------
+# the backward pass reads what the forward pass kept
+# ---------------------------------------------------------------------------
+
+
+def _recomputed_vjp(layer, X, V):
+    """A layer's VJP computed from its rows alone: per cell ``Z = X B^T + b``, then
+    ``sigma.value(Z)`` and ``sigma.deriv(Z)``, the cells' sums added in sorted sign
+    order; a limit layer evaluates its fields from X."""
+    if isinstance(layer, layers_module.ComposedLayer):
+        return _recomputed_vjp(layer.inner, X, V @ layer.rotation)
+    if isinstance(layer, LimitLayer):
+        dX, grads = _recomputed_vjp(layer.reflection, X, V)
+        m, q = layer.m_field, layer.q_field
+        v_sum, v_pull = V.sum(axis=1), V @ (layer.B.T @ layer.b)
+        dX += v_sum[:, np.newaxis] * q.grad_batch(X)
+        dX -= v_pull[:, np.newaxis] * m.grad_batch(X)
+        one_minus_m = (1.0 - m.eval_batch(X))[:, np.newaxis] * V
+        grads["B"] += np.outer(layer.b, one_minus_m.sum(axis=0))
+        grads["b"] += (one_minus_m @ layer.B.T).sum(axis=0)
+        grads.update({f"m.{k}": g for k, g in m.param_grads_batch(X, -v_pull).items()})
+        grads.update({f"q.{k}": g for k, g in q.param_grads_batch(X, v_sum).items()})
+        return dX, grads
+    keys = [()] * len(X)
+    if layer.hyperplanes:
+        normals = np.stack([normal for normal, _ in layer.hyperplanes])
+        offsets = np.array([offset for _, offset in layer.hyperplanes])
+        keys = [tuple(1 if a else -1 for a in row) for row in (X @ normals.T - offsets >= 0.0)]
+    parts = []
+    for key in sorted(set(keys)) if layer.hyperplanes else [()]:
+        rows = [i for i, k in enumerate(keys) if k == key]
+        rows = slice(None) if len(rows) == len(X) else np.array(rows)
+        co, Xr, Vr = layer.regions.get(key, layer.default), X[rows], V[rows]
+        Z = Xr @ layer.B.T + layer.b
+        W = co.sigma.deriv(Z) * (co.d * (Vr @ layer.A.T))
+        dXr = W @ layer.B + co.ell * Vr if co.ell != 0.0 else W @ layer.B
+        parts.append((rows, dXr, co.d * (co.sigma.value(Z).T @ Vr), W.T @ Xr, W.sum(axis=0)))
+    if len(parts) == 1:
+        _, dX, gA, gB, gb = parts[0]
+    else:
+        n = layer.width
+        dX, gA, gB, gb = np.empty((len(X), n)), np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
+        for rows, dXr, gAr, gBr, gbr in parts:
+            dX[rows] = dXr
+            gA += gAr
+            gB += gBr
+            gb += gbr
+    if layer.shared_weights:
+        return dX, {"B": gA + gB, "b": gb}
+    return dX, {"A": gA, "B": gB, "b": gb}
+
+
+def assert_same_bits(got, want, what=""):
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64)), what
+
+
+def _uncached_backward(net, X_raw, dlogits):
+    """``backward_batch``'s gradients and input cotangent, chained by hand through
+    ``vjp_batch`` with no kept values, so each layer runs its own forward first;
+    each layer's VJP is also checked against ``_recomputed_vjp``."""
+    inputs, cur = [], net.adapter.apply(X_raw)
+    for layer in net.layers:
+        inputs.append(cur)
+        cur = layer.forward_batch(cur)
+    grads = {"head.w": dlogits.T @ cur, "head.b": dlogits.sum(axis=0)}
+    cot = dlogits @ net.head_w
+    for i in range(net.depth - 1, -1, -1):
+        want_cot, want_grads = _recomputed_vjp(net.layers[i], inputs[i], cot)
+        cot, layer_grads = net.layers[i].vjp_batch(inputs[i], cot)
+        assert_same_bits(cot, want_cot, i)
+        assert list(layer_grads) == list(want_grads)
+        for name, g in layer_grads.items():
+            assert_same_bits(g, want_grads[name], (i, name))
+            grads[f"layers.{i}.{name}"] = g
+    return grads, cot
+
+
+def assert_cached_backward_is_uncached(net, X, seed):
+    logits, stack_out, cache = net.forward_cache(X)
+    dlogits = SplitMix64(seed).gaussian_matrix(*logits.shape)
+    grads, cot_in, _ = net.backward_batch(cache, stack_out, dlogits)
+    assert cache == []
+    want_grads, want_cot = _uncached_backward(net, X, dlogits)
+    assert_same_bits(cot_in, want_cot)
+    assert list(grads) == list(want_grads)
+    for name, g in grads.items():
+        assert_same_bits(g, want_grads[name], name)
+
+
+def _one_layer_network(layer, classes=3, seed=46):
+    n = layer.width
+    head = SplitMix64(seed).gaussian_matrix(classes, n)
+    return Network(make_input_adapter(n, n), [layer], head, np.zeros(classes))
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_cached_backward_matches_uncached_vjp_for_every_model(model):
+    net = make_network(model, 8, 3, 3, 6, seed=47)
+    assert_cached_backward_is_uncached(net, SplitMix64(48).gaussian_matrix(11, 6), 49)
+
+
+def _straddling_layers(n=6):
+    B, b = random_orthogonal(n, 50), 0.3 * SplitMix64(51).gaussian(n)
+    gate = SplitMix64(52).gaussian(n)
+    regions = {(1,): RegionCoeffs(1.0, 0.0, -2.0, make_relu_k([0.0])),
+               (-1,): RegionCoeffs(0.0, 0.2, 1.0, make_two_slope(-1.0, 1.0, [0.0]))}
+    return {
+        "partitioned": make_partitioned(B, B, b, [(gate, 0.0)], regions),
+        "gated": layers_module.make_gated(B, b, gate, make_relu_k([-1.0, 0.0, 1.0])),
+        "composed": layers_module.ComposedLayer(
+            random_orthogonal(n, 53), make_case_ii(B, b, 1.0, 0.0, -2.0, make_relu_k([0.0]))),
+        "limit_mini_nets": LimitLayer(B, b, make_mini_net_field(n, 5, 54, 0.3),
+                                      make_mini_net_field(n, 4, 55, 0.3)),
+        "limit_bump_q": LimitLayer(B, b, make_mini_net_field(n, 5, 56, 0.3),
+                                   GaussianBumpField(0.05)),
+        "relu3": make_case_ii(B, b, 1.0, 0.0, -2.0, make_relu_k([-1.0, 0.0, 1.0])),
+        "sigma3": make_case_i(random_orthogonal(n, 57), B, b, 0.0, 1.0,
+                              make_sigma_k([-1.0, 0.0, 1.0])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_straddling_layers()))
+def test_cached_backward_matches_uncached_vjp_for_each_layer_kind(name):
+    layer = _straddling_layers()[name]
+    X = SplitMix64(58).gaussian_matrix(16, layer.width)
+    if name in ("partitioned", "gated"):
+        # the batch has rows in both cells
+        signs = X @ layer.hyperplanes[0][0] >= 0.0
+        assert 0 < signs.sum() < len(X)
+    assert_cached_backward_is_uncached(_one_layer_network(layer), X, 59)
+
+
+def test_cached_backward_of_a_zero_row_batch():
+    layers = list(_straddling_layers().values())
+    head = SplitMix64(60).gaussian_matrix(3, 6)
+    net = Network(make_input_adapter(6, 6), layers, head, np.zeros(3))
+    assert_cached_backward_is_uncached(net, np.empty((0, 6)), 61)
+    logits, stack_out, cache = net.forward_cache(np.empty((0, 6)))
+    grads, cot_in, _ = net.backward_batch(cache, stack_out, np.empty((0, 3)))
+    assert cot_in.shape == (0, 6)
+    assert all(not np.any(g) for g in grads.values())
+
+
+def test_backward_batch_releases_the_forward_cache():
+    import weakref
+
+    net = make_network("resnet_relu", 8, 4, 3, 6, seed=62)
+    logits, stack_out, cache = net.forward_cache(SplitMix64(63).gaussian_matrix(10, 6))
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                yield from arrays(item)
+
+    kept = [weakref.ref(a) for _, layer_kept in cache for a in arrays(layer_kept)]
+    assert len(kept) >= 2 * net.depth
+    net.backward_batch(cache, stack_out, np.ones_like(logits))
+    assert cache == []
+    assert all(ref() is None for ref in kept)
+
+
+def test_cached_backward_makes_no_activation_lookup(monkeypatch):
+    from orthojac import pwl
+
+    layers = list(_straddling_layers().values())
+    head = SplitMix64(64).gaussian_matrix(3, 6)
+    net = Network(make_input_adapter(6, 6), layers, head, np.zeros(3))
+    logits, stack_out, cache = net.forward_cache(SplitMix64(65).gaussian_matrix(12, 6))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the backward pass recomputed forward work")
+
+    for name in ("value", "deriv", "value_and_piece", "distance_to_breakpoint"):
+        monkeypatch.setattr(pwl.PwlScalar, name, forbidden)
+    monkeypatch.setattr(layers_module.MiniNetField, "hidden_batch", forbidden)
+    for cls in (layers_module.PartitionedLayer, LimitLayer, layers_module.ComposedLayer):
+        monkeypatch.setattr(cls, "forward_batch", forbidden)
+    grads, _, _ = net.backward_batch(cache, stack_out, np.ones_like(logits))
+    assert set(grads) == set(net.params())
+
+
 def test_model_menu_deterministic():
     a = make_network("limit_m3", 8, 2, 3, 6, seed=43)
     b = make_network("limit_m3", 8, 2, 3, 6, seed=43)
