@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 check, solver or training failure, 2 usage/config error
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -301,9 +300,7 @@ def cmd_train(config: dict, out_dir: str, digest: str, data_root) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="orthojac",
         description="Orthogonal-Jacobian layer toolkit: verification,"

@@ -99,10 +99,6 @@ def _jacobian_one(self, x, margin: float = DEFAULT_MARGIN):
     return jac[0]
 
 
-# every layer class's forward, vjp, jacobian and kink_distance
-_ONE_SAMPLE = (_forward_one, _vjp_one, _jacobian_one, _kink_distance_one)
-
-
 # ---------------------------------------------------------------------------
 # layer families
 # ---------------------------------------------------------------------------
@@ -133,7 +129,9 @@ class ComposedLayer:
     def width(self) -> int:
         return self.inner.width
 
-    forward, vjp, jacobian, kink_distance = _ONE_SAMPLE
+    forward = _forward_one
+    jacobian = _jacobian_one
+    kink_distance = _kink_distance_one
 
     def forward_batch(self, X, keep=False):
         out = self.inner.forward_batch(X, keep=keep)
@@ -143,6 +141,8 @@ class ComposedLayer:
         out, jac, dist = self.inner.linearize_batch(X)
         return out @ self.rotation.T, self.rotation @ jac, dist
 
+    vjp = _vjp_one
+
     def vjp_batch(self, X, V, kept=None):
         return self.inner.vjp_batch(X, V @ self.rotation, kept)
 
@@ -150,8 +150,13 @@ class ComposedLayer:
         return self.inner.params()
 
     def to_json(self) -> dict:
-        return {"type": "composed", "n": self.width, "rotation": self.rotation.tolist(),
-                "inner": self.inner.to_json(), "strict": self.strict}
+        return {
+            "type": "composed",
+            "n": self.width,
+            "rotation": self.rotation.tolist(),
+            "inner": self.inner.to_json(),
+            "strict": self.strict,
+        }
 
 
 @dataclass(frozen=True)
@@ -361,12 +366,12 @@ class PartitionedLayer:
         W = co.sigma.slope(piece) * (co.d * (V @ self.A.T))
         dX = W @ self.B
         if co.ell != 0.0:
-            dX += co.ell * V
-        gA = S.T @ V
-        gA *= co.d
-        return dX, gA, W.T @ X, W.sum(axis=0)
+            dX = dX + co.ell * V
+        return dX, co.d * (S.T @ V), W.T @ X, W.sum(axis=0)
 
-    forward, vjp, jacobian, kink_distance = _ONE_SAMPLE
+    forward = _forward_one
+    jacobian = _jacobian_one
+    kink_distance = _kink_distance_one
 
     def forward_batch(self, X, keep=False):
         cells = self._cells(self._planes(X))
@@ -383,6 +388,8 @@ class PartitionedLayer:
         if planes is None:
             return out, jac, dist
         return out, jac, np.minimum(dist, np.min(np.abs(planes), axis=1))
+
+    vjp = _vjp_one
 
     def vjp_batch(self, X, V, kept=None):
         n = self.width
@@ -666,17 +673,16 @@ class LimitLayer:
         """``core``, the reflection's output rows, plus the field terms of m and q values."""
         return core + q_vals[:, np.newaxis] + (1.0 - m_vals)[:, np.newaxis] * self._bias_pull()
 
-    forward, vjp, jacobian, kink_distance = _ONE_SAMPLE
+    forward = _forward_one
+    jacobian = _jacobian_one
+    kink_distance = _kink_distance_one
 
     def forward_batch(self, X, keep=False):
-        if not keep:
-            return self.with_fields(self.reflection.forward_batch(X), self.m_field.eval_batch(X),
-                                    self.q_field.eval_batch(X))
         core, kept = self.reflection.forward_batch(X, keep=True)
         H_m, H_q = self.m_field.hidden_batch(X), self.q_field.hidden_batch(X)
         m_vals = self.m_field.eval_batch(X, H_m)
-        return (self.with_fields(core, m_vals, self.q_field.eval_batch(X, H_q)),
-                (kept, m_vals, H_m, H_q))
+        out = self.with_fields(core, m_vals, self.q_field.eval_batch(X, H_q))
+        return (out, (kept, m_vals, H_m, H_q)) if keep else out
 
     def linearize_batch(self, X):
         # the reflection's, then the field terms, the rank-two correction
@@ -688,26 +694,32 @@ class LimitLayer:
         return (self.with_fields(out, self.m_field.eval_batch(X), self.q_field.eval_batch(X)),
                 jac, np.minimum(dist, self.q_field.kink_distance_batch(X)))
 
+    vjp = _vjp_one
+
     def vjp_batch(self, X, V, kept=None):
         core_kept, m_vals, H_m, H_q = self.forward_batch(X, True)[1] if kept is None else kept
         dX, grads = self.reflection.vjp_batch(X, V, core_kept)
+        bias_pull = self._bias_pull()
         v_sum = V.sum(axis=1)
-        v_pull = V @ self._bias_pull()
+        v_pull = V @ bias_pull
         dX += v_sum[:, np.newaxis] * self.q_field.grad_batch(X, H_q)
         dX -= v_pull[:, np.newaxis] * self.m_field.grad_batch(X, H_m)
         one_minus_m = (1.0 - m_vals)[:, np.newaxis] * V
         grads["B"] += np.outer(self.b, one_minus_m.sum(axis=0))
         grads["b"] += (one_minus_m @ self.B.T).sum(axis=0)
-        grads.update({f"m.{name}": g for name, g in
-                      self.m_field.param_grads_batch(X, -v_pull, H_m).items()})
-        grads.update({f"q.{name}": g for name, g in
-                      self.q_field.param_grads_batch(X, v_sum, H_q).items()})
+        for name, g in self.m_field.param_grads_batch(X, -v_pull, H_m).items():
+            grads[f"m.{name}"] = g
+        for name, g in self.q_field.param_grads_batch(X, v_sum, H_q).items():
+            grads[f"q.{name}"] = g
         return dX, grads
 
     def params(self) -> dict:
-        return {"B": self.B, "b": self.b,
-                **{f"m.{name}": arr for name, arr in self.m_field.params().items()},
-                **{f"q.{name}": arr for name, arr in self.q_field.params().items()}}
+        out = {"B": self.B, "b": self.b}
+        for name, arr in self.m_field.params().items():
+            out[f"m.{name}"] = arr
+        for name, arr in self.q_field.params().items():
+            out[f"q.{name}"] = arr
+        return out
 
     def isometry_epsilon(self) -> float:
         """Theoretical half-width of the singular-value interval around 1."""
@@ -718,8 +730,15 @@ class LimitLayer:
         )
 
     def to_json(self) -> dict:
-        return {"type": "limit", "n": self.width, "B": self.B.tolist(), "b": self.b.tolist(),
-                "m": self.m_field.to_json(), "q": self.q_field.to_json(), "strict": self.strict}
+        return {
+            "type": "limit",
+            "n": self.width,
+            "B": self.B.tolist(),
+            "b": self.b.tolist(),
+            "m": self.m_field.to_json(),
+            "q": self.q_field.to_json(),
+            "strict": self.strict,
+        }
 
 
 Layer = Union[ComposedLayer, PartitionedLayer, LimitLayer]

@@ -155,24 +155,6 @@ def test_missing_subcommand_usage_error():
     assert err.value.code == 2
 
 
-def test_the_parser_is_built_once_and_parses_every_call_alike(tmp_path, capsys):
-    assert cli._build_parser() is cli._build_parser()
-    parse = cli._build_parser().parse_args
-    assert parse(["verify", "--config", "c.json", "--seed", "5"]).seed == 5
-    # nothing of one parse carries over to the next
-    assert vars(parse(["train", "--config", "c.json"])) == {
-        "command": "train", "config": "c.json", "out": ".", "seed": None, "data": None}
-    outcomes = []
-    for _ in range(2):
-        with pytest.raises(SystemExit) as err:
-            main(["verify"])
-        outcomes.append((err.value.code, capsys.readouterr().err))
-        assert run(tmp_path, "spectrum", {"probes": 3, "layers": [reflection_layer()]})[0] == 0
-        capsys.readouterr()
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == 2 and "--config" in outcomes[0][1]
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -407,7 +407,10 @@ class _CellQuantizedField:
         snapped[:, :2] = -self.radius + (idx + 0.5) * width
         return snapped
 
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
+    def hidden_batch(self, X: np.ndarray) -> None:
+        return None
+
+    def eval_batch(self, X: np.ndarray, H=None) -> np.ndarray:
         return self.base.eval_batch(self._snap(X))
 
 
