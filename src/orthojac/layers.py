@@ -2,20 +2,19 @@
 
 Every layer maps R^n -> R^n and exposes the same surface:
 
-* ``forward(x)`` / ``forward_batch(X)`` evaluate the map; ``forward_batch(X,
-  keep=True)`` also returns ``kept``, what the backward pass reads of it (each
-  cell's rows, activations and activation pieces; a limit layer adds its
-  field values and mini-net hidden pre-activations),
+* ``forward_batch(X)`` returns the outputs and ``kept``, what the backward
+  pass reads of it (each cell's rows, activations and activation pieces; a
+  limit layer adds its m values and field states); ``forward(x)`` is the
+  output of one row,
 * ``linearize_batch(X)`` returns the outputs ``(P, n)``, exact Jacobians
   ``(P, n, n)`` and kink distances ``(P,)`` of the rows of X from one pass
   (the distance to the nearest pre-activation node, gate plane or partition
   plane, in those coordinates); ``jacobian(x, margin)`` (away from kinks)
   and ``kink_distance(x)`` are its one-row forms,
-* ``vjp(x, v)`` / ``vjp_batch(X, V, kept=None)`` pull a cotangent back
-  through the layer, returning the input gradient and per-parameter
-  gradients (summed over the batch in the batched form); ``vjp_batch``
-  reads ``kept`` and recomputes none of it, or runs ``forward_batch(X,
-  keep=True)`` first when it is not given,
+* ``vjp_batch(X, V, kept)`` pulls a cotangent back through the layer from
+  the ``kept`` of ``forward_batch(X)``, recomputing none of it, and returns
+  the input gradient and the per-parameter gradients summed over the batch;
+  ``vjp(x, v)`` is its one-row form, which runs the forward pass first,
 * ``params()`` names the trainable arrays,
 * ``to_json()`` round-trips the layer.
 
@@ -75,13 +74,14 @@ def _sign_key(above: np.ndarray) -> tuple[int, ...]:
 
 
 def _forward_one(self, x):
-    """``forward`` of every layer class: ``forward_batch`` on one sample."""
-    return self.forward_batch(np.asarray(x)[np.newaxis])[0]
+    """``forward`` of every layer class: ``forward_batch``'s output of one sample."""
+    return self.forward_batch(np.asarray(x)[np.newaxis])[0][0]
 
 
 def _vjp_one(self, x, v):
-    """``vjp`` of every layer class: ``vjp_batch`` on one sample."""
-    dX, grads = self.vjp_batch(np.asarray(x)[np.newaxis], np.asarray(v)[np.newaxis])
+    """``vjp`` of every layer class: ``forward_batch``, then ``vjp_batch``, on one sample."""
+    X = np.asarray(x)[np.newaxis]
+    dX, grads = self.vjp_batch(X, np.asarray(v)[np.newaxis], self.forward_batch(X)[1])
     return dX[0], grads
 
 
@@ -133,9 +133,9 @@ class ComposedLayer:
     jacobian = _jacobian_one
     kink_distance = _kink_distance_one
 
-    def forward_batch(self, X, keep=False):
-        out = self.inner.forward_batch(X, keep=keep)
-        return (out[0] @ self.rotation.T, out[1]) if keep else out @ self.rotation.T
+    def forward_batch(self, X):
+        out, kept = self.inner.forward_batch(X)
+        return out @ self.rotation.T, kept
 
     def linearize_batch(self, X):
         out, jac, dist = self.inner.linearize_batch(X)
@@ -143,7 +143,7 @@ class ComposedLayer:
 
     vjp = _vjp_one
 
-    def vjp_batch(self, X, V, kept=None):
+    def vjp_batch(self, X, V, kept):
         return self.inner.vjp_batch(X, V @ self.rotation, kept)
 
     def params(self) -> dict:
@@ -343,10 +343,10 @@ class PartitionedLayer:
 
     # the map on one cell's rows X:  ell X + c + d sigma(X B^T + b) A
 
-    def _forward(self, co: RegionCoeffs, X, Z=None):
-        """Outputs of one cell's rows X, the activations ``S = sigma(Z)`` and their pieces,
-        with ``Z = X B^T + b`` unless it is given."""
-        S, piece = co.sigma.value_and_piece(X @ self.B.T + self.b if Z is None else Z)
+    def _forward(self, co: RegionCoeffs, X, Z):
+        """Outputs of one cell's rows X from their pre-activations ``Z = X B^T + b``, the
+        activations ``S = sigma(Z)`` and their pieces."""
+        S, piece = co.sigma.value_and_piece(Z)
         return co.ell * X + co.c + co.d * (S @ self.A), S, piece
 
     def _linearize(self, co: RegionCoeffs, X):
@@ -373,12 +373,11 @@ class PartitionedLayer:
     jacobian = _jacobian_one
     kink_distance = _kink_distance_one
 
-    def forward_batch(self, X, keep=False):
+    def forward_batch(self, X):
         cells = self._cells(self._planes(X))
-        parts = [self._forward(co, X[rows]) for co, rows in cells]
+        parts = [self._forward(co, Y := X[rows], Y @ self.B.T + self.b) for co, rows in cells]
         out = self._gather(cells, [part[:1] for part in parts], [(self.width,)])[0]
-        kept = [(co, rows, S, piece) for (co, rows), (_, S, piece) in zip(cells, parts)]
-        return (out, kept) if keep else out
+        return out, [(co, rows, S, piece) for (co, rows), (_, S, piece) in zip(cells, parts)]
 
     def linearize_batch(self, X):
         planes = self._planes(X)
@@ -391,9 +390,8 @@ class PartitionedLayer:
 
     vjp = _vjp_one
 
-    def vjp_batch(self, X, V, kept=None):
+    def vjp_batch(self, X, V, kept):
         n = self.width
-        kept = self.forward_batch(X, keep=True)[1] if kept is None else kept
         dX, gA, gB, gb = self._gather(
             kept, [self._vjp(co, X[rows], V[rows], S, piece) for co, rows, S, piece in kept],
             [(n,), (n, n), (n, n), (n,)], summed=3)
@@ -480,13 +478,13 @@ class _SmoothField:
     def hidden_batch(self, X):
         return None
 
-    def kink_distance_batch(self, X):
+    def kink_distance_batch(self, X, H):
         return np.full(len(X), np.inf)
 
     def params(self) -> dict:
         return {}
 
-    def param_grads_batch(self, X, coeff, H=None) -> dict:
+    def param_grads_batch(self, X, coeff, H) -> dict:
         return {}
 
 
@@ -496,10 +494,10 @@ class ConstantField(_SmoothField):
 
     value: float
 
-    def eval_batch(self, X, H=None):
+    def eval_batch(self, X, H):
         return np.full(X.shape[0], self.value)
 
-    def grad_batch(self, X, H=None):
+    def grad_batch(self, X, H):
         return np.zeros_like(X)
 
     def lipschitz_bound(self) -> float:
@@ -519,11 +517,11 @@ class GaussianBumpField(_SmoothField):
 
     scale: float
 
-    def eval_batch(self, X, H=None):
+    def eval_batch(self, X, H):
         return self.scale * np.exp(-np.sum(X * X, axis=1))
 
-    def grad_batch(self, X, H=None):
-        return -2.0 * self.eval_batch(X)[:, np.newaxis] * X
+    def grad_batch(self, X, H):
+        return -2.0 * self.eval_batch(X, H)[:, np.newaxis] * X
 
     def lipschitz_bound(self) -> float:
         return np.sqrt(2.0) * np.exp(-0.5) * abs(self.scale)
@@ -553,29 +551,25 @@ class MiniNetField:
         """Pre-activations w_in x + bias of the rows of X; the batch methods take them as H."""
         return X @ self.w_in.T + self.bias
 
-    def _hidden(self, X, H):
-        return self.hidden_batch(X) if H is None else H
+    def eval_batch(self, X, H):
+        return np.maximum(H, 0.0) @ self.w_out
 
-    def eval_batch(self, X, H=None):
-        return np.maximum(self._hidden(X, H), 0.0) @ self.w_out
-
-    def grad_batch(self, X, H=None):
-        mask = (self._hidden(X, H) >= 0.0).astype(np.float64)
+    def grad_batch(self, X, H):
+        mask = (H >= 0.0).astype(np.float64)
         return (mask * self.w_out) @ self.w_in
 
     def lipschitz_bound(self) -> float:
         out_norm = float(np.sqrt(self.w_out @ self.w_out))
         return out_norm * _power_iteration_norm(self.w_in)
 
-    def kink_distance_batch(self, X):
-        return np.min(np.abs(self.hidden_batch(X)), axis=1)
+    def kink_distance_batch(self, X, H):
+        return np.min(np.abs(H), axis=1)
 
     def params(self) -> dict:
         return {"w_in": self.w_in, "bias": self.bias, "w_out": self.w_out}
 
-    def param_grads_batch(self, X, coeff, H=None) -> dict:
+    def param_grads_batch(self, X, coeff, H) -> dict:
         """Gradients of sum_s coeff_s * m(x_s) w.r.t. the net weights."""
-        H = self._hidden(X, H)
         act = np.maximum(H, 0.0)
         mask = (H >= 0.0).astype(np.float64)
         weighted = coeff[:, np.newaxis] * mask * self.w_out
@@ -669,35 +663,37 @@ class LimitLayer:
     def _bias_pull(self) -> np.ndarray:
         return self.B.T @ self.b
 
-    def with_fields(self, core, m_vals, q_vals):
-        """``core``, the reflection's output rows, plus the field terms of m and q values."""
-        return core + q_vals[:, np.newaxis] + (1.0 - m_vals)[:, np.newaxis] * self._bias_pull()
+    def with_fields(self, core, X):
+        """``core``, the reflection's output rows, plus the field terms of m and q at the rows
+        of X; also m and q there and the fields' states ``(H_m, H_q)`` they came from."""
+        H = self.m_field.hidden_batch(X), self.q_field.hidden_batch(X)
+        m_vals, q_vals = self.m_field.eval_batch(X, H[0]), self.q_field.eval_batch(X, H[1])
+        out = core + q_vals[:, np.newaxis] + (1.0 - m_vals)[:, np.newaxis] * self._bias_pull()
+        return out, m_vals, q_vals, H
 
     forward = _forward_one
     jacobian = _jacobian_one
     kink_distance = _kink_distance_one
 
-    def forward_batch(self, X, keep=False):
-        core, kept = self.reflection.forward_batch(X, keep=True)
-        H_m, H_q = self.m_field.hidden_batch(X), self.q_field.hidden_batch(X)
-        m_vals = self.m_field.eval_batch(X, H_m)
-        out = self.with_fields(core, m_vals, self.q_field.eval_batch(X, H_q))
-        return (out, (kept, m_vals, H_m, H_q)) if keep else out
+    def forward_batch(self, X):
+        core, kept = self.reflection.forward_batch(X)
+        out, m_vals, _, H = self.with_fields(core, X)
+        return out, (kept, m_vals, H)
 
     def linearize_batch(self, X):
         # the reflection's, then the field terms, the rank-two correction
         # 1 grad_q^T - (B^T b) grad_m^T and the field kinks
         out, jac, dist = self.reflection.linearize_batch(X)
-        jac += self.q_field.grad_batch(X)[:, np.newaxis, :]
-        jac -= self._bias_pull()[:, np.newaxis] * self.m_field.grad_batch(X)[:, np.newaxis, :]
-        dist = np.minimum(dist, self.m_field.kink_distance_batch(X))
-        return (self.with_fields(out, self.m_field.eval_batch(X), self.q_field.eval_batch(X)),
-                jac, np.minimum(dist, self.q_field.kink_distance_batch(X)))
+        out, _, _, (H_m, H_q) = self.with_fields(out, X)
+        jac += self.q_field.grad_batch(X, H_q)[:, np.newaxis, :]
+        jac -= self._bias_pull()[:, np.newaxis] * self.m_field.grad_batch(X, H_m)[:, np.newaxis, :]
+        dist = np.minimum(dist, self.m_field.kink_distance_batch(X, H_m))
+        return out, jac, np.minimum(dist, self.q_field.kink_distance_batch(X, H_q))
 
     vjp = _vjp_one
 
-    def vjp_batch(self, X, V, kept=None):
-        core_kept, m_vals, H_m, H_q = self.forward_batch(X, True)[1] if kept is None else kept
+    def vjp_batch(self, X, V, kept):
+        core_kept, m_vals, (H_m, H_q) = kept
         dX, grads = self.reflection.vjp_batch(X, V, core_kept)
         bias_pull = self._bias_pull()
         v_sum = V.sum(axis=1)

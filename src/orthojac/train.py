@@ -233,22 +233,22 @@ class Network:
 
     def forward_cache(self, X_raw: np.ndarray):
         """Forward pass for ``backward_batch``: ``(logits, stack output, cache)``, where
-        the cache holds one ``(X, kept)`` per layer, its input and what its ``vjp_batch``
-        reads (``forward_batch(X, keep=True)``)."""
+        the cache holds one ``(X, kept)`` per layer, its input and the ``kept`` of its
+        ``forward_batch(X)``, which its ``vjp_batch`` reads."""
         cur = self.adapter.apply(np.asarray(X_raw, dtype=np.float64))
         cache = []
         for layer in self.layers:
-            out, kept = layer.forward_batch(cur, keep=True)
+            out, kept = layer.forward_batch(cur)
             cache.append((cur, kept))
             cur = out
         logits = cur @ self.head_w.T + self.head_b
         return logits, cur, cache
 
     def forward_batch(self, X_raw: np.ndarray) -> np.ndarray:
-        """Logits only: the forward pass without keeping anything."""
+        """Logits only: each layer's ``kept`` is dropped as soon as it is made."""
         cur = self.adapter.apply(np.asarray(X_raw, dtype=np.float64))
         for layer in self.layers:
-            cur = layer.forward_batch(cur)
+            cur = layer.forward_batch(cur)[0]
         return cur @ self.head_w.T + self.head_b
 
     def backward_batch(self, cache: list, stack_out: np.ndarray,

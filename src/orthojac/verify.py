@@ -246,12 +246,17 @@ def probe_spectra(requests: list, jacobian) -> list:
 
     Returns, per request in order, the kept probe indices, their
     ``(kept, n, n)`` Jacobians and their ``(kept, n)`` singular values
-    (descending).  Raises NoValidProbeError, naming the request, when it
-    keeps no probe, and a ConvergenceError that names the request and its probe.
+    (descending).  Raises, naming the request, a DimensionError before any
+    probe that names the first layer whose width differs from layer 0's,
+    NoValidProbeError when it keeps no probe, and ConvergenceError at its probe.
     """
     stacks = [_as_stack(req.target) for req in requests]
     rows: dict[int, int] = {}
     for stack, req in zip(stacks, requests):
+        for i, layer in enumerate(stack):
+            if layer.width != stack[0].width:
+                raise DimensionError(f"{req._where}layer {i} of the stack has width"
+                                     f" {layer.width}, layer 0 has width {stack[0].width}")
         rows[stack[0].width] = rows.get(stack[0].width, 0) + req.n_probes
     # pages of a buffer's unfilled tail are never touched
     buffers = {width: np.empty((count, width, width)) for width, count in rows.items()}
@@ -363,10 +368,8 @@ def density_gap(
     checked(n_probes, "probes", "a positive integer")
     checked(seed, "seed", "an integer")
     X = SplitMix64(derive_seed(seed, 0xD6)).ball(n_probes, layer.width, domain_radius)
-    core = layer.reflection.forward_batch(X)
-    m_vals = layer.m_field.eval_batch(X)
-    q_vals = layer.q_field.eval_batch(X)
-    exact = layer.with_fields(core, m_vals, q_vals)
+    core = layer.reflection.forward_batch(X)[0]
+    exact, m_vals, q_vals = layer.with_fields(core, X)[:3]
     b_norm = float(np.sqrt(layer.b @ layer.b))
     radius = float(domain_radius)
     reports = []
@@ -376,9 +379,8 @@ def density_gap(
         snapped = X.copy()
         idx = np.clip(np.floor((X[:, :2] + radius) / width), 0, resolution - 1)
         snapped[:, :2] = -radius + (idx + 0.5) * width
-        m_tilde = layer.m_field.eval_batch(snapped)
-        q_tilde = layer.q_field.eval_batch(snapped)
-        gap = np.max(np.abs(exact - layer.with_fields(core, m_tilde, q_tilde)), axis=1)
+        surrogate, m_tilde, q_tilde = layer.with_fields(core, snapped)[:3]
+        gap = np.max(np.abs(exact - surrogate), axis=1)
         reports.append(DensityReport(
             resolution=resolution,
             domain_radius=domain_radius,

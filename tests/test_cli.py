@@ -533,6 +533,15 @@ def test_spectrum_bad_setting_exits_2_before_any_work(
     assert not list(out_dir.glob("spectrum_*.csv"))
 
 
+def test_spectrum_stack_of_mixed_widths_exits_2(tmp_path, capsys):
+    config = {"seed": 5, "probes": 10, "layers": [reflection_layer(n=4), reflection_layer(n=5)]}
+    code, out_dir = run(tmp_path, "spectrum", config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: layer 1 of the stack has width 5, layer 0 has width 4\n" in err, err
+    assert not list(out_dir.glob("spectrum_*.csv"))
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 import warnings
@@ -116,7 +117,7 @@ def test_limit_constant_fields_match_case_ii():
     lim = ly.LimitLayer(B, b, ly.ConstantField(1.0), ly.ConstantField(0.0))
     ref = ly.make_case_ii(B, b, 1.0, 0.0, -2.0, RELU)
     X = SplitMix64(6).gaussian_matrix(20, N)
-    assert np.max(np.abs(lim.forward_batch(X) - ref.forward_batch(X))) < 1e-14
+    assert np.max(np.abs(lim.forward_batch(X)[0] - ref.forward_batch(X)[0])) < 1e-14
 
 
 def test_limit_general_constant_m_matches_case_ii_twin():
@@ -128,7 +129,7 @@ def test_limit_general_constant_m_matches_case_ii_twin():
     sigma = pwl.make_two_slope(-(1.0 + m0), 1.0 - m0, [0.0])
     ref = ly.make_case_ii(-B, -b, m0, q0, 1.0, sigma)
     X = SplitMix64(6).gaussian_matrix(20, N)
-    assert np.max(np.abs(lim.forward_batch(X) - ref.forward_batch(X))) < 1e-13
+    assert np.max(np.abs(lim.forward_batch(X)[0] - ref.forward_batch(X)[0])) < 1e-13
 
 
 def test_limit_bump_at_origin():
@@ -142,13 +143,13 @@ def test_gated_equals_two_region_partition():
     fams = every_family()
     gated, part = fams["gated"], fams["partitioned"]
     X = SplitMix64(21).gaussian_matrix(50, N)
-    assert np.max(np.abs(gated.forward_batch(X) - part.forward_batch(X))) == 0.0
+    assert np.max(np.abs(gated.forward_batch(X)[0] - part.forward_batch(X)[0])) == 0.0
 
 
 def test_forward_batch_consistent_with_single():
     X = SplitMix64(31).gaussian_matrix(7, N)
     for name, layer in every_family().items():
-        batch = layer.forward_batch(X)
+        batch = layer.forward_batch(X)[0]
         rows = np.stack([layer.forward(x) for x in X])
         # batched and single-row GEMMs may differ in the last ulp
         assert np.max(np.abs(batch - rows)) < 1e-12, name
@@ -234,7 +235,8 @@ def test_limit_jacobian_structure():
     jac = lim.jacobian(x)
     z = lim.B @ x + lim.b
     core = np.eye(N) - 2.0 * (lim.B.T * (z >= 0.0)) @ lim.B
-    grad_m = lim.m_field.grad_batch(x[np.newaxis])[0]
+    X = x[np.newaxis]
+    grad_m = lim.m_field.grad_batch(X, lim.m_field.hidden_batch(X))[0]
     expect = core - np.outer(lim.B.T @ lim.b, grad_m)
     assert np.max(np.abs(jac - expect)) < 1e-14
 
@@ -257,7 +259,7 @@ def test_vjp_batch_sums_per_sample_grads():
     layer = every_family()["case_i_sigma3"]
     X = SplitMix64(51).gaussian_matrix(4, N)
     V = SplitMix64(52).gaussian_matrix(4, N)
-    _, summed = layer.vjp_batch(X, V)
+    _, summed = layer.vjp_batch(X, V, layer.forward_batch(X)[1])
     acc = {k: np.zeros_like(g) for k, g in summed.items()}
     for x, v in zip(X, V):
         _, g = layer.vjp(x, v)
@@ -431,7 +433,7 @@ def test_partitioned_single_region_reduces_to_case_form():
     part = ly.make_partitioned(orth(1), orth(2), bias(3), [], regions)
     ref = ly.make_case_i(orth(1), orth(2), bias(3), 0.5, 1.0, SIGMA3)
     X = SplitMix64(6).gaussian_matrix(9, N)
-    assert np.max(np.abs(part.forward_batch(X) - ref.forward_batch(X))) == 0.0
+    assert np.max(np.abs(part.forward_batch(X)[0] - ref.forward_batch(X)[0])) == 0.0
 
 
 def test_partitioned_offset_hyperplane_sign():
@@ -458,9 +460,9 @@ def test_partitioned_offset_hyperplane_sign():
 def test_gaussian_bump_values_and_lipschitz():
     f = ly.GaussianBumpField(0.01)
     X = SplitMix64(7).gaussian_matrix(200, 5)
-    vals = f.eval_batch(X)
+    vals = f.eval_batch(X, f.hidden_batch(X))
     assert np.allclose(vals, 0.01 * np.exp(-np.sum(X * X, axis=1)))
-    grads = f.grad_batch(X)
+    grads = f.grad_batch(X, f.hidden_batch(X))
     norms = np.sqrt(np.sum(grads * grads, axis=1))
     bound = f.lipschitz_bound()
     assert bound == pytest.approx(np.sqrt(2.0) * np.exp(-0.5) * 0.01, rel=1e-12)
@@ -468,7 +470,7 @@ def test_gaussian_bump_values_and_lipschitz():
     # the bound is attained on the sphere of radius 1/sqrt(2)
     peak = np.zeros(5)
     peak[0] = 1.0 / np.sqrt(2.0)
-    peak_grad = f.grad_batch(peak[np.newaxis])[0]
+    peak_grad = f.grad_batch(peak[np.newaxis], f.hidden_batch(peak[np.newaxis]))[0]
     assert np.sqrt(peak_grad @ peak_grad) == pytest.approx(bound, rel=1e-12)
 
 
@@ -479,7 +481,7 @@ def test_mini_net_field_deterministic_and_bounded():
     assert np.array_equal(f1.bias, f2.bias)
     assert np.array_equal(f1.w_out, f2.w_out)
     X = SplitMix64(8).gaussian_matrix(300, 6)
-    grads = f1.grad_batch(X)
+    grads = f1.grad_batch(X, f1.hidden_batch(X))
     norms = np.sqrt(np.sum(grads * grads, axis=1))
     assert np.max(norms) <= f1.lipschitz_bound() + 1e-12
 
@@ -487,14 +489,16 @@ def test_mini_net_field_deterministic_and_bounded():
 def test_mini_net_field_grad_matches_fd():
     f = ly.make_mini_net_field(5, hidden=8, seed=9)
     x = SplitMix64(10).gaussian(5)
-    if f.kink_distance_batch(x[np.newaxis])[0] < 1e-4:
+    if f.kink_distance_batch(x[np.newaxis], f.hidden_batch(x[np.newaxis]))[0] < 1e-4:
         x = x + 0.01
-    grad = f.grad_batch(x[np.newaxis])[0]
+    grad = f.grad_batch(x[np.newaxis], f.hidden_batch(x[np.newaxis]))[0]
     h = 1e-7
     for j in range(5):
         e = np.zeros(5)
         e[j] = h
-        fd = (f.eval_batch((x + e)[np.newaxis])[0] - f.eval_batch((x - e)[np.newaxis])[0]) / (2 * h)
+        Xp, Xm = (x + e)[np.newaxis], (x - e)[np.newaxis]
+        fd = (f.eval_batch(Xp, f.hidden_batch(Xp))[0]
+              - f.eval_batch(Xm, f.hidden_batch(Xm))[0]) / (2 * h)
         assert abs(fd - grad[j]) < 1e-6
 
 
@@ -519,7 +523,7 @@ def test_layer_json_round_trip_all_families():
     X = SplitMix64(12).gaussian_matrix(6, N)
     for name, layer in every_family().items():
         back = ly.layer_from_json(layer.to_json())
-        assert np.max(np.abs(back.forward_batch(X) - layer.forward_batch(X))) == 0.0, name
+        assert np.max(np.abs(back.forward_batch(X)[0] - layer.forward_batch(X)[0])) == 0.0, name
 
 
 def test_layer_from_json_seeded_weights():
@@ -728,8 +732,8 @@ def test_grouped_rows_match_single_samples():
     V = SplitMix64(23).gaussian_matrix(64, N)
     keys = {layer.sign_vector(x) for x in X}
     assert len(keys) >= 4 and keys - set(layer.regions)  # some rows use the default
-    out = layer.forward_batch(X)
-    dX, grads = layer.vjp_batch(X, V)
+    out, kept = layer.forward_batch(X)
+    dX, grads = layer.vjp_batch(X, V, kept)
     summed = {name: np.zeros_like(g) for name, g in grads.items()}
     for i in range(len(X)):
         assert np.max(np.abs(out[i] - layer.forward(X[i]))) <= 1e-12
@@ -748,14 +752,14 @@ def test_grouped_rows_name_the_undeclared_cell():
     hole = probe.sign_vector(X[5])
     layer = three_plane_layer(default=False, missing=(hole,))
     assert len({layer.sign_vector(x) for x in X}) >= 4
-    for call in (lambda: layer.forward_batch(X), lambda: layer.vjp_batch(X, X),
-                 lambda: layer.linearize_batch(X)):
+    for call in (lambda: layer.forward_batch(X), lambda: layer.linearize_batch(X),
+                 lambda: layer.vjp_batch(X, X, layer.forward_batch(X)[1])):
         with pytest.raises(MissingRegionError) as exc:
             call()
         assert exc.value.sign_vector == hole
     # a batch that avoids the hole goes through
     rows = [i for i, x in enumerate(X) if layer.sign_vector(x) != hole]
-    assert layer.forward_batch(X[rows]).shape == (len(rows), N)
+    assert layer.forward_batch(X[rows])[0].shape == (len(rows), N)
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +790,9 @@ def single_jacobian(layer, x):
     if isinstance(layer, ly.LimitLayer):
         jac = -2.0 * ((layer.B.T * (z >= 0.0).astype(np.float64)) @ layer.B)
         jac[np.diag_indices_from(jac)] += 1.0
-        jac += np.outer(np.ones(layer.width), layer.q_field.grad_batch(x[np.newaxis])[0])
-        jac -= np.outer(layer.B.T @ layer.b, layer.m_field.grad_batch(x[np.newaxis])[0])
+        m, q, X = layer.m_field, layer.q_field, x[np.newaxis]
+        jac += np.outer(np.ones(layer.width), q.grad_batch(X, q.hidden_batch(X))[0])
+        jac -= np.outer(layer.B.T @ layer.b, m.grad_batch(X, m.hidden_batch(X))[0])
         return jac
     key = tuple(1 if float(normal @ x) - offset >= 0.0 else -1
                 for normal, offset in layer.hyperplanes)
@@ -863,7 +868,7 @@ def test_linearize_batch_output_is_forward_batch(name):
     layer = batch_families()[name]
     X = SplitMix64(34).gaussian_matrix(40, N)
     out, jacs, dist = layer.linearize_batch(X)
-    assert np.array_equal(out, layer.forward_batch(X))
+    assert np.array_equal(out, layer.forward_batch(X)[0])
     assert jacs.shape == (40, N, N) and dist.shape == (40,)
     # an empty block keeps every shape
     out, jacs, dist = layer.linearize_batch(X[:0])
@@ -877,9 +882,52 @@ def test_linearize_batch_of_an_empty_block_needs_no_region():
     layer = ly.make_partitioned(orth(2), orth(2), bias(3), planes, {})
     out, jacs, dist = layer.linearize_batch(np.empty((0, N)))
     assert (out.shape, jacs.shape, dist.shape) == ((0, N), (0, N, N), (0,))
-    assert layer.vjp_batch(np.empty((0, N)), np.empty((0, N)))[0].shape == (0, N)
+    empty = np.empty((0, N))
+    assert layer.vjp_batch(empty, empty, layer.forward_batch(empty)[1])[0].shape == (0, N)
     with pytest.raises(MissingRegionError):
         layer.linearize_batch(SplitMix64(36).gaussian_matrix(1, N))
+
+
+# ---------------------------------------------------------------------------
+# one signature per batched pass
+# ---------------------------------------------------------------------------
+
+BATCHED_PASSES = [
+    *((cls, name) for cls in (ly.PartitionedLayer, ly.ComposedLayer, ly.LimitLayer)
+      for name in ("forward_batch", "linearize_batch", "vjp_batch")),
+    *((cls, name) for cls in (ly.ConstantField, ly.GaussianBumpField, ly.MiniNetField)
+      for name in ("hidden_batch", "eval_batch", "grad_batch", "kink_distance_batch",
+                   "param_grads_batch")),
+]
+
+
+@pytest.mark.parametrize("cls, name", BATCHED_PASSES,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in BATCHED_PASSES])
+def test_batched_pass_has_no_optional_parameter(cls, name):
+    # a caller that leaves out kept values or a field state gets a TypeError,
+    # not a silent recomputation
+    params = inspect.signature(getattr(cls, name)).parameters.values()
+    assert [p.name for p in params if p.default is not inspect.Parameter.empty] == []
+
+
+def test_a_limit_pass_evaluates_each_mini_net_state_once(monkeypatch):
+    calls = []
+    hidden_batch = ly.MiniNetField.hidden_batch
+
+    def counted(self, X):
+        calls.append(id(self))
+        return hidden_batch(self, X)
+
+    monkeypatch.setattr(ly.MiniNetField, "hidden_batch", counted)
+    m, q = ly.make_mini_net_field(N, hidden=6, seed=4), ly.make_mini_net_field(N, hidden=5, seed=5)
+    layer = ly.LimitLayer(orth(2), bias(3), m, q)
+    X = SplitMix64(37).gaussian_matrix(12, N)
+    layer.linearize_batch(X)
+    assert calls == [id(m), id(q)]
+    calls.clear()
+    out, kept = layer.forward_batch(X)
+    layer.vjp_batch(X, SplitMix64(38).gaussian_matrix(12, N), kept)
+    assert calls == [id(m), id(q)]
 
 
 @pytest.mark.parametrize("build", [
@@ -951,7 +999,7 @@ def test_classes_take_nested_lists(cls):
 def test_number_fields_are_kept_as_floats():
     assert type(ly.ConstantField(2).value) is float
     assert type(ly.GaussianBumpField(np.int64(1)).scale) is float
-    assert ly.ConstantField(2).eval_batch(np.zeros((3, 4))).dtype == np.float64
+    assert ly.ConstantField(2).eval_batch(np.zeros((3, 4)), None).dtype == np.float64
 
 
 def test_a_float32_number_is_read_with_no_warning():

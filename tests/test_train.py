@@ -406,13 +406,14 @@ def _recomputed_vjp(layer, X, V):
         dX, grads = _recomputed_vjp(layer.reflection, X, V)
         m, q = layer.m_field, layer.q_field
         v_sum, v_pull = V.sum(axis=1), V @ (layer.B.T @ layer.b)
-        dX += v_sum[:, np.newaxis] * q.grad_batch(X)
-        dX -= v_pull[:, np.newaxis] * m.grad_batch(X)
-        one_minus_m = (1.0 - m.eval_batch(X))[:, np.newaxis] * V
+        H_m, H_q = m.hidden_batch(X), q.hidden_batch(X)
+        dX += v_sum[:, np.newaxis] * q.grad_batch(X, H_q)
+        dX -= v_pull[:, np.newaxis] * m.grad_batch(X, H_m)
+        one_minus_m = (1.0 - m.eval_batch(X, H_m))[:, np.newaxis] * V
         grads["B"] += np.outer(layer.b, one_minus_m.sum(axis=0))
         grads["b"] += (one_minus_m @ layer.B.T).sum(axis=0)
-        grads.update({f"m.{k}": g for k, g in m.param_grads_batch(X, -v_pull).items()})
-        grads.update({f"q.{k}": g for k, g in q.param_grads_batch(X, v_sum).items()})
+        grads.update({f"m.{k}": g for k, g in m.param_grads_batch(X, -v_pull, H_m).items()})
+        grads.update({f"q.{k}": g for k, g in q.param_grads_batch(X, v_sum, H_q).items()})
         return dX, grads
     keys = [()] * len(X)
     if layer.hyperplanes:
@@ -449,17 +450,18 @@ def assert_same_bits(got, want, what=""):
 
 def _uncached_backward(net, X_raw, dlogits):
     """``backward_batch``'s gradients and input cotangent, chained by hand through
-    ``vjp_batch`` with no kept values, so each layer runs its own forward first;
-    each layer's VJP is also checked against ``_recomputed_vjp``."""
+    ``vjp_batch``, each layer given the kept values of a fresh ``forward_batch`` of its
+    own input; each layer's VJP is also checked against ``_recomputed_vjp``."""
     inputs, cur = [], net.adapter.apply(X_raw)
     for layer in net.layers:
         inputs.append(cur)
-        cur = layer.forward_batch(cur)
+        cur = layer.forward_batch(cur)[0]
     grads = {"head.w": dlogits.T @ cur, "head.b": dlogits.sum(axis=0)}
     cot = dlogits @ net.head_w
     for i in range(net.depth - 1, -1, -1):
         want_cot, want_grads = _recomputed_vjp(net.layers[i], inputs[i], cot)
-        cot, layer_grads = net.layers[i].vjp_batch(inputs[i], cot)
+        kept = net.layers[i].forward_batch(inputs[i])[1]
+        cot, layer_grads = net.layers[i].vjp_batch(inputs[i], cot, kept)
         assert_same_bits(cot, want_cot, i)
         assert list(layer_grads) == list(want_grads)
         for name, g in layer_grads.items():

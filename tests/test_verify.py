@@ -268,6 +268,20 @@ def test_spectrum_probe_checks_criterion_before_probing(monkeypatch):
         spectrum_probe([layer])
 
 
+def test_spectrum_probe_refuses_a_stack_of_mixed_widths_before_probing(monkeypatch):
+    def never(*args):
+        raise AssertionError("a probe ran before the stack's widths were checked")
+
+    monkeypatch.setattr(verify, "stack_jacobian", never)
+    stack = [strict_case_ii(4, 1), strict_case_ii(4, 2), strict_case_ii(5, 3),
+             strict_case_ii(6, 4)]
+    requests = [ProbeRequest(strict_case_ii(4, 5), 10, name="fine"),
+                ProbeRequest(stack, 10, name="mixed")]
+    with pytest.raises(DimensionError, match="^'mixed': layer 2 of the stack has width 5,"
+                                             " layer 0 has width 4$"):
+        spectrum_probe(requests)
+
+
 def test_report_rejects_inverted_sv_range():
     with pytest.raises(DimensionError):
         VerifyReport(
@@ -410,8 +424,9 @@ class _CellQuantizedField:
     def hidden_batch(self, X: np.ndarray) -> None:
         return None
 
-    def eval_batch(self, X: np.ndarray, H=None) -> np.ndarray:
-        return self.base.eval_batch(self._snap(X))
+    def eval_batch(self, X: np.ndarray, H) -> np.ndarray:
+        snapped = self._snap(X)
+        return self.base.eval_batch(snapped, self.base.hidden_batch(snapped))
 
 
 def _surrogate_layer_gap(layer, resolution, radius, n_probes, seed):
@@ -421,9 +436,10 @@ def _surrogate_layer_gap(layer, resolution, radius, n_probes, seed):
     m_tilde = _CellQuantizedField(layer.m_field, resolution, radius)
     q_tilde = _CellQuantizedField(layer.q_field, resolution, radius)
     surrogate = LimitLayer(layer.B, layer.b, m_tilde, q_tilde, strict=False)
-    gap = np.max(np.abs(layer.forward_batch(X) - surrogate.forward_batch(X)), axis=1)
-    m_err = np.abs(layer.m_field.eval_batch(X) - m_tilde.eval_batch(X))
-    q_err = np.abs(layer.q_field.eval_batch(X) - q_tilde.eval_batch(X))
+    gap = np.max(np.abs(layer.forward_batch(X)[0] - surrogate.forward_batch(X)[0]), axis=1)
+    m, q = layer.m_field, layer.q_field
+    m_err = np.abs(m.eval_batch(X, m.hidden_batch(X)) - m_tilde.eval_batch(X, None))
+    q_err = np.abs(q.eval_batch(X, q.hidden_batch(X)) - q_tilde.eval_batch(X, None))
     b_norm = float(np.sqrt(layer.b @ layer.b))
     return float(np.max(gap)), float(np.max(q_err) + np.max(m_err) * b_norm)
 
@@ -450,14 +466,14 @@ def test_limit_layer_weights_are_its_reflection_weights():
     reflection = layer.reflection
     assert reflection.B is layer.B and reflection.A is layer.B and reflection.b is layer.b
     X = SplitMix64(5).gaussian_matrix(4, n)
-    before = layer.forward_batch(X)
+    before = layer.forward_batch(X)[0]
     # an in-place step, as Adam takes it, moves both
     params = layer.params()
     params["B"][...] = random_orthogonal(n, 6)
     params["b"] *= 0.5
     moved = LimitLayer(random_orthogonal(n, 6), 0.5 * _unit_bias(n, 4), *fields)
-    assert layer.forward_batch(X).tobytes() == moved.forward_batch(X).tobytes()
-    assert not np.array_equal(before, layer.forward_batch(X))
+    assert layer.forward_batch(X)[0].tobytes() == moved.forward_batch(X)[0].tobytes()
+    assert not np.array_equal(before, layer.forward_batch(X)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +632,7 @@ def test_stack_jacobian_skips_a_dropped_probe_before_the_next_layer():
                   [1.0, 0.5, -0.7, 2.0],
                   [-0.8, 0.3, 0.9, -1.2]])
     with pytest.raises(MissingRegionError):
-        holed.linearize_batch(abs_layer.forward_batch(X[:1]))
+        holed.linearize_batch(abs_layer.forward_batch(X[:1])[0])
     kept, jacs = stack_jacobian([abs_layer, holed], X, margin=0.1)
     assert kept.tolist() == [1, 2]
     assert jacs.shape == (2, n, n)
