@@ -11,8 +11,14 @@ reflections in compact WY form (Schreiber & Van Loan 1989).
 them.  Each sweep tests all column pairs at once through a Gram product
 and finishes the matrices that pass; the rest get one round-robin sweep
 (Brent & Luk 1985) in which every round rotates disjoint column pairs of
-the whole stack together.  Jacobi is kept over LAPACK-style QR iteration
-for its accuracy on small singular values (Demmel & Veselic 1992).
+the whole block together.  Jacobi is kept over LAPACK-style QR iteration
+for its accuracy on small singular values (Demmel & Veselic 1992); a
+column below rounding level of the matrix's norm is deflated to zero.
+
+A stack goes through ``svd_values`` and ``per_matrix`` in blocks of as many
+matrices as fit in ``JACOBI_BLOCK_ENTRIES`` entries: 16 of width 64, 64 of
+width 32.  Each matrix's values are the same in a block of any make-up, so
+the block size sets only the cost per NumPy call and the temporaries' size.
 """
 
 from __future__ import annotations
@@ -28,8 +34,9 @@ from .rng import SplitMix64
 
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
-# matrices of a stack rotated or measured together; bounds long stacks' temporaries
-JACOBI_BLOCK = 16
+# entries of the matrices of a stack rotated or measured together (16 matrices
+# of 64 x 64); bounds long stacks' temporaries, whatever the matrix size
+JACOBI_BLOCK_ENTRIES = 16 * 64 * 64
 # columns of a Householder panel: reflected one by one, then applied to the
 # trailing columns and to Q as one block reflector
 QR_BLOCK = 16
@@ -109,19 +116,29 @@ def as_vector(obj, size: int | None = None) -> np.ndarray:
     return _as_array(obj, (size,), "vector")
 
 
+def _blocks(stack: np.ndarray):
+    """``(start, stack[start:start + size])`` for consecutive blocks of an ``(L, r, c)``
+    stack, each holding as many matrices as fit in ``JACOBI_BLOCK_ENTRIES`` entries,
+    and at least one."""
+    size = max(1, JACOBI_BLOCK_ENTRIES // max(1, stack.shape[1] * stack.shape[2]))
+    for start in range(0, len(stack), size):
+        yield start, stack[start:start + size]
+
+
 def per_matrix(values_of, m: np.ndarray):
     """``values_of`` on one square matrix, giving a float, or on an ``(L, n, n)``
     stack, giving ``(L,)`` values, each the same as for the matrix alone.
 
     ``values_of`` maps a ``(B, n, n)`` block to its ``(B,)`` values; a stack goes
-    through in blocks of ``JACOBI_BLOCK`` matrices, which bounds the temporaries.
-    Raises DimensionError unless ``m`` is square."""
+    through in blocks of at most ``JACOBI_BLOCK_ENTRIES`` entries (and at least
+    one matrix), which bounds the temporaries.  Raises DimensionError unless
+    ``m`` is square."""
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix or a stack, got {m.shape}")
     stack = m[np.newaxis] if m.ndim == 2 else m
     values = np.empty(len(stack))
-    for start in range(0, len(stack), JACOBI_BLOCK):
-        values[start:start + JACOBI_BLOCK] = values_of(stack[start:start + JACOBI_BLOCK])
+    for start, block in _blocks(stack):
+        values[start:start + len(block)] = values_of(block)
     return float(values[0]) if m.ndim == 2 else values
 
 
@@ -259,14 +276,18 @@ def _round_robin_step(n: int) -> np.ndarray:
     return step
 
 
-def _worst_off_diagonal(w: np.ndarray) -> np.ndarray:
+def _worst_off_diagonal(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """Per ``w[b]``, the largest ``|a_p . a_q| / (||a_p|| ||a_q||)`` over rows ``p != q``.
 
-    Pairs with a zero row count as 0, as the rotation test passes them.
+    A row whose squared norm is at most ``floor[b]`` is set to zero in ``w``
+    first (deflated).  Pairs with a zero row count as 0, as the rotation test
+    passes them.
     """
     gram = w @ w.transpose(0, 2, 1)
     sq = np.diagonal(gram, axis1=1, axis2=2)
-    inv = np.divide(1.0, np.sqrt(sq), out=np.zeros_like(sq), where=sq > 0.0)
+    keep = sq > floor[:, np.newaxis]
+    w[~keep] = 0.0
+    inv = np.divide(1.0, np.sqrt(sq), out=np.zeros_like(sq), where=keep)
     diag = np.arange(w.shape[1])
     gram[:, diag, diag] = 0.0
     gram *= inv[:, :, np.newaxis]
@@ -312,10 +333,15 @@ def _jacobi_block(w: np.ndarray, tol: float, max_sweeps: int, offset: int) -> np
 
     ``w`` has an even number of rows; it is overwritten.  ``offset`` is the
     stack index of ``w[0]``, used to name a matrix that does not converge.
+    Before each sweep's Gram test, a row of length ``n`` whose squared norm
+    is at most ``(n eps)^2 ||w[b]||_F^2`` is rounding noise of a rank-deficient
+    matrix and is set to zero: rows of noise can keep failing the relative
+    rotation test, so without this such a matrix may never converge.
     """
     norms = np.empty(w.shape[:2])
     live = np.arange(len(w))
     step = _round_robin_step(w.shape[1])
+    floor = (w.shape[2] * np.finfo(np.float64).eps) ** 2 * np.einsum("bij,bij->b", w, w)
 
     def finish(done):
         nonlocal w, live
@@ -325,7 +351,7 @@ def _jacobi_block(w: np.ndarray, tol: float, max_sweeps: int, offset: int) -> np
 
     for _ in range(max_sweeps):
         # a matrix whose every pair already passes needs no rotation at all
-        finish(_worst_off_diagonal(w) <= tol)
+        finish(_worst_off_diagonal(w, floor[live]) <= tol)
         if not len(live):
             break
         w, rotated = _sweep(w, tol, step)
@@ -333,7 +359,7 @@ def _jacobi_block(w: np.ndarray, tol: float, max_sweeps: int, offset: int) -> np
         if not len(live):
             break
     else:
-        residual = _worst_off_diagonal(w)
+        residual = _worst_off_diagonal(w, floor[live])
         worst = int(np.argmax(residual))
         raise ConvergenceError(
             f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps",
@@ -361,17 +387,21 @@ def svd_values(
     one Gram product, and a matrix that passes is finished without
     rotating (an orthogonal matrix costs one small matmul).  Otherwise the
     sweep runs ``n - 1`` round-robin rounds (Brent & Luk 1985), each
-    rotating ``n/2`` disjoint column pairs of the whole stack together; an
+    rotating ``n/2`` disjoint column pairs of the whole block together; an
     odd ``n`` gets a zero column that no rotation touches.  A matrix stops
-    when a sweep rotates nothing.  The stack is processed in blocks of
-    ``JACOBI_BLOCK`` matrices.  Each matrix is scaled by the power of two
-    that brings its largest entry into [0.5, 1), and its values are scaled
-    back, so entries far outside the normal range (around 1e-160 or 1e200)
-    lose no accuracy; the scaling is exact, so it changes no value of a
-    matrix whose squared column norms were in range.  Raises
-    ConvergenceError (carrying the matrix's stack index and its worst
-    relative off-diagonal) if a matrix still rotates after ``max_sweeps``
-    sweeps.
+    when a sweep rotates nothing.  Before each Gram test, a column whose norm
+    is at most ``max(rows, cols) * eps`` times the matrix's Frobenius norm is
+    set to zero, so a rank-deficient matrix converges; its value is then 0.
+    The stack is processed in blocks of as many matrices as fit in
+    ``JACOBI_BLOCK_ENTRIES`` entries (and at least one), so a width-32 stack
+    rotates up to 64 matrices in each NumPy call and a width-64 stack 16.
+    Each matrix is scaled by the power of two that brings its largest entry
+    into [0.5, 1), and its values are scaled back, so entries far outside
+    the normal range (around 1e-160 or 1e200) lose no accuracy; the scaling
+    is exact, so it changes no value of a matrix whose squared column norms
+    were in range.  Raises ConvergenceError (carrying the matrix's stack
+    index and its worst relative off-diagonal) if a matrix still rotates
+    after ``max_sweeps`` sweeps.
     """
     single = np.ndim(m) == 2
     a = as_matrix(m)[np.newaxis] if single else _as_array(m, (None,) * 3, "matrix stack")
@@ -382,8 +412,7 @@ def svd_values(
     if cols == 0:
         return values[0] if single else values
     pad = cols % 2
-    for start in range(0, count, JACOBI_BLOCK):
-        block = a[start:start + JACOBI_BLOCK]
+    for start, block in _blocks(a):
         # an exact power of two brings each matrix's largest entry into
         # [0.5, 1), so squared column norms neither underflow nor overflow
         _, exp = np.frexp(np.max(np.abs(block), axis=(1, 2)))

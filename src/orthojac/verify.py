@@ -58,14 +58,25 @@ def _as_stack(target) -> list:
     return list(target) if isinstance(target, (list, tuple)) else [target]
 
 
+def _check_widths(stack: list, where: str = "") -> None:
+    """DimensionError, its message prefixed by ``where``, naming the first layer
+    of ``stack`` whose width differs from layer 0's."""
+    for i, layer in enumerate(stack):
+        if layer.width != stack[0].width:
+            raise DimensionError(f"{where}layer {i} of the stack has width {layer.width},"
+                                 f" layer 0 has width {stack[0].width}")
+
+
 def stack_jacobian(stack: list, X: np.ndarray, margin: float = DEFAULT_MARGIN):
     """Chained Jacobians of a layer stack at the rows of ``X``, away from kinks.
 
     Each layer takes the rows in one ``linearize_batch`` call; those within
     ``margin`` of a kink are dropped (a NaN distance is kept), and only the
     rows left go on to the next layer.  Returns the indices of the kept rows
-    of X and their Jacobians as one ``(kept, n, n)`` array.
+    of X and their Jacobians as one ``(kept, n, n)`` array.  A stack whose
+    layers differ in width raises DimensionError before any layer runs.
     """
+    _check_widths(stack)
     kept = np.arange(len(X))
     cur = np.asarray(X, dtype=np.float64)
     jacs = None
@@ -86,8 +97,10 @@ def gradient_norm_ratio(
 
     Each layer's forward state is margin-checked, so a probe landing on
     a kink raises rather than silently picking a one-sided derivative.
+    A stack whose layers differ in width raises DimensionError.
     """
     stack = _as_stack(target)
+    _check_widths(stack)
     v = np.asarray(v, dtype=np.float64)
     v_norm = float(np.sqrt(v @ v))
     if v_norm == 0.0:
@@ -253,10 +266,7 @@ def probe_spectra(requests: list, jacobian) -> list:
     stacks = [_as_stack(req.target) for req in requests]
     rows: dict[int, int] = {}
     for stack, req in zip(stacks, requests):
-        for i, layer in enumerate(stack):
-            if layer.width != stack[0].width:
-                raise DimensionError(f"{req._where}layer {i} of the stack has width"
-                                     f" {layer.width}, layer 0 has width {stack[0].width}")
+        _check_widths(stack, req._where)
         rows[stack[0].width] = rows.get(stack[0].width, 0) + req.n_probes
     # pages of a buffer's unfilled tail are never touched
     buffers = {width: np.empty((count, width, width)) for width, count in rows.items()}

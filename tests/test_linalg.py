@@ -304,11 +304,51 @@ def test_svd_values_zero_and_rank_deficient():
     assert rank1[1:].max() <= 1e-12 * rank1[0]
 
 
-def test_svd_values_stack_longer_than_a_block():
+def test_svd_values_stack_longer_than_a_block(monkeypatch):
+    # blocks of 4 matrices of 6 x 6, so the stack spans two full blocks and a short one
+    monkeypatch.setattr(linalg, "JACOBI_BLOCK_ENTRIES", 4 * 36)
     gen = SplitMix64(33)
-    count = 2 * linalg.JACOBI_BLOCK + 3
-    _assert_stack_matches_singles(np.stack([gen.gaussian_matrix(6, 6)
-                                            for _ in range(count)]))
+    _assert_stack_matches_singles(np.stack([gen.gaussian_matrix(6, 6) for _ in range(11)]))
+
+
+def _block_sizes(monkeypatch, name: str, call) -> list:
+    """The stack length of each call of ``linalg.<name>`` while ``call()`` runs."""
+    sizes = []
+    inner = getattr(linalg, name)
+
+    def recorded(w, *args):
+        sizes.append(len(w))
+        return inner(w, *args)
+
+    monkeypatch.setattr(linalg, name, recorded)
+    call()
+    monkeypatch.setattr(linalg, name, inner)
+    return sizes
+
+
+def test_a_block_holds_as_many_matrices_as_fit_its_entries(monkeypatch):
+    q32 = linalg.random_orthogonal_batch(32, list(range(100)))
+    q64 = linalg.random_orthogonal_batch(64, list(range(17)))
+    # width 64 keeps blocks of 16 matrices; width 32 fits 64 in the same entries
+    for stack, want in ((q64, [16, 1]), (q32, [64, 36])):
+        assert _block_sizes(monkeypatch, "_jacobi_block",
+                            lambda: linalg.svd_values(stack)) == want
+        assert _block_sizes(monkeypatch, "_gram_defects",
+                            lambda: linalg.frobenius_defect(stack)) == want
+    # a matrix larger than the bound still gets a block of its own
+    monkeypatch.setattr(linalg, "JACOBI_BLOCK_ENTRIES", 10)
+    assert _block_sizes(monkeypatch, "_jacobi_block",
+                        lambda: linalg.svd_values(q32[:3])) == [1, 1, 1]
+
+
+def test_a_verify_shaped_stack_rotates_its_non_orthogonal_matrices_in_one_pass(monkeypatch):
+    # as a verify run of width 32 lays them out: 80 orthogonal Jacobians, then
+    # 20 that are not, which a bound of 16 matrices split across two blocks
+    gen = SplitMix64(35)
+    stack = np.concatenate([linalg.random_orthogonal_batch(32, list(range(80))),
+                            np.stack([gen.gaussian_matrix(32, 32) for _ in range(20)])])
+    sizes = _block_sizes(monkeypatch, "_sweep", lambda: linalg.svd_values(stack))
+    assert sizes[0] == 20
 
 
 def test_svd_values_entries_far_outside_the_normal_range():
@@ -339,6 +379,22 @@ def test_svd_values_unrotated_pair_with_a_subnormal_product_does_not_warn():
         got = linalg.svd_values(m)
     _assert_matches_lapack(got, m)
     assert np.allclose(got, [1.0, 0.9, 0.5, 0.4], rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63), n=st.integers(2, 16), depth=st.integers(1, 6),
+       exponent=st.integers(-150, 150))
+def test_svd_values_products_of_rank_deficient_factors(seed, n, depth, exponent):
+    # each factor is a Gaussian matrix with about half its rows zeroed, as the
+    # Jacobian of a ReLU layer is; the product's null columns are rounding noise
+    gen = SplitMix64(seed)
+    m = np.eye(n)
+    for _ in range(depth):
+        factor = gen.gaussian_matrix(n, n)
+        factor[gen.uniform(n) < 0.5] = 0.0
+        m = factor @ m
+    m *= 10.0 ** exponent
+    _assert_matches_lapack(linalg.svd_values(m), m)
 
 
 def test_svd_values_empty_and_bad_stacks():
@@ -380,8 +436,10 @@ def test_svd_values_orthogonal_inputs_take_the_gram_skip(seed, n, count):
     assert np.max(np.abs(values - 1.0)) <= 1e-14
 
 
-def test_svd_values_one_unconverged_matrix_in_a_stack():
-    count = linalg.JACOBI_BLOCK + 4
+def test_svd_values_one_unconverged_matrix_in_a_stack(monkeypatch):
+    # blocks of 16 matrices of 8 x 8, so the unconverged matrix is in the second
+    monkeypatch.setattr(linalg, "JACOBI_BLOCK_ENTRIES", 16 * 64)
+    count = 20
     stack = np.stack([linalg.random_orthogonal(8, k) for k in range(count)])
     stack[-2] = SplitMix64(2).gaussian_matrix(8, 8)
     with pytest.raises(ConvergenceError, match=f"matrix {count - 2} ") as exc:

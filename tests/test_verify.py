@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthojac import verify
+from orthojac.train import MODEL_NAMES, make_network
 from orthojac.errors import (
     DimensionError,
     MissingRegionError,
@@ -31,7 +32,7 @@ from orthojac.layers import (
     PartitionedLayer,
     RegionCoeffs,
 )
-from orthojac.linalg import random_orthogonal
+from orthojac.linalg import random_orthogonal, svd_values
 from orthojac.pwl import make_relu_k, make_sigma_k, make_two_slope
 from orthojac.rng import SplitMix64, derive_seed
 from orthojac.verify import (
@@ -280,6 +281,20 @@ def test_spectrum_probe_refuses_a_stack_of_mixed_widths_before_probing(monkeypat
     with pytest.raises(DimensionError, match="^'mixed': layer 2 of the stack has width 5,"
                                              " layer 0 has width 4$"):
         spectrum_probe(requests)
+
+
+def test_stack_jacobian_refuses_a_stack_of_mixed_widths():
+    stack = [strict_case_ii(4, 1), strict_case_ii(5, 2)]
+    with pytest.raises(DimensionError, match="^layer 1 of the stack has width 5,"
+                                             " layer 0 has width 4$"):
+        stack_jacobian(stack, np.ones((3, 4)))
+
+
+def test_gradient_ratio_refuses_a_stack_of_mixed_widths():
+    stack = [strict_case_ii(4, 1), strict_case_ii(5, 2)]
+    with pytest.raises(DimensionError, match="^layer 1 of the stack has width 5,"
+                                             " layer 0 has width 4$"):
+        gradient_norm_ratio(stack, np.ones(4), np.ones(4))
 
 
 def test_report_rejects_inverted_sv_range():
@@ -674,3 +689,36 @@ def test_stack_jacobian_makes_one_layer_call_per_block(monkeypatch):
     assert sorted(calls) == sorted(
         [("linearize_batch", id(layer)) for layer in layers]
         + [("_cells", id(layer)) for layer in layers if isinstance(layer, PartitionedLayer)])
+
+
+# ---------------------------------------------------------------------------
+# singular values of deep rank-deficient Jacobians
+# ---------------------------------------------------------------------------
+
+
+def _menu_jacobians(model: str):
+    net = make_network(model, 32, 50, 2, 32, seed=7)
+    return stack_jacobian(net.layers, SplitMix64(11).gaussian_matrix(40, 32), margin=0.0)
+
+
+def _assert_matches_lapack(got, m):
+    ref = np.linalg.svd(m, compute_uv=False)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(ref[0], np.finfo(float).tiny)
+
+
+def test_svd_values_of_a_collapsed_relu_jacobian_match_lapack():
+    # the 50 ReLU layers leave this Jacobian with null columns of rounding noise,
+    # which the relative rotation test alone never lets converge
+    kept, jacs = _menu_jacobians("gaussian_ff_baseline")
+    jac = jacs[kept.tolist().index(29)]
+    values = svd_values(jac)
+    assert values[-1] < 1e-14 * values[0]
+    _assert_matches_lapack(values, jac)
+
+
+@pytest.mark.parametrize("model", MODEL_NAMES)
+def test_svd_values_of_every_depth_50_model_jacobian_match_lapack(model):
+    kept, jacs = _menu_jacobians(model)
+    assert len(kept) == 40
+    for got, jac in zip(svd_values(jacs), jacs):
+        _assert_matches_lapack(got, jac)
