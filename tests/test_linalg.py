@@ -311,7 +311,7 @@ def test_svd_values_stack_longer_than_a_block(monkeypatch):
     _assert_stack_matches_singles(np.stack([gen.gaussian_matrix(6, 6) for _ in range(11)]))
 
 
-def _block_sizes(monkeypatch, name: str, call) -> list:
+def _block_sizes(name: str, call) -> list:
     """The stack length of each call of ``linalg.<name>`` while ``call()`` runs."""
     sizes = []
     inner = getattr(linalg, name)
@@ -320,9 +320,9 @@ def _block_sizes(monkeypatch, name: str, call) -> list:
         sizes.append(len(w))
         return inner(w, *args)
 
-    monkeypatch.setattr(linalg, name, recorded)
-    call()
-    monkeypatch.setattr(linalg, name, inner)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, name, recorded)
+        call()
     return sizes
 
 
@@ -331,23 +331,23 @@ def test_a_block_holds_as_many_matrices_as_fit_its_entries(monkeypatch):
     q64 = linalg.random_orthogonal_batch(64, list(range(17)))
     # width 64 keeps blocks of 16 matrices; width 32 fits 64 in the same entries
     for stack, want in ((q64, [16, 1]), (q32, [64, 36])):
-        assert _block_sizes(monkeypatch, "_jacobi_block",
+        assert _block_sizes("_jacobi_block",
                             lambda: linalg.svd_values(stack)) == want
-        assert _block_sizes(monkeypatch, "_gram_defects",
+        assert _block_sizes("_gram_defects",
                             lambda: linalg.frobenius_defect(stack)) == want
     # a matrix larger than the bound still gets a block of its own
     monkeypatch.setattr(linalg, "JACOBI_BLOCK_ENTRIES", 10)
-    assert _block_sizes(monkeypatch, "_jacobi_block",
+    assert _block_sizes("_jacobi_block",
                         lambda: linalg.svd_values(q32[:3])) == [1, 1, 1]
 
 
-def test_a_verify_shaped_stack_rotates_its_non_orthogonal_matrices_in_one_pass(monkeypatch):
+def test_a_verify_shaped_stack_rotates_its_non_orthogonal_matrices_in_one_pass():
     # as a verify run of width 32 lays them out: 80 orthogonal Jacobians, then
     # 20 that are not, which a bound of 16 matrices split across two blocks
     gen = SplitMix64(35)
     stack = np.concatenate([linalg.random_orthogonal_batch(32, list(range(80))),
                             np.stack([gen.gaussian_matrix(32, 32) for _ in range(20)])])
-    sizes = _block_sizes(monkeypatch, "_sweep", lambda: linalg.svd_values(stack))
+    sizes = _block_sizes("_sweep", lambda: linalg.svd_values(stack))
     assert sizes[0] == 20
 
 
