@@ -8,12 +8,14 @@ validation the rest of the package relies on.
 reflections in compact WY form (Schreiber & Van Loan 1989).
 
 ``svd_values`` is a one-sided Jacobi SVD over one matrix or a stack of
-them.  Each sweep tests all column pairs at once through a Gram product
-and finishes the matrices that pass; the rest get one round-robin sweep
-(Brent & Luk 1985) in which every round rotates disjoint column pairs of
-the whole block together.  Jacobi is kept over LAPACK-style QR iteration
-for its accuracy on small singular values (Demmel & Veselic 1992); a
-column below rounding level of the matrix's norm is deflated to zero.
+them.  A Gram product tests all column pairs at once and finishes the
+matrices that pass (every orthogonal one).  The rest run Jacobi on the R of
+a column-pivoted QR (Drmac & Veselic 2008): each sweep tests R's rows the
+same way and rotates the matrices that fail in one round-robin sweep (Brent
+& Luk 1985), whose every round is one batched product over the block.
+Jacobi is kept over LAPACK-style QR iteration for its accuracy on small
+singular values (Demmel & Veselic 1992); a row of R below rounding level of
+the matrix's norm is deflated to zero.
 
 A stack goes through ``svd_values`` and ``per_matrix`` in blocks of as many
 matrices as fit in ``JACOBI_BLOCK_ENTRIES`` entries: 16 of width 64, 64 of
@@ -295,77 +297,125 @@ def _worst_off_diagonal(w: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return np.max(np.abs(gram, out=gram), axis=(1, 2))
 
 
-def _sweep(w: np.ndarray, tol: float, step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pivoted_r(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R of a column-pivoted Householder QR of every matrix, and its column order.
+
+    Row ``j`` of ``w[b]`` (``(L, n, m)``) is column ``j`` of an ``m x n``
+    matrix ``A``; ``w`` is overwritten.  Returns R, ``(L, min(m, n), n)``
+    upper triangular, and ``perm`` with ``A[:, perm] = Q R``; Q is not formed.
+    Step ``j`` swaps in the column whose part on and below row ``j`` is longest
+    (Businger & Golub 1965), its norm recomputed rather than downdated, so
+    ``|R[j, j]|`` does not increase down the diagonal, and reflects it to
+    ``R[j, j] e_0`` by ``I - tau v v^T`` with ``v_0 = 1`` (LAPACK's ``dlarfg``
+    form: ``tau`` is in [1, 2] and ``|v| <= 1``); a zero column gets ``tau = 0``.
+    Every step is per matrix, so a matrix's R is bitwise the same alone or in a
+    stack.
+    """
+    count, n, m = w.shape
+    perm = np.broadcast_to(np.arange(n), (count, n)).copy()
+    each = np.arange(count)[:, np.newaxis]
+    for j in range(min(m, n)):
+        sq = np.einsum("bij,bij->bi", w[:, j:, j:], w[:, j:, j:])
+        swap = np.stack([np.full(count, j), j + np.argmax(sq, axis=1)], axis=1)
+        w[each, swap] = w[each, swap[:, ::-1]]
+        perm[each, swap] = perm[each, swap[:, ::-1]]
+        x = w[:, j, j:]
+        beta = -np.copysign(np.sqrt(np.max(sq, axis=1, keepdims=True)), x[:, :1])
+        v = np.divide(x, x[:, :1] - beta, out=np.zeros_like(x), where=beta != 0.0)
+        v[:, 0] = 1.0
+        tau = np.divide(beta - x[:, :1], beta, out=np.zeros_like(beta), where=beta != 0.0)
+        rest = w[:, j + 1:, j:]
+        rest -= (rest @ (tau * v)[:, :, np.newaxis]) * v[:, np.newaxis, :]
+        x[:, 1:] = 0.0
+        x[:, :1] = beta
+    return w[:, :, :min(m, n)].transpose(0, 2, 1), perm
+
+
+def _round_index(n: int) -> np.ndarray:
+    """Flat positions of the ``cs, -sn, sn, cs`` entries of an ``n x n`` round matrix.
+
+    Its rows are those of the rotation of pairs ``(i, n/2 + i)`` (``n`` even)
+    in ``_round_robin_step``'s order, so one product rotates and moves on.
+    """
+    row = np.argsort(_round_robin_step(n))
+    p, q = np.arange(n // 2), np.arange(n // 2, n)
+    return np.concatenate([row[p] * n + p, row[p] * n + q, row[q] * n + p, row[q] * n + q])
+
+
+def _sweep(w: np.ndarray, tol: float, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One round-robin Jacobi sweep over the rows of every ``w[b]``.
 
     Each of the ``n - 1`` rounds rotates the disjoint row pairs ``(i, n/2 + i)``
-    of the whole stack together; a pair that passes the test gets
+    of the whole stack together, by one product with a round matrix filled at
+    ``index`` (``_round_index(n)``); a pair that passes the test gets
     ``cs = 1, sn = 0`` and is left unchanged.  Returns the rotated stack
     and, per matrix, whether any pair was rotated.
     """
-    half = w.shape[1] // 2
-    rotated = np.zeros(len(w), dtype=bool)
-    # zeta and t overflow or are inf or nan only on pairs that are not rotated
-    # (a rotated pair has |apq| > tol * sqrt(app * aqq)); np.where drops their t
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(w.shape[1] - 1):
-            p, q = w[:, :half], w[:, half:]
-            app = np.einsum("bij,bij->bi", p, p)
-            aqq = np.einsum("bij,bij->bi", q, q)
-            apq = np.einsum("bij,bij->bi", p, q)
-            rotate = np.abs(apq) > tol * np.sqrt(app * aqq)
-            rotated |= rotate.any(axis=1)
-            zeta = (aqq - app) / (2.0 * apq)
-            t = np.copysign(1.0 / (np.abs(zeta) + np.hypot(1.0, zeta)), zeta)
-            t = np.where(rotate, t, 0.0)
-            cs = 1.0 / np.hypot(1.0, t)
-            sn = (cs * t)[:, :, np.newaxis]
-            cs = cs[:, :, np.newaxis]
-            new_p = cs * p - sn * q
-            w[:, half:] = sn * p + cs * q
-            w[:, :half] = new_p
-            w = w[:, step]
+    count, n, _ = w.shape
+    half = n // 2
+    rotated = np.zeros(count, dtype=bool)
+    rounds = np.zeros((count, n, n))
+    for _ in range(n - 1):
+        sq = np.einsum("bij,bij->bi", w, w)
+        app, aqq = sq[:, :half], sq[:, half:]
+        apq = np.einsum("bij,bij->bi", w[:, :half], w[:, half:])
+        rotate = np.abs(apq) > tol * np.sqrt(app * aqq)
+        rotated |= rotate.any(axis=1)
+        # t = sign(zeta) / (|zeta| + hypot(1, zeta)), zeta = diff / (2 apq), times 2|apq|
+        # over 2|apq|, so nothing overflows; only rotating pairs (apq != 0) divide
+        diff = aqq - app
+        t = np.divide(2.0 * np.copysign(1.0, diff) * apq,
+                      np.abs(diff) + np.hypot(diff, 2.0 * apq),
+                      out=np.zeros_like(apq), where=rotate)
+        cs = 1.0 / np.hypot(1.0, t)
+        sn = cs * t
+        rounds.reshape(count, n * n)[:, index] = np.concatenate([cs, -sn, sn, cs], axis=1)
+        w = rounds @ w
     return w, rotated
 
 
 def _jacobi_block(w: np.ndarray, tol: float, max_sweeps: int, offset: int) -> np.ndarray:
-    """Final row norms of every ``w[b]``, after its rows are made orthogonal.
-
-    ``w`` has an even number of rows; it is overwritten.  ``offset`` is the
-    stack index of ``w[0]``, used to name a matrix that does not converge.
-    Before each sweep's Gram test, a row of length ``n`` whose squared norm
-    is at most ``(n eps)^2 ||w[b]||_F^2`` is rounding noise of a rank-deficient
-    matrix and is set to zero: rows of noise can keep failing the relative
-    rotation test, so without this such a matrix may never converge.
+    """Unsorted singular values of every ``w[b]`` (``(B, n, m)``, ``m >= n``,
+    overwritten), plus a 0 if ``n`` is odd: the row norms of ``w[b]`` if its
+    rows pass the first Gram test, else those of its R (``_pivoted_r``, padded
+    with a zero row) once rotated orthogonal.  ``offset`` is the stack index
+    of ``w[0]``, used to name a matrix that does not converge.  Before each
+    Gram test of R, a row whose squared norm is at most ``(m eps)^2
+    ||R[b]||_F^2`` is rounding noise of a rank-deficient matrix and is set to
+    zero: rows of noise can keep failing the relative rotation test.
     """
-    norms = np.empty(w.shape[:2])
-    live = np.arange(len(w))
-    step = _round_robin_step(w.shape[1])
-    floor = (w.shape[2] * np.finfo(np.float64).eps) ** 2 * np.einsum("bij,bij->b", w, w)
+    count, n, m = w.shape
+    norms = np.zeros((count, n + n % 2))
+    live = np.flatnonzero(_worst_off_diagonal(w, np.zeros(count)) > tol)
+    norms[:, :n] = np.sqrt(np.einsum("bij,bij->bi", w, w))
+    if not len(live):
+        return norms
+    r = np.zeros((len(live), n + n % 2, n))
+    r[:, :n] = _pivoted_r(w[live])[0]
+    index = _round_index(n + n % 2)
+    floor = (m * np.finfo(np.float64).eps) ** 2 * np.einsum("bij,bij->b", r, r)
 
     def finish(done):
-        nonlocal w, live
-        rows = w[done]
+        nonlocal r, live, floor
+        rows = r[done]
         norms[live[done]] = np.sqrt(np.einsum("bij,bij->bi", rows, rows))
-        w, live = w[~done], live[~done]
+        r, live, floor = r[~done], live[~done], floor[~done]
 
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         # a matrix whose every pair already passes needs no rotation at all
-        finish(_worst_off_diagonal(w, floor[live]) <= tol)
+        residual = _worst_off_diagonal(r, floor)
+        finish(residual <= tol)
         if not len(live):
-            break
-        w, rotated = _sweep(w, tol, step)
+            return norms
+        if sweep == max_sweeps:
+            residual = residual[residual > tol]
+            worst = int(np.argmax(residual))
+            raise ConvergenceError(
+                f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps",
+                float(residual[worst]), index=int(offset + live[worst]),
+            )
+        r, rotated = _sweep(r, tol, index)
         finish(~rotated)
-        if not len(live):
-            break
-    else:
-        residual = _worst_off_diagonal(w, floor[live])
-        worst = int(np.argmax(residual))
-        raise ConvergenceError(
-            f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps",
-            float(residual[worst]), index=int(offset + live[worst]),
-        )
-    return norms
 
 
 def svd_values(
@@ -380,18 +430,20 @@ def svd_values(
     ``(B, min(rows, cols))`` array.  Each matrix's values are bitwise the
     same whether it is passed alone or in a stack.
 
-    The columns of the taller orientation are rotated pairwise until every
-    off-diagonal inner product satisfies
-    ``|a_p . a_q| <= tol * ||a_p|| * ||a_q||``; singular values are the
-    final column norms.  Each sweep first tests all pairs at once through
-    one Gram product, and a matrix that passes is finished without
-    rotating (an orthogonal matrix costs one small matmul).  Otherwise the
-    sweep runs ``n - 1`` round-robin rounds (Brent & Luk 1985), each
-    rotating ``n/2`` disjoint column pairs of the whole block together; an
-    odd ``n`` gets a zero column that no rotation touches.  A matrix stops
-    when a sweep rotates nothing.  Before each Gram test, a column whose norm
-    is at most ``max(rows, cols) * eps`` times the matrix's Frobenius norm is
-    set to zero, so a rank-deficient matrix converges; its value is then 0.
+    One Gram product first tests whether every pair of columns of the
+    taller orientation satisfies ``|a_p . a_q| <= tol * ||a_p|| * ||a_q||``;
+    a matrix that passes (an orthogonal one, for one small matmul) has its
+    exact column norms as values.  Each other matrix is replaced by the R of
+    a column-pivoted Householder QR, whose rows are rotated pairwise to the
+    same test (Drmac & Veselic 2008); its values are their final norms.  A
+    sweep tests them through a Gram product, then runs ``n - 1`` round-robin
+    rounds (Brent & Luk 1985), each one batched product that rotates ``n/2``
+    disjoint row pairs of the block and moves the pairing on; an odd ``n``
+    gets a zero row.  A matrix stops when its rows pass or a sweep rotates
+    nothing.  Before each test of R, a row whose norm is at most
+    ``max(rows, cols) * eps`` times the matrix's Frobenius norm is set to
+    zero, so a rank-deficient matrix converges; its value is then 0.  The
+    first test deflates nothing: an exact tiny value is kept.
     The stack is processed in blocks of as many matrices as fit in
     ``JACOBI_BLOCK_ENTRIES`` entries (and at least one), so a width-32 stack
     rotates up to 64 matrices in each NumPy call and a width-64 stack 16.
@@ -400,8 +452,8 @@ def svd_values(
     the normal range (around 1e-160 or 1e200) lose no accuracy; the scaling
     is exact, so it changes no value of a matrix whose squared column norms
     were in range.  Raises ConvergenceError (carrying the matrix's stack
-    index and its worst relative off-diagonal) if a matrix still rotates
-    after ``max_sweeps`` sweeps.
+    index and its worst relative off-diagonal) if a matrix's rows still fail
+    the test after ``max_sweeps`` sweeps.
     """
     single = np.ndim(m) == 2
     a = as_matrix(m)[np.newaxis] if single else _as_array(m, (None,) * 3, "matrix stack")
@@ -411,17 +463,15 @@ def svd_values(
     values = np.empty((count, cols))
     if cols == 0:
         return values[0] if single else values
-    pad = cols % 2
     for start, block in _blocks(a):
         # an exact power of two brings each matrix's largest entry into
         # [0.5, 1), so squared column norms neither underflow nor overflow
         _, exp = np.frexp(np.max(np.abs(block), axis=(1, 2)))
         # the columns of each matrix become the rows of w, for contiguous dots
-        w = np.zeros((len(block), cols + pad, rows))
-        np.ldexp(block.transpose(0, 2, 1), -exp[:, np.newaxis, np.newaxis],
-                 out=w[:, :cols])
+        w = np.empty((len(block), cols, rows))
+        np.ldexp(block.transpose(0, 2, 1), -exp[:, np.newaxis, np.newaxis], out=w)
         norms = _jacobi_block(w, tol, max_sweeps, start)
-        # a pad column keeps norm 0, so after the descending sort it is last
+        # a pad value is 0, so after the descending sort it is last
         values[start:start + len(block)] = np.ldexp(
             np.sort(norms, axis=1)[:, ::-1][:, :cols], exp[:, np.newaxis])
     return values[0] if single else values

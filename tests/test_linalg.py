@@ -397,6 +397,51 @@ def test_svd_values_products_of_rank_deficient_factors(seed, n, depth, exponent)
     _assert_matches_lapack(linalg.svd_values(m), m)
 
 
+def test_svd_values_keeps_an_exact_tiny_singular_value():
+    # the columns are orthogonal, so the first Gram test passes them before any
+    # deflation could zero the exact 1e-16
+    got = linalg.svd_values(np.diag([1.0, 1e-16]))
+    assert np.array_equal(got, [1.0, 1e-16])
+
+
+def _pivoted_qr(stack):
+    """``linalg._pivoted_r`` of an ``(L, m, n)`` stack of matrices: R and column order."""
+    return linalg._pivoted_r(stack.transpose(0, 2, 1).copy())
+
+
+def _assert_pivoted_qr(stack):
+    r, perm = _pivoted_qr(stack)
+    count, m, n = stack.shape
+    assert r.shape == (count, min(m, n), n)
+    for a, rb, pb in zip(stack, r, perm):
+        assert sorted(pb) == list(range(n))
+        assert np.array_equal(rb, np.triu(rb))
+        scale = np.sum(a * a)
+        # |R[j, j]| is the longest remaining column part: it does not increase
+        # down the diagonal, up to the rounding of the reflections
+        d = np.abs(np.diagonal(rb))
+        assert np.all(d[1:] <= d[:-1] + 1e-13 * np.sqrt(scale))
+        ap = a[:, pb]
+        assert np.max(np.abs(rb.T @ rb - ap.T @ ap), initial=0.0) <= 1e-13 * scale
+        # a matrix's R is bitwise the same alone as in the stack
+        alone, alone_perm = _pivoted_qr(a[np.newaxis])
+        assert np.array_equal(alone[0], rb) and np.array_equal(alone_perm[0], pb)
+
+
+def test_pivoted_r_of_zero_rank_deficient_and_rectangular_matrices():
+    gen = SplitMix64(36)
+    u, v = gen.gaussian(6), gen.gaussian(6)
+    _assert_pivoted_qr(np.stack([np.zeros((6, 6)), np.outer(u, v), gen.gaussian_matrix(6, 6),
+                                 np.outer(u, v) + np.outer(v, u)]))
+    for rows, cols in [(1, 1), (1, 5), (5, 1), (7, 4), (4, 7), (33, 32)]:
+        _assert_pivoted_qr(np.stack([gen.gaussian_matrix(rows, cols) for _ in range(3)]))
+    # the longest column comes first, and the zero column last
+    a = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    r, perm = _pivoted_qr(a[np.newaxis])
+    assert perm[0].tolist() == [2, 1, 0]
+    assert np.array_equal(np.abs(r[0]), [[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
 def test_svd_values_empty_and_bad_stacks():
     assert linalg.svd_values(np.zeros((0, 3, 3))).shape == (0, 3)
     assert linalg.svd_values(np.zeros((2, 4, 0))).shape == (2, 0)
@@ -423,6 +468,17 @@ def test_svd_values_stack_property(stack):
     _assert_stack_matches_singles(stack)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    stack=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=_ENTRIES)
+    )
+)
+def test_pivoted_r_property(stack):
+    # integer entries make zero and rank-deficient matrices, and ties, common
+    _assert_pivoted_qr(stack)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**63), n=st.integers(1, 40), count=st.integers(1, 3))
 def test_svd_values_orthogonal_inputs_take_the_gram_skip(seed, n, count):
@@ -432,6 +488,7 @@ def test_svd_values_orthogonal_inputs_take_the_gram_skip(seed, n, count):
     stack = np.stack([linalg.random_orthogonal(n, seed + k) for k in range(count)])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_sweep", no_sweep)
+        patch.setattr(linalg, "_pivoted_r", no_sweep)
         values = linalg.svd_values(stack)
     assert np.max(np.abs(values - 1.0)) <= 1e-14
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthojac import verify
+from orthojac import linalg, verify
 from orthojac.train import MODEL_NAMES, make_network
 from orthojac.errors import (
     DimensionError,
@@ -31,6 +31,7 @@ from orthojac.layers import (
     make_partitioned,
     PartitionedLayer,
     RegionCoeffs,
+    layer_from_json,
 )
 from orthojac.linalg import random_orthogonal, svd_values
 from orthojac.pwl import make_relu_k, make_sigma_k, make_two_slope
@@ -722,3 +723,38 @@ def test_svd_values_of_every_depth_50_model_jacobian_match_lapack(model):
     assert len(kept) == 40
     for got, jac in zip(svd_values(jacs), jacs):
         _assert_matches_lapack(got, jac)
+
+
+def _sweeps_per_matrix(stack: np.ndarray) -> float:
+    """Jacobi sweeps that ``svd_values(stack)`` runs, per matrix of the stack."""
+    counts = []
+    inner = linalg._sweep
+
+    def counted(w, *args):
+        counts.append(len(w))
+        return inner(w, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_sweep", counted)
+        svd_values(stack)
+    return sum(counts) / len(stack)
+
+
+def test_a_leaky_case_i_jacobian_converges_in_at_most_six_sweeps():
+    # shaped as verify_families' non-strict entries: case_i of width 32 with
+    # slopes 0.3 and 1; without the pivoted QR these take 7 to 11 sweeps
+    gen = SplitMix64(40)
+    for k in range(4):
+        layer = layer_from_json({
+            "type": "case_i", "n": 32, "A": {"seed": 100 + k}, "B": {"seed": 200 + k},
+            "b": (gen.uniform(32) - 0.5).tolist(), "c": 0.0, "d": 1.0, "strict": False,
+            "sigma": {"breakpoints": [0.0], "slopes": [0.3, 1.0], "anchor_value": 0.0}})
+        assert _sweeps_per_matrix(layer.jacobian(gen.gaussian(32))[np.newaxis]) <= 6
+
+
+def test_gaussian_ff_baseline_jacobians_average_at_most_seven_sweeps():
+    # width 32, depth 1, 40 probes at margin 0: 8.75 sweeps per matrix without
+    # the pivoted QR
+    net = make_network("gaussian_ff_baseline", 32, 1, 2, 32, seed=7)
+    _, jacs = stack_jacobian(net.layers, SplitMix64(11).gaussian_matrix(40, 32), margin=0.0)
+    assert _sweeps_per_matrix(jacs) <= 7
