@@ -3,9 +3,9 @@
 Every layer maps R^n -> R^n and exposes the same surface:
 
 * ``forward_batch(X)`` returns the outputs and ``kept``, what the backward
-  pass reads of it (each cell's rows, activations and activation pieces; a
-  limit layer adds its m values and field states); ``forward(x)`` is the
-  output of one row,
+  pass reads of it (the rows' region coefficients, activations and activation
+  pieces; a limit layer adds its m values and field states); ``forward(x)``
+  is the output of one row,
 * ``linearize_batch(X)`` returns the outputs ``(P, n)``, exact Jacobians
   ``(P, n, n)`` and kink distances ``(P,)`` of the rows of X from one pass
   (the distance to the nearest pre-activation node, gate plane or partition
@@ -71,6 +71,14 @@ def _require_slopes(sigma: PwlScalar, allowed: Sequence[float], context: str) ->
 def _sign_key(above: np.ndarray) -> tuple[int, ...]:
     """Region key of one row of plane tests: +1 where True, -1 where False."""
     return tuple(1 if a else -1 for a in above.tolist())
+
+
+def _by_row(parts, arrays):
+    """Each row from the one of ``arrays`` (one per part of ``parts``) its activation gave."""
+    out = arrays[0]
+    for (_, rows), array in zip(parts[1:], arrays[1:]):
+        out = np.where(rows, array, out)
+    return out
 
 
 def _forward_one(self, x):
@@ -198,14 +206,16 @@ class PartitionedLayer:
 
     The one region-affine layer.  Cells are cut by signed hyperplanes
     (sign(0) = +1); each reachable sign vector needs coefficients (or a
-    declared default).  Strict mode requires A and B orthogonal and
-    enforces, per region, the case-i slope set {-1/d, +1/d} when ell = 0
-    and the case-ii slope set {(1 - ell)/d, -(1 + ell)/d} plus shared
-    weights when ell != 0, so every Jacobian ell*I + d A^T D B is
-    orthogonal wherever it exists.  A and B are shared when they are given
-    as one object, and then train as one parameter.  The weights, bias and
-    plane normals may be arrays or nested lists of numbers; every array,
-    offset and region key is checked (DimensionError) and kept converted.
+    declared default).  A batched pass goes over a block once, straddling
+    a plane or not, and evaluates each distinct activation once.  Strict
+    mode requires A and B orthogonal and enforces, per region, the case-i
+    slope set {-1/d, +1/d} when ell = 0 and the case-ii slope set
+    {(1 - ell)/d, -(1 + ell)/d} plus shared weights when ell != 0, so
+    every Jacobian ell*I + d A^T D B is orthogonal wherever it exists.
+    A and B are shared when they are given as one object, and then train
+    as one parameter.  The weights, bias and plane normals may be arrays
+    or nested lists of numbers; every array, offset and region key is
+    checked (DimensionError) and kept converted.
 
     The constructors build the families of the paper as members:
 
@@ -230,6 +240,7 @@ class PartitionedLayer:
     default: RegionCoeffs | None = None
     strict: bool = True
     family: str = "partitioned"
+    _lookup: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         checked(self.strict, "strict", "a bool")
@@ -245,7 +256,10 @@ class PartitionedLayer:
                        for normal, offset in self.hyperplanes)
         if any(not np.any(normal != 0.0) for normal, _ in planes):
             raise InvalidGateError("partition hyperplane normal must be nonzero")
-        object.__setattr__(self, "hyperplanes", planes)
+        # each plane's normal is a row of one stack
+        normals = np.array([normal for normal, _ in planes]).reshape(len(planes), n)
+        object.__setattr__(self, "hyperplanes", tuple(
+            (row, offset) for row, (_, offset) in zip(normals, planes)))
         regions = {}
         for key, coeffs in self.regions.items():
             if not (isinstance(key, tuple) and len(key) == len(planes)
@@ -254,9 +268,17 @@ class PartitionedLayer:
                     f"region key {key!r} does not match {len(planes)} hyperplanes")
             regions[tuple(map(int, key))] = coeffs
         object.__setattr__(self, "regions", regions)
-        coeff_list = list(regions.values())
-        if self.default is not None:
-            coeff_list.append(self.default)
+        cells = [*regions.values(), self.default]
+        coeff_list = [co for co in cells if co is not None]
+        sigmas = tuple(dict.fromkeys(co.sigma for co in coeff_list))
+        # how a block's rows find their regions: the plane normals and offsets, the region
+        # keys as plane tests and, for each region and then the default (index -1), ell, c,
+        # d and the index of its activation among the distinct ones
+        object.__setattr__(self, "_lookup", (
+            normals, np.array([offset for _, offset in planes]),
+            np.array(list(regions), dtype=np.int64).reshape(len(regions), len(planes)) > 0,
+            np.array([(co.ell, co.c, co.d) if co else (np.nan,) * 3 for co in cells]),
+            sigmas, np.array([sigmas.index(co.sigma) if co else 0 for co in cells])))
         if self.strict:
             if not self.shared_weights:
                 _require_orthogonal(self.A, "A")
@@ -294,8 +316,7 @@ class PartitionedLayer:
         """Signed offset of every row of X from every hyperplane, ``(P, planes)``, or None."""
         if not self.hyperplanes:
             return None
-        normals = np.stack([normal for normal, _ in self.hyperplanes])
-        offsets = np.asarray([offset for _, offset in self.hyperplanes])
+        normals, offsets = self._lookup[:2]
         return X @ normals.T - offsets
 
     def sign_vector(self, x) -> tuple[int, ...]:
@@ -309,81 +330,57 @@ class PartitionedLayer:
             raise MissingRegionError(key)
         return coeffs
 
-    def _cells(self, planes) -> list:
-        """(coeffs, rows) of every cell that rows with these ``_planes`` fall in, in
-        sorted sign order; ``rows`` is ``slice(None)`` when there is one cell."""
-        if planes is None:
-            return [(self._coeffs(()), slice(None))]
-        above = planes >= 0.0
-        if len(above) and (above == above[0]).all():
-            return [(self._coeffs(_sign_key(above[0])), slice(None))]
-        # False sorts before True, so the rows sort as their sign vectors do
-        cells, inverse = np.unique(above, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        return [(self._coeffs(_sign_key(cell)), np.flatnonzero(inverse == i))
-                for i, cell in enumerate(cells)]
+    def _regions(self, planes, rows: int):
+        """The regions of a block of ``rows`` rows with these ``_planes``: ``(ell, c, d,
+        parts)``.  The coefficients are floats when every row lies in one cell, else
+        ``(P, 1)`` columns; ``parts`` pairs each activation the rows use with its rows,
+        a ``(P, 1)`` mask (True for all of them).  An empty block needs no region: any
+        activation gives its zero-row arrays."""
+        if not rows:
+            return 0.0, 0.0, 0.0, [(_RELU, True)]
+        above = None if planes is None else planes >= 0.0
+        if above is None or (above == above[0]).all():
+            co = self._coeffs(() if above is None else _sign_key(above[0]))
+            return co.ell, co.c, co.d, [(co.sigma, True)]
+        signs, table, sigmas, sigma_of = self._lookup[2:]
+        # each row's region, -1 (the default) in a cell no region declares
+        region = (above[:, np.newaxis] == signs).all(axis=2) @ np.arange(1, len(signs) + 1) - 1
+        if self.default is None and (region < 0).any():
+            # the first undeclared cell in sorted sign order
+            self._coeffs(min(map(_sign_key, above[region < 0])))
+        ell, c, d = table[region].T[..., np.newaxis]
+        used = sigma_of[region]
+        return ell, c, d, [(sigma, (used == i)[:, np.newaxis])
+                           for i, sigma in enumerate(sigmas) if (used == i).any()]
 
-    @staticmethod
-    def _gather(cells, parts, shapes, summed=0):
-        """Batch arrays of ``parts``, the outputs of each cell ``(coeffs, rows, ...)`` of ``cells``.
-        One cell's come back as they are; otherwise those of ``shapes`` (no row axis) gather in
-        row order, except the last ``summed``, which add up from zeros in sorted sign order."""
-        if len(parts) == 1:
-            return parts[0]
-        per_row = len(shapes) - summed
-        n_rows = sum(len(cell[1]) for cell in cells)
-        outs = ([np.empty((n_rows, *s)) for s in shapes[:per_row]]
-                + [np.zeros(s) for s in shapes[per_row:]])
-        for cell, part in zip(cells, parts):
-            for out, arr in zip(outs[:per_row], part):
-                out[cell[1]] = arr
-            for out, arr in zip(outs[per_row:], part[per_row:]):
-                out += arr
-        return outs
-
-    # the map on one cell's rows X:  ell X + c + d sigma(X B^T + b) A
-
-    def _forward(self, co: RegionCoeffs, X, Z):
-        """Outputs of one cell's rows X from their pre-activations ``Z = X B^T + b``, the
-        activations ``S = sigma(Z)`` and their pieces."""
-        S, piece = co.sigma.value_and_piece(Z)
-        return co.ell * X + co.c + co.d * (S @ self.A), S, piece
-
-    def _linearize(self, co: RegionCoeffs, X):
-        """Outputs, Jacobians and pre-activation kink distances of one cell's rows X."""
-        Z = X @ self.B.T + self.b
-        out, _, piece = self._forward(co, X, Z)
-        jac = co.d * ((self.A.T * co.sigma.slope(piece)[:, np.newaxis, :]) @ self.B)
-        if co.ell != 0.0:
-            n = self.width
-            # every n+1-th entry of a flattened n x n matrix is on its diagonal
-            jac.reshape(len(jac), n * n)[:, :: n + 1] += co.ell
-        return out, jac, np.min(co.sigma.distance_to_breakpoint(Z), axis=1)
-
-    def _vjp(self, co: RegionCoeffs, X, V, S, piece):
-        """Input gradient of one cell's rows X/V and (gA, gB, gb) summed over them, from
-        the activations S and pieces of its forward pass."""
-        W = co.sigma.slope(piece) * (co.d * (V @ self.A.T))
-        dX = W @ self.B
-        if co.ell != 0.0:
-            dX = dX + co.ell * V
-        return dX, co.d * (S.T @ V), W.T @ X, W.sum(axis=0)
+    # the map on a block's rows X:  ell X + c + d sigma(X B^T + b) A, with each row's
+    # region coefficients and activation
 
     forward = _forward_one
     jacobian = _jacobian_one
     kink_distance = _kink_distance_one
 
     def forward_batch(self, X):
-        cells = self._cells(self._planes(X))
-        parts = [self._forward(co, Y := X[rows], Y @ self.B.T + self.b) for co, rows in cells]
-        out = self._gather(cells, [part[:1] for part in parts], [(self.width,)])[0]
-        return out, [(co, rows, S, piece) for (co, rows), (_, S, piece) in zip(cells, parts)]
+        ell, c, d, parts = regions = self._regions(self._planes(X), len(X))
+        Z = X @ self.B.T + self.b
+        values = [sigma.value_and_piece(Z) for sigma, _ in parts]
+        S = _by_row(parts, [value for value, _ in values])
+        return ell * X + c + d * (S @ self.A), (regions, S, [piece for _, piece in values])
 
     def linearize_batch(self, X):
         planes = self._planes(X)
-        cells = self._cells(planes)
-        out, jac, dist = self._gather(cells, [self._linearize(co, X[rows]) for co, rows in cells],
-                                      [(self.width,), (self.width,) * 2, ()])
+        ell, c, d, parts = self._regions(planes, len(X))
+        Z = X @ self.B.T + self.b
+        S, slope, dist = (_by_row(parts, arrays)
+                          for arrays in zip(*(sigma.linearize(Z) for sigma, _ in parts)))
+        out = ell * X + c + d * (S @ self.A)
+        # A^T with its columns scaled by each row's slopes times d, then times B
+        jac = np.einsum("ij,pj->pij", self.A.T, d * slope) @ self.B
+        # ell on the diagonal, every n+1-th entry of a flattened n x n matrix, where it is
+        # not 0: a row of ell 0 keeps its bits, signed zeros included, as in the vjp
+        diag = jac.reshape(len(jac), self.width ** 2)[:, :: self.width + 1]
+        np.add(diag, ell, out=diag, where=ell != 0.0)
+        dist = np.min(dist, axis=1)
         if planes is None:
             return out, jac, dist
         return out, jac, np.minimum(dist, np.min(np.abs(planes), axis=1))
@@ -391,10 +388,13 @@ class PartitionedLayer:
     vjp = _vjp_one
 
     def vjp_batch(self, X, V, kept):
-        n = self.width
-        dX, gA, gB, gb = self._gather(
-            kept, [self._vjp(co, X[rows], V[rows], S, piece) for co, rows, S, piece in kept],
-            [(n,), (n, n), (n, n), (n,)], summed=3)
+        (ell, c, d, parts), S, pieces = kept
+        slope = _by_row(parts, [sigma.slope(piece) for (sigma, _), piece in zip(parts, pieces)])
+        dV = d * V
+        W = slope * (dV @ self.A.T)
+        dX = W @ self.B
+        np.add(dX, ell * V, out=dX, where=ell != 0.0)
+        gA, gB, gb = S.T @ dV, W.T @ X, W.sum(axis=0)
         if self.shared_weights:
             return dX, {"B": gA + gB, "b": gb}
         return dX, {"A": gA, "B": gB, "b": gb}

@@ -93,23 +93,42 @@ class PwlScalar:
             return np.where(piece, *self.slopes)
         return np.asarray(self.slopes)[piece]
 
+    def _from_offset(self, out):
+        """With one breakpoint t: the value, piece and slope of every element of x from
+        ``out = x - t``, which becomes the value.  ``x - t < 0`` exactly when ``x < t``
+        (IEEE subtraction is 0 only for equal operands), so the piece is ``_piece``'s."""
+        p = out < 0.0
+        slope = self.slope(p)
+        out *= slope
+        out += self.anchor_value
+        return out, p, slope
+
     def value_and_piece(self, x):
         """``value(x)`` of an array ``x``, and the piece of every element, from one
         lookup; ``slope`` of the piece is ``deriv(x)``."""
         x = np.asarray(x, dtype=np.float64)
-        p = self._piece(x)
         # base value + slope * (x - base breakpoint), computed in place; one breakpoint
         # is the general formula with base 0, so its bits are the same
         if len(self.breakpoints) == 1:
-            out = x - self.breakpoints[0]
-            out *= self.slope(p)
-            out += self.anchor_value
-            return out, p
+            return self._from_offset(x - self.breakpoints[0])[:2]
+        p = self._piece(x)
         base = np.maximum(p, 1) - 1
         out = x - np.asarray(self.breakpoints)[base]
         out *= self.slope(p)
         out += self._bp_values[base]
         return out, p
+
+    def linearize(self, x):
+        """``value(x)``, ``deriv(x)`` and ``distance_to_breakpoint(x)`` of an array ``x``;
+        with one breakpoint t all three come from one ``x - t``."""
+        x = np.asarray(x, dtype=np.float64)
+        if len(self.breakpoints) == 1:
+            out = x - self.breakpoints[0]
+            dist = np.abs(out)
+            value, _, slope = self._from_offset(out)
+            return value, slope, dist
+        value, p = self.value_and_piece(x)
+        return value, self.slope(p), self.distance_to_breakpoint(x)
 
     def value(self, x):
         """Evaluate at a scalar or array ``x``."""

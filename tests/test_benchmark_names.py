@@ -1,5 +1,6 @@
 """The names the benchmark in ``perfbench/`` looks up in the package still exist,
-and each of its workloads runs once and passes its own output check.
+and each of its workloads runs once, passes its own output check and writes the
+artifacts pinned in ``golden_digests.json`` (seed 1).
 
 The tracer wraps functions and methods by name, and each workload marks the
 end of its set-up by a ``cli`` binding; a refactor that renames one of them,
@@ -17,8 +18,9 @@ import pytest
 
 from orthojac import cli
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+HERE = os.path.dirname(os.path.abspath(__file__))
+PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
+GOLDEN = os.path.join(HERE, "golden_digests.json")
 
 
 def _load(name: str):
@@ -69,19 +71,36 @@ def test_every_workload_marker_is_bound_on_cli(workload):
         assert callable(vars(cli).get(name)), f"cli.{name}"
 
 
+def run_workload(name: str, work: str):
+    """Run workload ``name``'s seed-1 config through ``cli.main`` in ``work``: the
+    config, the output directory and the exit code."""
+    w = workloads.WORKLOADS[name]
+    config = w.make_config(1)
+    path = os.path.join(work, f"{name}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    out = os.path.join(work, name)
+    return config, out, cli.main([w.command, "--config", path, "--out", out])
+
+
+def benchmark_digests(work: str) -> dict:
+    """``artifact_digest`` of every workload's seed-1 run, by workload name."""
+    return {name: workloads.artifact_digest(run_workload(name, work)[1])
+            for name in sorted(workloads.WORKLOADS)}
+
+
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_every_workload_runs_once_and_passes_its_check(workload, tmp_path, monkeypatch):
     w = workloads.WORKLOADS[workload]
-    config = w.make_config(1)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
     fired = []
     for name in w.marker:
         def marked(*args, _name=name, _inner=getattr(cli, name), **kwargs):
             fired.append(_name)
             return _inner(*args, **kwargs)
         monkeypatch.setattr(cli, name, marked)
-    out = str(tmp_path / "out")
-    code = cli.main([w.command, "--config", str(path), "--out", out])
+    config, out, code = run_workload(workload, str(tmp_path))
     assert fired, f"no marker of {w.marker} fired"
     assert w.evaluate(config, out, code) == []
+    # the bits every performance change keeps, unless it names the moved digests
+    with open(GOLDEN, encoding="utf-8") as fh:
+        assert workloads.artifact_digest(out) == json.load(fh)["perfbench"][workload]

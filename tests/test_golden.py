@@ -2,9 +2,11 @@
 
 Each config below runs through ``cli.main``; every artifact it writes is
 hashed with its wall-clock fields removed, and the digests must equal the
-ones in ``golden_digests.json``.  A change that moves artifact bits on
-purpose regenerates that file and says which digests moved and why;
-regenerating prints each digest that moved as ``command/file old->new``:
+ones in ``golden_digests.json``.  Its ``perfbench`` section holds the digest
+of each benchmark workload's seed-1 run, which ``test_benchmark_names.py``
+checks.  A change that moves artifact bits on purpose regenerates that file
+and says which digests moved and why; regenerating prints each digest that
+moved as ``command/file old->new``:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -130,8 +132,11 @@ def moved_digests(old: dict, new: dict) -> list:
 
 
 if __name__ == "__main__":
+    from test_benchmark_names import benchmark_digests
+
     with tempfile.TemporaryDirectory() as work:
         digests = {command: artifact_digests(command, work) for command in sorted(CONFIGS)}
+        digests["perfbench"] = benchmark_digests(work)
     previous = {}
     if os.path.exists(GOLDEN):
         with open(GOLDEN, encoding="utf-8") as fh:

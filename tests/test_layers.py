@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthojac import layers as ly
 from orthojac import linalg
@@ -886,6 +888,115 @@ def test_linearize_batch_of_an_empty_block_needs_no_region():
     assert layer.vjp_batch(empty, empty, layer.forward_batch(empty)[1])[0].shape == (0, N)
     with pytest.raises(MissingRegionError):
         layer.linearize_batch(SplitMix64(36).gaussian_matrix(1, N))
+
+
+# ---------------------------------------------------------------------------
+# one pass per block: per-row region coefficients
+# ---------------------------------------------------------------------------
+
+
+def test_a_straddling_block_evaluates_each_activation_once_on_all_rows(monkeypatch):
+    n, P = 6, 16
+    B, b, gate = orth(40, n), bias(41, n), SplitMix64(42).gaussian(n)
+    regions = {(1,): ly.RegionCoeffs(1.0, 0.0, -2.0, RELU),
+               (-1,): ly.RegionCoeffs(0.0, 0.0, 1.0, ABS)}
+    layers = {"gated": (ly.make_gated(B, b, gate, RELU), [RELU]),
+              "partitioned": (ly.make_partitioned(B, B, b, [(gate, 0.0)], regions), [RELU, ABS])}
+    X = SplitMix64(43).gaussian_matrix(P, n)
+    assert 0 < np.sum(X @ gate >= 0.0) < P
+    calls = []
+    for name in ("value_and_piece", "linearize"):
+        def counted(self, x, _name=name, _inner=getattr(pwl.PwlScalar, name)):
+            calls.append((_name, self, np.shape(x)))
+            return _inner(self, x)
+        monkeypatch.setattr(pwl.PwlScalar, name, counted)
+    for layer, sigmas in layers.values():
+        for name, run in (("value_and_piece", lambda: layer.forward_batch(X)),
+                          ("linearize", lambda: layer.linearize_batch(X))):
+            calls.clear()
+            run()
+            assert calls == [(name, sigma, (P, n)) for sigma in sigmas]
+        calls.clear()
+        layer.vjp_batch(X, X, layer.forward_batch(X)[1])
+        assert [call[0] for call in calls] == ["value_and_piece"] * len(sigmas)
+
+
+# activations with one and with three breakpoints, and region coefficients
+# (ell, c, d) of every kind: no skip term, a negative d, d not a power of two
+MIXED_SIGMAS = (RELU, ABS, LEAKY, RELU3, SIGMA3)
+MIXED_COEFFS = ((1.0, 0.0, -2.0), (0.0, 0.5, 1.0), (-1.0, 0.1, 2.0), (0.5, -0.3, 0.7),
+                (0.0, 0.0, -3.0))
+
+
+@st.composite
+def mixed_partitions(draw):
+    """A non-strict partitioned layer on 2-4 planes and a block of rows: each cell is
+    declared or left to the default, and at least one is left."""
+    n, k = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    region = st.tuples(st.sampled_from(MIXED_COEFFS), st.sampled_from(MIXED_SIGMAS))
+    cells = list(itertools.product((-1, 1), repeat=k))
+    chosen = draw(st.lists(st.one_of(st.none(), region), min_size=len(cells),
+                           max_size=len(cells)))
+    chosen[draw(st.integers(0, len(cells) - 1))] = None
+    declared = {}
+    for key, picked in zip(cells, chosen):
+        if picked is not None:
+            declared[key] = ly.RegionCoeffs(*picked[0], picked[1])
+    (ell, c, d), sigma = draw(region)
+    seed = draw(st.integers(0, 2**31))
+    stream = SplitMix64(seed)
+    A = stream.gaussian_matrix(n, n) if draw(st.booleans()) else None
+    B, b = stream.gaussian_matrix(n, n), 0.3 * stream.gaussian(n)
+    planes = list(zip(stream.gaussian_matrix(k, n), 0.3 * stream.gaussian(k)))
+    X = stream.gaussian_matrix(draw(st.integers(0, 24)), n)
+    return (B if A is None else A, B, b, planes, declared,
+            ly.RegionCoeffs(ell, c, d, sigma), X, stream.gaussian_matrix(len(X), n))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_partitions())
+def test_each_row_of_a_partitioned_block_is_its_own_regions(case):
+    A, B, b, planes, declared, default, X, V = case
+    layer = ly.make_partitioned(A, B, b, planes, declared, default, strict=False)
+    holey = ly.make_partitioned(A, B, b, planes, declared, None, strict=False)
+    keys = [layer.sign_vector(x) for x in X]
+    out, jac, dist = layer.linearize_batch(X)
+    kept_out, kept = layer.forward_batch(X)
+    dX = layer.vjp_batch(X, V, kept)[0]
+    assert np.array_equal(_bits(out), _bits(kept_out))
+    offsets = np.min(np.abs(X @ np.stack([nrm for nrm, _ in planes]).T
+                            - np.array([off for _, off in planes])), axis=1)
+    for key in set(keys):
+        rows = [i for i, k in enumerate(keys) if k == key]
+        # the row's region alone, as a one-cell layer on the same block
+        one = ly.make_partitioned(A, B, b, [], {(): declared.get(key, default)}, strict=False)
+        one_out, one_jac, one_dist = one.linearize_batch(X)
+        one_dX = one.vjp_batch(X, V, one.forward_batch(X)[1])[0]
+        for got, want in ((out, one_out), (jac, one_jac), (dX, one_dX),
+                          (dist, np.minimum(one_dist, offsets))):
+            assert np.array_equal(_bits(got[rows]), _bits(want[rows]))
+    for i, x in enumerate(X):
+        assert np.array_equal(_bits(layer.jacobian(x, margin=0.0)), _bits(jac[i]))
+        # one row's pre-activations come from a product of another shape
+        assert np.max(np.abs(layer.forward(x) - out[i])) <= 1e-12 * (1.0 + np.max(np.abs(out[i])))
+    # the layer without the default needs a region for every row it takes
+    holes = sorted(key for key in keys if key not in declared)
+    for run in (holey.forward_batch, holey.linearize_batch):
+        if holes:
+            with pytest.raises(MissingRegionError) as exc:
+                run(X)
+            assert exc.value.sign_vector == holes[0]
+    # and takes the rows in declared cells as the layer with the default does
+    Y = X[[key in declared for key in keys]].reshape(-1, len(B))
+    for got, want in zip(holey.linearize_batch(Y), layer.linearize_batch(Y)):
+        assert np.array_equal(_bits(got), _bits(want))
+    empty = X[:0]
+    assert holey.linearize_batch(empty)[1].shape == (0, len(B), len(B))
+    assert holey.vjp_batch(empty, empty, holey.forward_batch(empty)[1])[0].shape == empty.shape
 
 
 # ---------------------------------------------------------------------------

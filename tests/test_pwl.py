@@ -245,6 +245,11 @@ def test_value_and_piece_is_value_and_deriv_from_one_lookup(case):
             for got, want in ((value, f.value(x)), (value, want_value),
                               (f.slope(piece), f.deriv(x)), (f.slope(piece), want_deriv)):
                 assert np.array_equal(bits(got), bits(want))
+            # linearize's three, from one x - breakpoint when there is one breakpoint
+            for got, want in zip(f.linearize(x), (value, f.slope(piece),
+                                                  f.distance_to_breakpoint(x))):
+                assert np.shape(got) == x.shape
+                assert np.array_equal(bits(got), bits(want))
 
 
 def test_pieces_of_many_breakpoints_take_a_wider_unsigned_int():

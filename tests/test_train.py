@@ -397,9 +397,9 @@ def test_forward_batch_bitwise_matches_forward_cache():
 
 
 def _recomputed_vjp(layer, X, V):
-    """A layer's VJP computed from its rows alone: per cell ``Z = X B^T + b``, then
-    ``sigma.value(Z)`` and ``sigma.deriv(Z)``, the cells' sums added in sorted sign
-    order; a limit layer evaluates its fields from X."""
+    """A layer's VJP computed from its rows alone: ``Z = X B^T + b``, then each row's
+    region coefficients and ``sigma.value``/``sigma.deriv`` of its Z row, and one sum
+    over the block; a limit layer evaluates its fields from X."""
     if isinstance(layer, layers_module.ComposedLayer):
         return _recomputed_vjp(layer.inner, X, V @ layer.rotation)
     if isinstance(layer, LimitLayer):
@@ -420,25 +420,17 @@ def _recomputed_vjp(layer, X, V):
         normals = np.stack([normal for normal, _ in layer.hyperplanes])
         offsets = np.array([offset for _, offset in layer.hyperplanes])
         keys = [tuple(1 if a else -1 for a in row) for row in (X @ normals.T - offsets >= 0.0)]
-    parts = []
-    for key in sorted(set(keys)) if layer.hyperplanes else [()]:
-        rows = [i for i, k in enumerate(keys) if k == key]
-        rows = slice(None) if len(rows) == len(X) else np.array(rows)
-        co, Xr, Vr = layer.regions.get(key, layer.default), X[rows], V[rows]
-        Z = Xr @ layer.B.T + layer.b
-        W = co.sigma.deriv(Z) * (co.d * (Vr @ layer.A.T))
-        dXr = W @ layer.B + co.ell * Vr if co.ell != 0.0 else W @ layer.B
-        parts.append((rows, dXr, co.d * (co.sigma.value(Z).T @ Vr), W.T @ Xr, W.sum(axis=0)))
-    if len(parts) == 1:
-        _, dX, gA, gB, gb = parts[0]
-    else:
-        n = layer.width
-        dX, gA, gB, gb = np.empty((len(X), n)), np.zeros((n, n)), np.zeros((n, n)), np.zeros(n)
-        for rows, dXr, gAr, gBr, gbr in parts:
-            dX[rows] = dXr
-            gA += gAr
-            gB += gBr
-            gb += gbr
+    coeffs = [layer.regions.get(key, layer.default) for key in keys]
+    ell, d = (np.array([[getattr(co, name)] for co in coeffs]).reshape(len(X), 1)
+              for name in ("ell", "d"))
+    Z = X @ layer.B.T + layer.b
+    S = np.array([co.sigma.value(z) for co, z in zip(coeffs, Z)]).reshape(Z.shape)
+    slope = np.array([co.sigma.deriv(z) for co, z in zip(coeffs, Z)]).reshape(Z.shape)
+    W = slope * ((d * V) @ layer.A.T)
+    dX = W @ layer.B
+    skip = ell[:, 0] != 0.0
+    dX[skip] += ell[skip] * V[skip]
+    gA, gB, gb = S.T @ (d * V), W.T @ X, W.sum(axis=0)
     if layer.shared_weights:
         return dX, {"B": gA + gB, "b": gb}
     return dX, {"A": gA, "B": gB, "b": gb}
@@ -567,7 +559,7 @@ def test_cached_backward_makes_no_activation_lookup(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the backward pass recomputed forward work")
 
-    for name in ("value", "deriv", "value_and_piece", "distance_to_breakpoint"):
+    for name in ("value", "deriv", "value_and_piece", "linearize", "distance_to_breakpoint"):
         monkeypatch.setattr(pwl.PwlScalar, name, forbidden)
     monkeypatch.setattr(layers_module.MiniNetField, "hidden_batch", forbidden)
     for cls in (layers_module.PartitionedLayer, LimitLayer, layers_module.ComposedLayer):

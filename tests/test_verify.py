@@ -675,7 +675,7 @@ def test_stack_jacobian_makes_one_layer_call_per_block(monkeypatch):
                                          GaussianBumpField(0.01), ConstantField(0.0))]
     calls = []
     for cls in {type(layer) for layer in stack}:
-        for name in ("linearize_batch", "_cells", "forward_batch"):
+        for name in ("linearize_batch", "_regions", "forward_batch"):
             if name in vars(cls):
                 def counted(self, *args, _name=name, _inner=vars(cls)[name]):
                     calls.append((_name, id(self)))
@@ -689,7 +689,7 @@ def test_stack_jacobian_makes_one_layer_call_per_block(monkeypatch):
     layers = stack + [stack[2].inner, stack[-1].reflection]
     assert sorted(calls) == sorted(
         [("linearize_batch", id(layer)) for layer in layers]
-        + [("_cells", id(layer)) for layer in layers if isinstance(layer, PartitionedLayer)])
+        + [("_regions", id(layer)) for layer in layers if isinstance(layer, PartitionedLayer)])
 
 
 # ---------------------------------------------------------------------------
