@@ -94,11 +94,14 @@ def _write_text(out_dir: str, filename: str, text: str) -> str:
 # the probe settings a verify config or entry may set; each is the entry's
 # value, else the config's, else ProbeRequest's default
 PROBE_KEYS = ("criterion", "probes", "seed", "margin", "input_scale", "tol", "epsilon")
+# config keys whose keyword has another name
+_KEYWORDS = {"probes": "n_probes", "epochs": "total_epochs"}
 
 
-def _probe_settings(keys: tuple, *sources) -> dict:
-    """The ``keys`` that ``sources`` set (a later source wins), as ProbeRequest keywords."""
-    return {"n_probes" if key == "probes" else key: source[key]
+def _settings(keys: tuple, *sources) -> dict:
+    """The ``keys`` that ``sources`` set (a later source wins), as keywords of
+    ProbeRequest or TrainConfig, which own the defaults of the keys left out."""
+    return {_KEYWORDS.get(key, key): source[key]
             for source in sources for key in keys if key in source}
 
 
@@ -118,7 +121,7 @@ def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
             raise ConfigError(f"duplicate layer entry name {name!r}")
         names.append(name)
         requests.append(ProbeRequest(entry["layer"], name=name,
-                                     **_probe_settings(PROBE_KEYS, config, entry)))
+                                     **_settings(PROBE_KEYS, config, entry)))
 
     layers = layers_from_json([req.target for req in requests])
     reports = spectrum_probe([dataclasses.replace(req, target=layer)
@@ -145,7 +148,7 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     specs = checked(config["layers"], "layers", "a non-empty list", ConfigError)
     # the settings are checked, with the specs standing in for the stack,
     # before any layer is built
-    req = ProbeRequest(specs, criterion="none", **_probe_settings(keys, config))
+    req = ProbeRequest(specs, criterion="none", **_settings(keys, config))
     req = dataclasses.replace(req, target=layers_from_json(specs))
 
     # stack_jacobian is looked up here per block, so a wrapper put on or taken off
@@ -261,14 +264,11 @@ def _load_train_data(section: dict, seed: int, data_root) -> tuple:
 
 
 def cmd_train(config: dict, out_dir: str, digest: str, data_root) -> int:
+    optional = ("batch_size", "alpha", "patience", "seed")
     _check_keys(config, "train config", ("model", "width", "depth", "lr0",
-                                         "epochs", "data"),
-                ("command", "batch_size", "alpha", "patience", "seed"))
+                                         "epochs", "data"), ("command", *optional))
     # the settings are checked before any data is loaded or layer built
-    train_cfg = TrainConfig(lr0=config["lr0"], total_epochs=config["epochs"],
-                            batch_size=config.get("batch_size", 512),
-                            alpha=config.get("alpha", 0.0),
-                            patience=config.get("patience", 10), seed=config.get("seed", 0))
+    train_cfg = TrainConfig(**_settings(("lr0", "epochs", *optional), config))
     model = check_model(config["model"])
     width = checked(config["width"], "width", "a positive integer", ConfigError)
     depth = checked(config["depth"], "depth", "a non-negative integer", ConfigError)

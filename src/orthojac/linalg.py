@@ -342,7 +342,7 @@ def _round_index(n: int) -> np.ndarray:
     return np.concatenate([row[p] * n + p, row[p] * n + q, row[q] * n + p, row[q] * n + q])
 
 
-def _sweep(w: np.ndarray, tol: float, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(w: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One round-robin Jacobi sweep over the rows of every ``w[b]``.
 
     Each of the ``n - 1`` rounds rotates the disjoint row pairs ``(i, n/2 + i)``
@@ -359,7 +359,7 @@ def _sweep(w: np.ndarray, tol: float, index: np.ndarray) -> tuple[np.ndarray, np
         sq = np.einsum("bij,bij->bi", w, w)
         app, aqq = sq[:, :half], sq[:, half:]
         apq = np.einsum("bij,bij->bi", w[:, :half], w[:, half:])
-        rotate = np.abs(apq) > tol * np.sqrt(app * aqq)
+        rotate = np.abs(apq) > JACOBI_TOL * np.sqrt(app * aqq)
         rotated |= rotate.any(axis=1)
         # t = sign(zeta) / (|zeta| + hypot(1, zeta)), zeta = diff / (2 apq), times 2|apq|
         # over 2|apq|, so nothing overflows; only rotating pairs (apq != 0) divide
@@ -374,7 +374,7 @@ def _sweep(w: np.ndarray, tol: float, index: np.ndarray) -> tuple[np.ndarray, np
     return w, rotated
 
 
-def _jacobi_block(w: np.ndarray, tol: float, max_sweeps: int, offset: int) -> np.ndarray:
+def _jacobi_block(w: np.ndarray, offset: int) -> np.ndarray:
     """Unsorted singular values of every ``w[b]`` (``(B, n, m)``, ``m >= n``,
     overwritten), plus a 0 if ``n`` is odd: the row norms of ``w[b]`` if its
     rows pass the first Gram test, else those of its R (``_pivoted_r``, padded
@@ -386,7 +386,7 @@ def _jacobi_block(w: np.ndarray, tol: float, max_sweeps: int, offset: int) -> np
     """
     count, n, m = w.shape
     norms = np.zeros((count, n + n % 2))
-    live = np.flatnonzero(_worst_off_diagonal(w, np.zeros(count)) > tol)
+    live = np.flatnonzero(_worst_off_diagonal(w, np.zeros(count)) > JACOBI_TOL)
     norms[:, :n] = np.sqrt(np.einsum("bij,bij->bi", w, w))
     if not len(live):
         return norms
@@ -401,28 +401,24 @@ def _jacobi_block(w: np.ndarray, tol: float, max_sweeps: int, offset: int) -> np
         norms[live[done]] = np.sqrt(np.einsum("bij,bij->bi", rows, rows))
         r, live, floor = r[~done], live[~done], floor[~done]
 
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
         # a matrix whose every pair already passes needs no rotation at all
         residual = _worst_off_diagonal(r, floor)
-        finish(residual <= tol)
+        finish(residual <= JACOBI_TOL)
         if not len(live):
             return norms
-        if sweep == max_sweeps:
-            residual = residual[residual > tol]
+        if sweep == JACOBI_MAX_SWEEPS:
+            residual = residual[residual > JACOBI_TOL]
             worst = int(np.argmax(residual))
             raise ConvergenceError(
-                f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps",
+                f"one-sided Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps",
                 float(residual[worst]), index=int(offset + live[worst]),
             )
-        r, rotated = _sweep(r, tol, index)
+        r, rotated = _sweep(r, index)
         finish(~rotated)
 
 
-def svd_values(
-    m: np.ndarray,
-    tol: float = JACOBI_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> np.ndarray:
+def svd_values(m: np.ndarray) -> np.ndarray:
     """Singular values by one-sided Jacobi, sorted descending.
 
     ``m`` is one ``(rows, cols)`` matrix, giving a vector of
@@ -431,7 +427,7 @@ def svd_values(
     same whether it is passed alone or in a stack.
 
     One Gram product first tests whether every pair of columns of the
-    taller orientation satisfies ``|a_p . a_q| <= tol * ||a_p|| * ||a_q||``;
+    taller orientation satisfies ``|a_p . a_q| <= JACOBI_TOL * ||a_p|| * ||a_q||``;
     a matrix that passes (an orthogonal one, for one small matmul) has its
     exact column norms as values.  Each other matrix is replaced by the R of
     a column-pivoted Householder QR, whose rows are rotated pairwise to the
@@ -453,7 +449,7 @@ def svd_values(
     is exact, so it changes no value of a matrix whose squared column norms
     were in range.  Raises ConvergenceError (carrying the matrix's stack
     index and its worst relative off-diagonal) if a matrix's rows still fail
-    the test after ``max_sweeps`` sweeps.
+    the test after ``JACOBI_MAX_SWEEPS`` sweeps.
     """
     single = np.ndim(m) == 2
     a = as_matrix(m)[np.newaxis] if single else _as_array(m, (None,) * 3, "matrix stack")
@@ -470,7 +466,7 @@ def svd_values(
         # the columns of each matrix become the rows of w, for contiguous dots
         w = np.empty((len(block), cols, rows))
         np.ldexp(block.transpose(0, 2, 1), -exp[:, np.newaxis, np.newaxis], out=w)
-        norms = _jacobi_block(w, tol, max_sweeps, start)
+        norms = _jacobi_block(w, start)
         # a pad value is 0, so after the descending sort it is last
         values[start:start + len(block)] = np.ldexp(
             np.sort(norms, axis=1)[:, ::-1][:, :cols], exp[:, np.newaxis])

@@ -148,16 +148,6 @@ class PwlScalar:
         d = np.min(np.abs(x[..., np.newaxis] - np.asarray(self.breakpoints)), axis=-1)
         return float(d) if d.ndim == 0 else d
 
-    def scale(self, factor: float) -> "PwlScalar":
-        """The function ``factor * f`` (factor must be nonzero)."""
-        if factor == 0.0:
-            raise DegenerateSlopesError("scaling by zero collapses all slopes")
-        return PwlScalar(
-            self.breakpoints,
-            tuple(factor * s for s in self.slopes),
-            factor * self.anchor_value,
-        )
-
     def to_json(self) -> dict:
         return {
             "breakpoints": list(self.breakpoints),

@@ -213,10 +213,6 @@ class Network:
     def class_count(self) -> int:
         return self.head_w.shape[0]
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
     def params(self) -> dict:
         out = {"head.w": self.head_w, "head.b": self.head_b}
         for i, layer in enumerate(self.layers):

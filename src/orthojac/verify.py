@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NearKinkError, NoValidProbeError
+from .errors import ConvergenceError, DimensionError, NoValidProbeError
 from .layers import DEFAULT_MARGIN, LimitLayer
 from .linalg import checked, frobenius_defect, per_matrix, svd_values
 from .rng import SplitMix64, derive_seed
@@ -88,35 +88,6 @@ def stack_jacobian(stack: list, X: np.ndarray, margin: float = DEFAULT_MARGIN):
             jacs = None if jacs is None else jacs[keep]
         jacs = part if jacs is None else part @ jacs
     return kept, jacs
-
-
-def gradient_norm_ratio(
-    target, x: np.ndarray, v: np.ndarray, margin: float = DEFAULT_MARGIN
-) -> float:
-    """||J(x)^T v|| / ||v|| through a layer or stack via chained VJPs.
-
-    Each layer's forward state is margin-checked, so a probe landing on
-    a kink raises rather than silently picking a one-sided derivative.
-    A stack whose layers differ in width raises DimensionError.
-    """
-    stack = _as_stack(target)
-    _check_widths(stack)
-    v = np.asarray(v, dtype=np.float64)
-    v_norm = float(np.sqrt(v @ v))
-    if v_norm == 0.0:
-        raise DimensionError("cotangent must be nonzero")
-    inputs = []
-    cur = np.asarray(x, dtype=np.float64)
-    for layer in stack:
-        dist = layer.kink_distance(cur)
-        if dist < margin:
-            raise NearKinkError(dist, margin)
-        inputs.append(cur)
-        cur = layer.forward(cur)
-    grad = v
-    for layer, layer_in in zip(reversed(stack), reversed(inputs)):
-        grad, _ = layer.vjp(layer_in, grad)
-    return float(np.sqrt(grad @ grad)) / v_norm
 
 
 @dataclass

@@ -16,7 +16,6 @@ from orthojac import layers as ly
 from orthojac import pwl
 from orthojac.cli import main as cli_main
 from orthojac.data import load_idx
-from orthojac.errors import NearKinkError
 from orthojac.linalg import random_orthogonal
 from orthojac.rng import SplitMix64, derive_seed
 from orthojac.train import (
@@ -32,9 +31,9 @@ from orthojac.verify import (
     check_dynamical_isometry,
     density_gap,
     fd_jacobian,
-    gradient_norm_ratio,
     orthogonality_defect,
     partial_isometry_defect,
+    stack_jacobian,
 )
 
 N = 16
@@ -56,8 +55,8 @@ def strict_families(n: int, seed: int) -> dict:
     gate = SplitMix64(derive_seed(seed, 5)).gaussian(n)
     inner = ly.make_case_ii(B, b, 1.0, 0.0, -2.0, RELU)
     regions = {
-        (1,): ly.RegionCoeffs(1.0, 0.0, 1.0, RELU3.scale(-2.0)),
-        (-1,): ly.RegionCoeffs(-1.0, 0.0, 1.0, RELU3.scale(2.0)),
+        (1,): ly.RegionCoeffs(1.0, 0.0, 1.0, pwl.make_two_slope(0.0, -2.0, [-1.0, 0.0, 1.0])),
+        (-1,): ly.RegionCoeffs(-1.0, 0.0, 1.0, pwl.make_two_slope(0.0, 2.0, [-1.0, 0.0, 1.0])),
     }
     return {
         "abs_rotation": ly.make_case_i(A, B, b, 0.5, 1.0, ABS),
@@ -71,17 +70,19 @@ def strict_families(n: int, seed: int) -> dict:
 
 
 def margin_probes(layer, count: int, seed: int):
-    """Yield exactly `count` (x, jacobian) pairs outside the kink margin."""
+    """The first `count` inputs of the Gaussian stream of `seed` that lie outside
+    the kink margin, and their Jacobians, as `(count, n)` and `(count, n, n)`
+    arrays.  The stream is drawn in blocks of `count` rows and each block goes
+    through one `stack_jacobian` call; `n` is even, so row i is the i-th
+    `gaussian(n)` draw."""
     gen = SplitMix64(seed)
-    produced = 0
-    while produced < count:
-        x = gen.gaussian(layer.width)
-        try:
-            jac = layer.jacobian(x)
-        except NearKinkError:
-            continue
-        produced += 1
-        yield x, jac
+    xs, jacs = [], []
+    while sum(map(len, xs)) < count:
+        X = gen.gaussian(count * layer.width).reshape(count, layer.width)
+        kept, block = stack_jacobian([layer], X)
+        xs.append(X[kept])
+        jacs.append(block)
+    return np.concatenate(xs)[:count], np.concatenate(jacs)[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +94,10 @@ def test_criterion1_strict_families_give_orthogonal_jacobians():
     worst = 0.0
     for seed in range(5):
         for name, layer in strict_families(N, seed).items():
-            for _, jac in margin_probes(layer, PROBES, derive_seed(seed, 0xA1)):
-                defect = orthogonality_defect(jac)
-                if defect > worst:
-                    worst = defect
-                assert defect <= 1e-10, (name, seed, defect)
+            _, jacs = margin_probes(layer, PROBES, derive_seed(seed, 0xA1))
+            defect = float(np.max(orthogonality_defect(jacs)))
+            worst = max(worst, defect)
+            assert defect <= 1e-10, (name, seed, defect)
     print(f"max orthogonality defect over 7 families x 5 seeds x {PROBES}"
           f" probes: {worst:.3e}")
 
@@ -112,16 +112,14 @@ def test_criterion2_leaky_slopes_break_orthogonality():
     b = 0.3 * SplitMix64(72).gaussian(N)
     layer = ly.make_case_ii(B, b, 1.0, 0.0, -2.0, LEAKY, strict=False)
     # per leaky unit the Gram matrix shifts by 4*0.3*(0.3-1) = -0.84
-    leaky_seen = 0
-    for x, jac in margin_probes(layer, PROBES, 73):
-        defect = orthogonality_defect(jac)
-        n_leaky = int(np.sum(B @ x + b < 0.0))
-        if n_leaky >= 1:
-            leaky_seen += 1
-            assert defect >= 0.5, (n_leaky, defect)
-            assert abs(defect - 0.84 * np.sqrt(n_leaky)) <= 1e-9
-        else:
-            assert defect <= 1e-10
+    X, jacs = margin_probes(layer, PROBES, 73)
+    defects = orthogonality_defect(jacs)
+    n_leaky = np.sum(X @ B.T + b < 0.0, axis=1)
+    leaky = n_leaky >= 1
+    assert np.all(defects[leaky] >= 0.5)
+    assert np.all(np.abs(defects[leaky] - 0.84 * np.sqrt(n_leaky[leaky])) <= 1e-9)
+    assert np.all(defects[~leaky] <= 1e-10)
+    leaky_seen = int(np.sum(leaky))
     assert leaky_seen >= PROBES * 0.9
     print(f"{leaky_seen}/{PROBES} probes had leaky units; defect matched"
           f" 0.84*sqrt(#leaky) on all of them")
@@ -140,18 +138,17 @@ def test_criterion3_projection_families_are_partial_isometries():
     relu_residual = ly.make_case_ii(B, b, 1.0, 0.0, -1.0, RELU, strict=False)
     worst = 0.0
     for tag, layer in (("rotation", relu_rotation), ("residual", relu_residual)):
-        for _, jac in margin_probes(layer, PROBES, 84):
-            defect = partial_isometry_defect(jac)
-            if defect > worst:
-                worst = defect
-            assert defect <= 1e-10, (tag, defect)
+        _, jacs = margin_probes(layer, PROBES, 84)
+        defect = float(np.max(partial_isometry_defect(jacs)))
+        worst = max(worst, defect)
+        assert defect <= 1e-10, (tag, defect)
 
     # leaky-slope arithmetic: per leaky unit |s^4 - s^2| = 0.0819 at s = 0.3
     leaky_rotation = ly.make_case_i(A, B, b, 0.0, 1.0, LEAKY, strict=False)
-    for x, jac in margin_probes(leaky_rotation, PROBES, 85):
-        n_leaky = int(np.sum(B @ x + b < 0.0))
-        defect = partial_isometry_defect(jac)
-        assert abs(defect - 0.0819 * np.sqrt(n_leaky)) <= 1e-6
+    X, jacs = margin_probes(leaky_rotation, PROBES, 85)
+    n_leaky = np.sum(X @ B.T + b < 0.0, axis=1)
+    defects = partial_isometry_defect(jacs)
+    assert np.all(np.abs(defects - 0.0819 * np.sqrt(n_leaky)) <= 1e-6)
     print(f"max partial-isometry defect over 2 relu families: {worst:.3e};"
           f" leaky defect matched 0.0819*sqrt(#leaky) on {PROBES} probes")
 
@@ -174,26 +171,40 @@ def make_strict_stack(depth: int, seed: int) -> list:
     return stack
 
 
-def test_criterion4_gradient_norms_stable_at_depth():
+def test_criterion4_gradient_norms_stable_at_depth(backward_ratios):
     worst = 0.0
     for depth in (10, 50, 200):
         stack = make_strict_stack(depth, depth)
-        gen = SplitMix64(derive_seed(0xCAFE, depth))
-        pairs = 0
-        while pairs < 100:
-            x = gen.gaussian(N)
-            v = gen.gaussian(N)
-            try:
-                ratio = gradient_norm_ratio(stack, x, v)
-            except NearKinkError:
-                continue
-            pairs += 1
-            gap = abs(ratio - 1.0)
-            if gap > worst:
-                worst = gap
-            assert gap <= 1e-8, (depth, ratio)
+        # 100 (x, v) pairs, drawn in turn
+        pairs = SplitMix64(derive_seed(0xCAFE, depth)).gaussian(100 * 2 * N).reshape(100, 2, N)
+        gap = float(np.max(np.abs(backward_ratios(stack, pairs[:, 0], pairs[:, 1]) - 1.0)))
+        worst = max(worst, gap)
+        assert gap <= 1e-8, (depth, gap)
     print(f"max |gradient norm ratio - 1| over depths 10/50/200 x 100"
           f" pairs: {worst:.3e}")
+
+
+def test_criterion4_every_strict_family_keeps_gradient_norms(backward_ratios):
+    # a depth-50 stack cycling through the strict families, one seed per cycle;
+    # the case-i offset and |x| move the rows off the origin as they go deeper,
+    # so the layers cut by planes come first, where the block is centred
+    names = ["gated", "two_region", "abs_rotation", "sigma3_rotation", "residual_relu",
+             "residual_relu3", "composed"]
+    families = [strict_families(N, seed) for seed in range(8)]
+    stack = [families[k // 7][names[k % 7]] for k in range(50)]
+    pairs = SplitMix64(0xC4).gaussian(100 * 2 * N).reshape(100, 2, N)
+    straddled = set()
+    cur = pairs[:, 0]
+    for k, layer in enumerate(stack):
+        if getattr(layer, "hyperplanes", ()) and len({layer.sign_vector(x) for x in cur}) > 1:
+            straddled.add(names[k % 7])
+        cur = layer.forward_batch(cur)[0]
+    # the one-pass VJP of a block whose rows lie in different cells is covered
+    assert straddled == {"gated", "two_region"}
+    gap = float(np.max(np.abs(backward_ratios(stack, pairs[:, 0], pairs[:, 1]) - 1.0)))
+    assert gap <= 1e-8, gap
+    print(f"max |gradient norm ratio - 1| over a depth-50 stack of every strict"
+          f" family x 100 pairs: {gap:.3e}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
 import copy
-import functools
 import json
 import re
 import sys
@@ -243,10 +242,7 @@ def test_verify_rerun_byte_identical(tmp_path):
 
 
 def test_verify_svd_convergence_failure_exits_1(tmp_path, capsys, monkeypatch):
-    # the default sweep cap is bound when svd_values is defined, so patch the
-    # binding verify calls rather than the constant
-    monkeypatch.setattr(verify, "svd_values",
-                        functools.partial(linalg.svd_values, max_sweeps=1))
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     layer = dict(reflection_layer(seed=15), strict=False, sigma=LEAKY)
     config = {"seed": 3, "probes": 4,
               "layers": [{"name": "leaky", "layer": layer,
@@ -349,8 +345,7 @@ def test_verify_batch_matches_each_entry_alone(tmp_path, monkeypatch):
 
 def test_verify_batched_convergence_failure_names_its_entry(
         tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(verify, "svd_values",
-                        functools.partial(linalg.svd_values, max_sweeps=1))
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     leaky = dict(reflection_layer(seed=15), strict=False, sigma=LEAKY)
     config = {"seed": 3, "probes": 4,
               "layers": [{"name": "strict", "layer": reflection_layer()},
@@ -368,8 +363,9 @@ def test_verify_batched_convergence_failure_names_its_entry(
     [(kept, jacs, _)] = verify.probe_spectra(
         [verify.ProbeRequest([layer_from_json(leaky)], 4, 3, 1.0, DEFAULT_MARGIN)],
         verify.stack_jacobian)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError):
-        linalg.svd_values(jacs[kept.index(int(found.group(1)))], max_sweeps=1)
+        linalg.svd_values(jacs[kept.index(int(found.group(1)))])
 
 
 def test_verify_entry_without_a_kept_probe_is_named(tmp_path, capsys):
@@ -480,8 +476,7 @@ def test_spectrum_agrees_with_spectrum_probe(tmp_path):
 
 
 def test_spectrum_convergence_failure_names_its_probe(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(verify, "svd_values",
-                        functools.partial(linalg.svd_values, max_sweeps=1))
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     leaky = dict(reflection_layer(seed=15, bias=0.3), strict=False, sigma=LEAKY)
     config = {"seed": 2, "probes": 20, "margin": 0.05, "layers": [leaky]}
     code, out_dir = run(tmp_path, "spectrum", config)
@@ -496,8 +491,9 @@ def test_spectrum_convergence_failure_names_its_probe(tmp_path, capsys, monkeypa
         [verify.ProbeRequest([layer_from_json(leaky)], 20, 2, margin=0.05)],
         verify.stack_jacobian)
     assert kept.index(13) != 13
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(ConvergenceError):
-        linalg.svd_values(jacs[kept.index(13)], max_sweeps=1)
+        linalg.svd_values(jacs[kept.index(13)])
 
 
 def test_spectrum_factors_its_stack_in_one_batch(tmp_path, monkeypatch):

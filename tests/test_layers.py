@@ -22,6 +22,7 @@ from orthojac.errors import (
 )
 from orthojac.linalg import random_orthogonal, random_orthogonal_batch
 from orthojac.rng import SplitMix64
+from orthojac.verify import fd_jacobian
 
 N = 8
 
@@ -47,8 +48,8 @@ def every_family(n=N):
     gate = SplitMix64(11).gaussian(n)
     inner = ly.make_case_ii(B, b, 1.0, 0.0, -2.0, RELU)
     regions = {
-        (1,): ly.RegionCoeffs(1.0, 0.0, 1.0, RELU3.scale(-2.0)),
-        (-1,): ly.RegionCoeffs(-1.0, 0.0, 1.0, RELU3.scale(2.0)),
+        (1,): ly.RegionCoeffs(1.0, 0.0, 1.0, pwl.make_two_slope(0.0, -2.0, [-1.0, 0.0, 1.0])),
+        (-1,): ly.RegionCoeffs(-1.0, 0.0, 1.0, pwl.make_two_slope(0.0, 2.0, [-1.0, 0.0, 1.0])),
     }
     return {
         "case_i_abs": ly.make_case_i(A, B, b, 0.5, 1.0, ABS),
@@ -62,16 +63,6 @@ def every_family(n=N):
             B, b, ly.GaussianBumpField(0.01), ly.ConstantField(0.0)
         ),
     }
-
-
-def fd_jacobian_of(fn, x, h=1e-6):
-    n = x.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        jac[:, j] = (fn(x + step) - fn(x - step)) / (2.0 * h)
-    return jac
 
 
 def margin_probe(layer, seed, margin=1e-3):
@@ -177,7 +168,7 @@ def test_jacobian_matches_finite_differences():
     for name, layer in every_family().items():
         x = margin_probe(layer, 7)
         jac = layer.jacobian(x)
-        fd = fd_jacobian_of(layer.forward, x)
+        fd = fd_jacobian(layer.forward, x)
         assert np.max(np.abs(jac - fd)) < 1e-5, name
 
 

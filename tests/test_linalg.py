@@ -249,10 +249,11 @@ def test_svd_values_rectangular_and_zero():
     assert np.all(linalg.svd_values(np.zeros((3, 3))) == 0.0)
 
 
-def test_svd_values_convergence_error_carries_residual():
+def test_svd_values_convergence_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     m = SplitMix64(2).gaussian_matrix(8, 8)
     with pytest.raises(ConvergenceError) as exc:
-        linalg.svd_values(m, max_sweeps=1)
+        linalg.svd_values(m)
     assert exc.value.residual > 0.0
 
 
@@ -496,14 +497,15 @@ def test_svd_values_orthogonal_inputs_take_the_gram_skip(seed, n, count):
 def test_svd_values_one_unconverged_matrix_in_a_stack(monkeypatch):
     # blocks of 16 matrices of 8 x 8, so the unconverged matrix is in the second
     monkeypatch.setattr(linalg, "JACOBI_BLOCK_ENTRIES", 16 * 64)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     count = 20
     stack = np.stack([linalg.random_orthogonal(8, k) for k in range(count)])
     stack[-2] = SplitMix64(2).gaussian_matrix(8, 8)
     with pytest.raises(ConvergenceError, match=f"matrix {count - 2} ") as exc:
-        linalg.svd_values(stack, max_sweeps=1)
+        linalg.svd_values(stack)
     assert exc.value.residual > 0.0
     # without the unconverged matrix the same stack passes
-    assert np.max(np.abs(linalg.svd_values(stack[:-2], max_sweeps=1) - 1.0)) <= 1e-14
+    assert np.max(np.abs(linalg.svd_values(stack[:-2]) - 1.0)) <= 1e-14
 
 
 def test_as_matrix_rejects_nonfinite():

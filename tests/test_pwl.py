@@ -109,13 +109,6 @@ def test_constructor_rejections():
         PwlScalar((0.0, 1.0), (1.0, 1.0, 0.0), 0.0)  # flat kink
 
 
-def test_scale():
-    f = make_relu_k([0.0]).scale(2.0)
-    assert f(3.0) == 6.0 and f(-3.0) == 0.0
-    with pytest.raises(DegenerateSlopesError):
-        f.scale(0.0)
-
-
 def test_json_round_trip_exact():
     f = make_sigma_k([-1.0, 0.0, 1.5])
     g = PwlScalar.from_json(f.to_json())

@@ -450,7 +450,7 @@ def _uncached_backward(net, X_raw, dlogits):
         cur = layer.forward_batch(cur)[0]
     grads = {"head.w": dlogits.T @ cur, "head.b": dlogits.sum(axis=0)}
     cot = dlogits @ net.head_w
-    for i in range(net.depth - 1, -1, -1):
+    for i in range(len(net.layers) - 1, -1, -1):
         want_cot, want_grads = _recomputed_vjp(net.layers[i], inputs[i], cot)
         kept = net.layers[i].forward_batch(inputs[i])[1]
         cot, layer_grads = net.layers[i].vjp_batch(inputs[i], cot, kept)
@@ -542,7 +542,7 @@ def test_backward_batch_releases_the_forward_cache():
                 yield from arrays(item)
 
     kept = [weakref.ref(a) for _, layer_kept in cache for a in arrays(layer_kept)]
-    assert len(kept) >= 2 * net.depth
+    assert len(kept) >= 2 * len(net.layers)
     net.backward_batch(cache, stack_out, np.ones_like(logits))
     assert cache == []
     assert all(ref() is None for ref in kept)

@@ -42,7 +42,6 @@ from orthojac.verify import (
     check_dynamical_isometry,
     density_gap,
     fd_jacobian,
-    gradient_norm_ratio,
     orthogonality_defect,
     partial_isometry_defect,
     probe_spectra,
@@ -291,13 +290,6 @@ def test_stack_jacobian_refuses_a_stack_of_mixed_widths():
         stack_jacobian(stack, np.ones((3, 4)))
 
 
-def test_gradient_ratio_refuses_a_stack_of_mixed_widths():
-    stack = [strict_case_ii(4, 1), strict_case_ii(5, 2)]
-    with pytest.raises(DimensionError, match="^layer 1 of the stack has width 5,"
-                                             " layer 0 has width 4$"):
-        gradient_norm_ratio(stack, np.ones(4), np.ones(4))
-
-
 def test_report_rejects_inverted_sv_range():
     with pytest.raises(DimensionError):
         VerifyReport(
@@ -493,20 +485,20 @@ def test_limit_layer_weights_are_its_reflection_weights():
 
 
 # ---------------------------------------------------------------------------
-# gradient norm ratio
+# gradient norm ratio through the training backward pass
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("depth", [10, 50, 200])
-def test_gradient_ratio_strict_stack_is_one(depth):
+def test_gradient_ratio_strict_stack_is_one(depth, backward_ratios):
     stack = [strict_case_ii(12, derive_seed(81, k)) for k in range(depth)]
-    gen = SplitMix64(derive_seed(82, depth))
-    for _ in range(5):
-        ratio = gradient_norm_ratio(stack, gen.gaussian(12), gen.gaussian(12))
-        assert abs(ratio - 1.0) <= 1e-8
+    # five (x, v) pairs, drawn in turn
+    pairs = SplitMix64(derive_seed(82, depth)).gaussian(5 * 2 * 12).reshape(5, 2, 12)
+    ratios = backward_ratios(stack, pairs[:, 0], pairs[:, 1])
+    assert np.max(np.abs(ratios - 1.0)) <= 1e-8
 
 
-def test_gradient_ratio_leaky_direction_oracle():
+def test_gradient_ratio_leaky_direction_oracle(backward_ratios):
     n = 6
     A = random_orthogonal(n, 83)
     B = random_orthogonal(n, 84)
@@ -516,10 +508,11 @@ def test_gradient_ratio_leaky_direction_oracle():
     pre[2] = -1.0  # unit 2 on the leaky slope, all others on slope 1
     x = B.T @ pre
     v = A[2]
-    assert gradient_norm_ratio(layer, x, v) == pytest.approx(0.3, abs=1e-12)
+    [ratio] = backward_ratios([layer], x[np.newaxis], v[np.newaxis])
+    assert ratio == pytest.approx(0.3, abs=1e-12)
 
 
-def test_gradient_ratio_decays_without_orthogonality():
+def test_gradient_ratio_decays_without_orthogonality(backward_ratios):
     n = 12
     stack = []
     for k in range(50):
@@ -528,25 +521,10 @@ def test_gradient_ratio_decays_without_orthogonality():
             random_orthogonal(n, derive_seed(85, k, 1)),
             0.2 * SplitMix64(derive_seed(85, k, 2)).gaussian(n),
             c=0.0, d=1.0, sigma=leaky_relu(0.3), strict=False))
-    gen = SplitMix64(86)
-    ratio = gradient_norm_ratio(stack, gen.gaussian(n), gen.gaussian(n))
+    x, v = SplitMix64(86).gaussian(2 * n).reshape(2, 1, n)
+    [ratio] = backward_ratios(stack, x, v)
     assert ratio <= 1.0
     assert ratio < 0.9
-
-
-def test_gradient_ratio_rejects_zero_cotangent():
-    layer = strict_case_ii(4, 87)
-    with pytest.raises(DimensionError):
-        gradient_norm_ratio(layer, np.ones(4), np.zeros(4))
-
-
-def test_gradient_ratio_propagates_near_kink():
-    n = 4
-    B = random_orthogonal(n, 88)
-    sigma = make_two_slope(0.0, 1.0, [0.0])
-    layer = make_case_ii(B, np.zeros(n), ell=1.0, c=0.0, d=-2.0, sigma=sigma)
-    with pytest.raises(NearKinkError):
-        gradient_norm_ratio(layer, np.zeros(n), np.ones(n))
 
 
 # ---------------------------------------------------------------------------
