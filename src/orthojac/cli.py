@@ -157,8 +157,8 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     rows = [(index, float(sv.min()), float(sv.max()))
             for index, sv in zip(kept, values)]
     scale = HISTOGRAM_BINS / HISTOGRAM_RANGE
-    bins = np.clip(((values + EDGE_SNAP) * scale).astype(np.int64),
-                   0, HISTOGRAM_BINS - 1)
+    # clipped before the cast: a value past the int64 range would wrap
+    bins = np.clip((values + EDGE_SNAP) * scale, 0, HISTOGRAM_BINS - 1).astype(np.int64)
     counts = np.bincount(bins.ravel(), minlength=HISTOGRAM_BINS)
     skipped = req.n_probes - len(kept)
 

@@ -22,9 +22,10 @@ from .rng import SplitMix64, derive_seed
 PASS_TOL = 1e-10
 ISOMETRY_TOL = 1e-8
 CRITERIA = ("orthogonal", "partial", "sv_interval", "isometry", "none")
-# probes chained through the stack together: enough rows to amortize the
-# per-layer overhead, few enough that the per-layer stacks stay small
-PROBE_BLOCK = 16
+# entries of the (rows, n, n) Jacobian stack of one probe block (256 KiB of
+# float64): each layer call's fixed cost argues for more rows, the allocator
+# for fewer (larger fresh per-layer stacks fault in their pages each call)
+PROBE_BLOCK_ENTRIES = 32 * 32 * 32
 
 
 def orthogonality_defect(jac: np.ndarray):
@@ -223,7 +224,9 @@ def probe_spectra(requests: list, jacobian) -> list:
     derived from its ``seed``, times its ``input_scale``; probes within its
     ``margin`` of a kink are dropped.  The probes go through
     ``jacobian(stack, X, margin)``, which is ``stack_jacobian`` through the
-    caller's own binding of it, in blocks of ``PROBE_BLOCK`` rows.  The kept
+    caller's own binding of it, in blocks of ``PROBE_BLOCK_ENTRIES // n**2``
+    rows at width ``n`` (at least one): 32 at width 32, 128 at width 16, 8 at
+    width 64.  A region-affine Jacobian is the same in any block.  The kept
     Jacobians of all requests of one width fill one buffer, whose singular
     values come from one ``svd_values`` call once every request is probed;
     each matrix gets the same values as in a call of its own.
@@ -253,8 +256,9 @@ def probe_spectra(requests: list, jacobian) -> list:
         X = req.input_scale * stream.gaussian(req.n_probes * pad).reshape(-1, pad)[:, :width]
         owner = owners[width]
         start = len(owner)
-        for first in range(0, req.n_probes, PROBE_BLOCK):
-            kept, block = jacobian(stack, X[first:first + PROBE_BLOCK], req.margin)
+        step = max(1, PROBE_BLOCK_ENTRIES // width ** 2)
+        for first in range(0, req.n_probes, step):
+            kept, block = jacobian(stack, X[first:first + step], req.margin)
             buffers[width][len(owner):len(owner) + len(kept)] = block
             owner += [(k, probe) for probe in (first + kept).tolist()]
         if len(owner) == start:

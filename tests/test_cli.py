@@ -448,6 +448,22 @@ def test_spectrum_prints_a_collapsed_sv_range_in_e_notation(tmp_path, capsys):
             " [1.000000e-09, 1.000000e-09]") in capsys.readouterr().out
 
 
+def test_spectrum_counts_huge_singular_values_in_the_last_bin(tmp_path):
+    # 20 non-strict case-i layers that scale each coordinate by 9 or 11: every
+    # singular value lies in [9**20, 11**20], past the int64 range once scaled
+    # to bins, and still counts in the last bin
+    n = 4
+    eye = [[float(i == j) for j in range(n)] for i in range(n)]
+    layer = {"type": "case_i", "n": n, "A": eye, "B": eye, "b": [0.0] * n,
+             "c": 0.0, "d": 1.0, "strict": False,
+             "sigma": {"breakpoints": [0.0], "slopes": [9.0, 11.0], "anchor_value": 0.0}}
+    code, out_dir = run(tmp_path, "spectrum", {"seed": 5, "probes": 4, "layers": [layer] * 20})
+    assert code == 0
+    hist_lines = (out_dir / "spectrum_histogram.csv").read_text().splitlines()[2:]
+    counts = [int(line.split(",")[2]) for line in hist_lines]
+    assert counts == [0] * 63 + [4 * n]
+
+
 def test_spectrum_all_probes_skipped_exits_1(tmp_path, capsys):
     code, _ = run(tmp_path, "spectrum", spectrum_config(probes=5, margin=1e9))
     assert code == 1

@@ -670,6 +670,78 @@ def test_stack_jacobian_makes_one_layer_call_per_block(monkeypatch):
         + [("_regions", id(layer)) for layer in layers if isinstance(layer, PartitionedLayer)])
 
 
+def strict_families(n: int, seed: int) -> list:
+    """One strict layer of each region-affine family: case-i, case-ii, gated,
+    composed and partitioned."""
+    gate = SplitMix64(derive_seed(seed, 0)).gaussian(n)
+    B = random_orthogonal(n, derive_seed(seed, 1))
+    bias = 0.3 * SplitMix64(derive_seed(seed, 2)).gaussian(n)
+    regions = {(1,): RegionCoeffs(1.0, 0.0, -2.0, make_relu_k([0.0])),
+               (-1,): RegionCoeffs(0.0, 0.0, 1.0, make_two_slope(-1.0, 1.0, [0.0]))}
+    return [
+        make_case_i(random_orthogonal(n, derive_seed(seed, 3)), B, bias, c=0.1, d=-1.0,
+                    sigma=make_two_slope(1.0, -1.0, [0.0])),
+        strict_case_ii(n, derive_seed(seed, 4)),
+        make_gated(random_orthogonal(n, derive_seed(seed, 5)), bias, gate, make_relu_k(NODES)),
+        ComposedLayer(random_orthogonal(n, derive_seed(seed, 6)),
+                      strict_case_ii(n, derive_seed(seed, 7))),
+        make_partitioned(B, B, bias, [(gate, 0.1)], regions),
+    ]
+
+
+def spectra_in_blocks_of(monkeypatch, rows, request):
+    """``probe_spectra`` of one request with its probes chained ``rows`` at a time."""
+    n = request.target[0].width
+    monkeypatch.setattr(verify, "PROBE_BLOCK_ENTRIES", rows * n * n)
+    [result] = probe_spectra([request], stack_jacobian)
+    return result
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_region_affine_spectra_are_bitwise_the_same_in_any_block(monkeypatch, n):
+    # 20 layers, four of each family; the margin drops some probes
+    stack = [layer for k in range(4) for layer in strict_families(n, derive_seed(117, k))]
+    request = ProbeRequest(stack, 70, 118, 1.0, 1e-3)
+    kept, jacs, values = probe_spectra([request], stack_jacobian)[0]
+    assert 0 < len(kept) < 70
+    for rows in (1, 5, 16, 33):
+        got_kept, got_jacs, got_values = spectra_in_blocks_of(monkeypatch, rows, request)
+        assert got_kept == kept
+        assert np.array_equal(got_jacs, jacs)
+        assert np.array_equal(got_values, values)
+
+
+def test_limit_layer_spectra_move_only_in_the_low_bits_with_the_block(monkeypatch):
+    # a limit layer's field gradients take their low bits from the row count of
+    # a matmul (a one-row block goes through OpenBLAS's gemv path), and the
+    # Jacobi sweeps may carry such a difference a few ulps further
+    n = 16
+    limit = LimitLayer(random_orthogonal(n, 119), 0.1 * np.ones(n),
+                       make_mini_net_field(n, seed=3), make_mini_net_field(n, seed=4))
+    request = ProbeRequest([limit] + strict_families(n, 120), 70, 121, 1.0, 1e-3)
+    kept, jacs, values = probe_spectra([request], stack_jacobian)[0]
+    for rows in (1, 5, 16, 33):
+        got_kept, got_jacs, got_values = spectra_in_blocks_of(monkeypatch, rows, request)
+        assert got_kept == kept
+        assert np.max(np.abs(got_jacs - jacs)) <= 1e-15
+        assert np.max(np.abs(got_values - values)) <= 1e-14
+
+
+def test_probe_blocks_are_sized_by_entries():
+    # 32 rows at width 32, 128 at width 16 and 8 at width 64, in one call
+    blocks_of = {32: (70, [32, 32, 6]), 16: (130, [128, 2]), 64: (20, [8, 8, 4])}
+    requests = [ProbeRequest([strict_case_ii(n, 122)], probes, 123, margin=0.0)
+                for n, (probes, _) in blocks_of.items()]
+    blocks = {n: [] for n in blocks_of}
+
+    def counted(stack, X, margin):
+        blocks[stack[0].width].append(len(X))
+        return stack_jacobian(stack, X, margin)
+
+    probe_spectra(requests, counted)
+    assert blocks == {n: want for n, (_, want) in blocks_of.items()}
+
+
 # ---------------------------------------------------------------------------
 # singular values of deep rank-deficient Jacobians
 # ---------------------------------------------------------------------------
