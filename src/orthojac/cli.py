@@ -349,7 +349,8 @@ def main(argv=None) -> int:
     except (NoValidProbeError, ConvergenceError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OrthojacError, OSError) as exc:
+    # a config that needs more memory than the machine has is a config error too
+    except (OrthojacError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

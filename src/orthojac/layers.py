@@ -595,6 +595,10 @@ def make_mini_net_field(
     n: int, hidden: int = 16, seed: int = 0, init_std: float = 0.05
 ) -> MiniNetField:
     """Seeded mini-net field; draws w_in, bias, w_out in that order."""
+    n = checked(n, "n", "a positive integer")
+    hidden = checked(hidden, "hidden", "a positive integer")
+    seed = checked(seed, "seed", "an integer")
+    init_std = float(checked(init_std, "init_std"))
     stream = SplitMix64(derive_seed(seed, 0x6D))
     w_in = init_std * stream.gaussian_matrix(hidden, n)
     bias = init_std * stream.gaussian(hidden)
@@ -610,12 +614,8 @@ def field_from_json(obj: dict) -> SlopeField:
         return GaussianBumpField(obj.get("scale"))
     if kind == "mini_net":
         if "seed" in obj:
-            return make_mini_net_field(
-                checked(obj.get("n"), "n", "a positive integer"),
-                checked(obj.get("hidden", 16), "hidden", "a positive integer"),
-                checked(obj["seed"], "seed", "an integer"),
-                float(checked(obj.get("init_std", 0.05), "init_std")),
-            )
+            return make_mini_net_field(obj.get("n"), **{key: obj[key] for key in
+                                       ("hidden", "seed", "init_std") if key in obj})
         return MiniNetField(obj.get("w_in"), obj.get("bias"), obj.get("w_out"))
     raise DimensionError(f"unknown slope-field kind {kind!r}")
 

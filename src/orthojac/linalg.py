@@ -264,17 +264,11 @@ def _round_robin_step(n: int) -> np.ndarray:
     other exactly once (the circle method; Brent & Luk 1985).
     """
     half = n // 2
-
-    def slot(player: int) -> int:
-        # circle position -> column: the top row, then the bottom row reversed
-        return player if player < half else half + n - 1 - player
-
-    # one player stays put while the others move one seat round the circle
+    # circle seat -> column: the top row, then the bottom row reversed; one player
+    # stays put while the others move one seat round the circle
+    seats = np.r_[:half, n - 1:half - 1:-1]
     step = np.empty(n, dtype=np.intp)
-    step[slot(0)] = slot(0)
-    step[slot(1)] = slot(n - 1)
-    for player in range(2, n):
-        step[slot(player)] = slot(player - 1)
+    step[seats] = seats[np.r_[0, n - 1, 1:n - 1]]
     return step
 
 

@@ -79,56 +79,46 @@ class PwlScalar:
             vals[1:] = self.anchor_value + np.cumsum(sl[1:-1] * np.diff(bp))
         object.__setattr__(self, "_bp_values", vals)
 
-    def _piece(self, x):
-        """The piece of every element of the array ``x``: with one breakpoint a bool,
-        True on the left piece, else the smallest unsigned int that holds its index."""
+    def _locate(self, x):
+        """Every element of the array ``x``: its piece, its offset from the breakpoint
+        the piece is measured from, and the value at that breakpoint.  With one
+        breakpoint t the piece is a bool, True on the left piece (``x - t < 0`` exactly
+        when ``x < t``: IEEE subtraction is 0 only for equal operands); else it is the
+        smallest unsigned int that holds its index."""
         if len(self.breakpoints) == 1:
-            return x < self.breakpoints[0]
+            offset = x - self.breakpoints[0]
+            return offset < 0.0, offset, self.anchor_value
         p = np.searchsorted(np.asarray(self.breakpoints), x, side="right")
-        return p.astype(np.min_scalar_type(len(self.breakpoints)))
+        p = p.astype(np.min_scalar_type(len(self.breakpoints)))
+        base = np.maximum(p, 1) - 1
+        return p, x - np.asarray(self.breakpoints)[base], self._bp_values[base]
 
     def slope(self, piece):
-        """The slope of every piece ``_piece`` gives: ``deriv`` at its element."""
+        """The slope of every piece ``_locate`` gives: ``deriv`` at its element."""
         if len(self.breakpoints) == 1:
             return np.where(piece, *self.slopes)
         return np.asarray(self.slopes)[piece]
 
-    def _from_offset(self, out):
-        """With one breakpoint t: the value, piece and slope of every element of x from
-        ``out = x - t``, which becomes the value.  ``x - t < 0`` exactly when ``x < t``
-        (IEEE subtraction is 0 only for equal operands), so the piece is ``_piece``'s."""
-        p = out < 0.0
-        slope = self.slope(p)
-        out *= slope
-        out += self.anchor_value
-        return out, p, slope
-
     def value_and_piece(self, x):
         """``value(x)`` of an array ``x``, and the piece of every element, from one
         lookup; ``slope`` of the piece is ``deriv(x)``."""
-        x = np.asarray(x, dtype=np.float64)
-        # base value + slope * (x - base breakpoint), computed in place; one breakpoint
-        # is the general formula with base 0, so its bits are the same
-        if len(self.breakpoints) == 1:
-            return self._from_offset(x - self.breakpoints[0])[:2]
-        p = self._piece(x)
-        base = np.maximum(p, 1) - 1
-        out = x - np.asarray(self.breakpoints)[base]
+        p, out, base_value = self._locate(np.asarray(x, dtype=np.float64))
+        # base value + slope * (x - base breakpoint), computed in place
         out *= self.slope(p)
-        out += self._bp_values[base]
+        out += base_value
         return out, p
 
     def linearize(self, x):
-        """``value(x)``, ``deriv(x)`` and ``distance_to_breakpoint(x)`` of an array ``x``;
-        with one breakpoint t all three come from one ``x - t``."""
+        """``value(x)``, ``deriv(x)`` and ``distance_to_breakpoint(x)`` of an array ``x``
+        from one lookup; with one breakpoint t the distance is ``|x - t|``, read off
+        the lookup's offset before it becomes the value."""
         x = np.asarray(x, dtype=np.float64)
-        if len(self.breakpoints) == 1:
-            out = x - self.breakpoints[0]
-            dist = np.abs(out)
-            value, _, slope = self._from_offset(out)
-            return value, slope, dist
-        value, p = self.value_and_piece(x)
-        return value, self.slope(p), self.distance_to_breakpoint(x)
+        p, out, base_value = self._locate(x)
+        dist = np.abs(out) if len(self.breakpoints) == 1 else self.distance_to_breakpoint(x)
+        slope = self.slope(p)
+        out *= slope
+        out += base_value
+        return out, slope, dist
 
     def value(self, x):
         """Evaluate at a scalar or array ``x``."""
@@ -139,7 +129,7 @@ class PwlScalar:
 
     def deriv(self, x):
         """Right-hand derivative at a scalar or array ``x``."""
-        out = self.slope(self._piece(np.asarray(x, dtype=np.float64)))
+        out = self.slope(self._locate(np.asarray(x, dtype=np.float64))[0])
         return float(out) if out.ndim == 0 else out
 
     def distance_to_breakpoint(self, x):
@@ -168,9 +158,7 @@ def make_relu_k(nodes: Sequence[float]) -> PwlScalar:
     With a single node at 0 this is ReLU; with nodes (-1, 1) it evaluates
     to HardTanh(x) + 1.
     """
-    nodes = tuple(nodes)
-    slopes = tuple(float(i % 2) for i in range(len(nodes) + 1))
-    return PwlScalar(nodes, slopes, 0.0)
+    return make_two_slope(0.0, 1.0, nodes)
 
 
 def make_sigma_k(nodes: Sequence[float]) -> PwlScalar:
@@ -180,8 +168,7 @@ def make_sigma_k(nodes: Sequence[float]) -> PwlScalar:
     is ``-|x|``.
     """
     nodes = tuple(nodes)
-    slopes = tuple(1.0 if i % 2 == 0 else -1.0 for i in range(len(nodes) + 1))
-    return PwlScalar(nodes, slopes, float(nodes[0]))
+    return PwlScalar(nodes, make_two_slope(1.0, -1.0, nodes).slopes, float(nodes[0]))
 
 
 def make_two_slope(alpha: float, beta: float, nodes: Sequence[float]) -> PwlScalar:
@@ -191,8 +178,9 @@ def make_two_slope(alpha: float, beta: float, nodes: Sequence[float]) -> PwlScal
         raise DegenerateSlopesError(
             f"slopes {alpha!r} and {beta!r} are not distinct"
         )
+    nodes = tuple(nodes)
     slopes = tuple(alpha if i % 2 == 0 else beta for i in range(len(nodes) + 1))
-    return PwlScalar(tuple(nodes), slopes, 0.0)
+    return PwlScalar(nodes, slopes, 0.0)
 
 
 def slope_violation(

@@ -148,6 +148,22 @@ def test_strict_must_be_a_json_bool(tmp_path, capsys, strict):
     assert run(tmp_path, "spectrum", {"probes": 20, "layers": [dict(layer, strict=True)]})[0] == 2
 
 
+# each needs an array past 128 PiB, beyond any x86-64 user address space, and
+# below NumPy's 8 EiB size limit, so NumPy raises MemoryError on every machine
+@pytest.mark.parametrize("command, config", [
+    ("spectrum", {"seed": 5, "probes": 10**15, "layers": [reflection_layer()]}),
+    ("density", {"seed": 7, "probes": 10**16, "radius": 1.5, "layer": bump_limit()}),
+    ("train", {"model": "resnet_relu", "width": 8, "depth": 10, "lr0": 0.01, "epochs": 1,
+               "data": {"kind": "blobs", "classes": 2, "dim": 8, "per_class": 10**16}}),
+], ids=["spectrum", "density", "train"])
+def test_config_past_any_memory_exits_2(tmp_path, capsys, command, config):
+    code, out_dir = run(tmp_path, command, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not list(out_dir.iterdir())
+
+
 def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])

@@ -686,6 +686,17 @@ def test_limit_spec_fields_are_never_coerced(field, message):
         ly.layer_from_json(spec)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n": 0}, "n must be a positive integer"),
+    ({"n": 4, "hidden": 16.0}, "hidden must be a positive integer"),
+    ({"n": 4, "seed": True}, "seed must be an integer"),
+    ({"n": 4, "init_std": "0.05"}, "init_std must be a finite number"),
+])
+def test_mini_net_builder_checks_what_a_spec_checks(kwargs, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        ly.make_mini_net_field(**kwargs)
+
+
 def test_families_are_region_affine_layers():
     fams = every_family()
     for name in ("case_i_abs", "case_ii_relu", "gated", "partitioned"):

@@ -256,6 +256,25 @@ def test_pieces_of_many_breakpoints_take_a_wider_unsigned_int():
     assert np.array_equal(bits(f.slope(piece)), bits(f.deriv(x)))
 
 
+@pytest.mark.parametrize("f", [make_relu_k([0.0]), make_sigma_k([0.5]),
+                               make_two_slope(0.3, 1.0, [-1.0])])
+def test_one_breakpoint_never_searches(f, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a one-breakpoint activation called np.searchsorted")
+
+    monkeypatch.setattr(np, "searchsorted", never)
+    x = np.array([-2.0, -1.0, -0.0, 0.5, 3.0, -np.inf, np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        piece = f.value_and_piece(x)[1]
+        assert piece.dtype == bool
+        assert np.array_equal(bits(f.slope(piece)), bits(f.deriv(x)))
+        assert f.linearize(x)[0].shape == x.shape
+        assert type(f.deriv(0.5)) is float
+        # the patch is seen: more breakpoints search
+        with pytest.raises(AssertionError, match="searchsorted"):
+            make_relu_k([0.0, 1.0]).value_and_piece(x)
+
+
 @pytest.mark.parametrize("nodes", [[0.0], [-1.0, 0.0, 1.0]])
 def test_nan_takes_the_rightmost_slope(nodes):
     f = make_two_slope(0.3, 1.0, nodes)
