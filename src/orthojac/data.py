@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, DimensionError, InvalidFractionError
+from .errors import DataFormatError, DimensionError, InvalidFractionError, check_shape
 from .linalg import random_orthogonal
 from .rng import SplitMix64, derive_seed
 
@@ -146,6 +146,8 @@ def synthetic_blobs(classes: int, dim: int, per_class: int, spread: float,
     """
     if classes < 1 or dim < 1 or per_class < 1:
         raise DimensionError("classes, dim and per_class must all be >= 1")
+    check_shape((classes * per_class, dim),
+                f"{classes} blobs of {per_class} samples in dimension {dim}")
     gen = SplitMix64(derive_seed(seed, 0xB))
     if classes <= dim:
         centers = random_orthogonal(dim, derive_seed(seed, 0xC))[:classes]

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size rule that raises one."""
+
+import math
+import sys
 
 
 class OrthojacError(Exception):
@@ -7,6 +10,17 @@ class OrthojacError(Exception):
 
 class DimensionError(OrthojacError, ValueError):
     """Operands have incompatible or invalid shapes."""
+
+
+def check_shape(shape: tuple, name: str) -> None:
+    """Raise DimensionError naming ``name`` unless an array of ``shape`` with 8-byte
+    entries can exist.  NumPy refuses one of more than ``sys.maxsize`` bytes with a
+    ValueError or OverflowError of its own, so a size taken from a config is checked by
+    this rule where it first meets a shape.  An array within the limit that the machine
+    cannot hold is still a MemoryError."""
+    if math.prod(shape) * 8 > sys.maxsize:
+        raise DimensionError(f"{name}: an array of shape {tuple(shape)} would exceed the"
+                             f" {sys.maxsize} bytes one array can hold")
 
 
 class ConvergenceError(OrthojacError, RuntimeError):

@@ -44,6 +44,7 @@ from .errors import (
     NearKinkError,
     OrthogonalityError,
     SlopeMismatchError,
+    check_shape,
 )
 from .linalg import (as_matrix, as_vector, checked, frobenius_defect, is_integer,
                      random_orthogonal_batch)
@@ -808,6 +809,9 @@ def layers_from_json(specs: list) -> list:
             nodes.append(nodes[-1].get("inner"))
     wanted = [(checked(node.get("n"), "n", "a positive integer"), _spec_seeds(node))
               for node in nodes]
+    for n, _ in wanted:
+        # every layer has an n x n weight
+        check_shape((n, n), f"a layer spec of n = {n}")
     by_width: dict[int, list] = {}
     for n, seeds in wanted:
         by_width.setdefault(n, []).extend(seeds)

@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, check_shape
 from .rng import SplitMix64
 
 JACOBI_TOL = 1e-14
@@ -241,6 +241,7 @@ def random_orthogonal_batch(n: int, seeds) -> np.ndarray:
     """
     if n < 1:
         raise DimensionError(f"matrix size must be positive, got {n}")
+    check_shape((len(seeds), n, n), f"{len(seeds)} orthogonal matrices of size {n}")
     g = np.empty((len(seeds), n, n))
     for i, seed in enumerate(seeds):
         g[i] = SplitMix64(seed).gaussian_matrix(n, n)

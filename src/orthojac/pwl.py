@@ -44,6 +44,7 @@ class PwlScalar:
     slopes: tuple[float, ...]
     anchor_value: float
     _bp_values: np.ndarray = field(init=False, repr=False, compare=False)
+    _rectifier: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("breakpoints", "slopes", "anchor_value"):
@@ -78,6 +79,10 @@ class PwlScalar:
         if bp.size > 1:
             vals[1:] = self.anchor_value + np.cumsum(sl[1:-1] * np.diff(bp))
         object.__setattr__(self, "_bp_values", vals)
+        # slopes (+0.0, 1.0), the zero's sign included: a (-0.0, 1.0) activation
+        # compares equal but keeps np.where, which gives its -0.0
+        object.__setattr__(self, "_rectifier", self.slopes == (0.0, 1.0)
+                           and not np.signbit(self.slopes[0]))
 
     def _locate(self, x):
         """Every element of the array ``x``: its piece, its offset from the breakpoint
@@ -94,7 +99,12 @@ class PwlScalar:
         return p, x - np.asarray(self.breakpoints)[base], self._bp_values[base]
 
     def slope(self, piece):
-        """The slope of every piece ``_locate`` gives: ``deriv`` at its element."""
+        """The slope of every piece ``_locate`` gives: ``deriv`` at its element.  A
+        rectifier's is ``1 - piece``, one cast and subtraction with the bits of
+        ``np.where(piece, 0.0, 1.0)``: 1 - 1 = +0.0 on the left piece, 1 - 0 = 1.0 on
+        the right one, NaN included."""
+        if self._rectifier:
+            return np.subtract(1.0, piece)
         if len(self.breakpoints) == 1:
             return np.where(piece, *self.slopes)
         return np.asarray(self.slopes)[piece]

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_shape
+
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -102,6 +104,7 @@ class SplitMix64:
 
     def _raw_block(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
+        check_shape((n,), "a draw of random words")
         start = self._count + 1
         self._count += n
         # uint64 array arithmetic wraps silently

@@ -26,6 +26,7 @@ from .errors import (
     DataFormatError,
     DimensionError,
     TrainingDivergedError,
+    check_shape,
 )
 from .layers import layers_from_json
 from .linalg import checked, frobenius_defect, random_orthogonal
@@ -340,6 +341,8 @@ def make_network(model: str, width: int, depth: int, class_count: int,
     """A model-menu network with a fresh head; its layers are one ``layers_from_json``
     call on their specs, which factors every orthogonal weight in one batch."""
     check_model(model)
+    # before any spec is built: a network holds a width x width weight per layer
+    check_shape((depth, width, width), f"a depth-{depth} network of width {width}")
     layers = layers_from_json([_layer_spec(model, width, derive_seed(seed, 0x7A, i))
                                for i in range(depth)])
     head_w = SplitMix64(derive_seed(seed, 0x4E)).gaussian_matrix(class_count, width)

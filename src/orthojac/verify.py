@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, NoValidProbeError
+from .errors import ConvergenceError, DimensionError, NoValidProbeError, check_shape
 from .layers import DEFAULT_MARGIN, LimitLayer
 from .linalg import checked, frobenius_defect, per_matrix, svd_values
 from .rng import SplitMix64, derive_seed
@@ -242,6 +242,8 @@ def probe_spectra(requests: list, jacobian) -> list:
     for stack, req in zip(stacks, requests):
         _check_widths(stack, req._where)
         rows[stack[0].width] = rows.get(stack[0].width, 0) + req.n_probes
+    for width, count in rows.items():
+        check_shape((count, width, width), f"{count} probes of width {width}")
     # pages of a buffer's unfilled tail are never touched
     buffers = {width: np.empty((count, width, width)) for width, count in rows.items()}
     # (request, probe) of each filled row of each buffer

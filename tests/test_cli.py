@@ -164,6 +164,42 @@ def test_config_past_any_memory_exits_2(tmp_path, capsys, command, config):
     assert not list(out_dir.iterdir())
 
 
+def _train_with(data=None, **overrides):
+    config = {"model": "resnet_relu", "width": 8, "depth": 10, "lr0": 0.01, "epochs": 1,
+              "data": {"kind": "blobs", "classes": 2, "dim": 8, "per_class": 10}}
+    config["data"].update(data or {})
+    return dict(config, **overrides)
+
+
+# each needs one array of more than sys.maxsize bytes, which NumPy refuses with a
+# ValueError or OverflowError of its own; the size is refused before it meets a shape
+@pytest.mark.parametrize("command, config, what", [
+    ("spectrum", {"probes": 10**20, "layers": [reflection_layer()]}, "probes of width 8"),
+    ("verify", {"layers": [{"name": "a", "layer": reflection_layer(), "probes": 10**20}]},
+     "probes of width 8"),
+    # the count fits an int64, the (count, 32, 32) float64 buffer does not
+    ("spectrum", {"probes": 2**60, "layers": [reflection_layer(n=32)]}, "probes of width 32"),
+    ("density", {"probes": 10**20, "layer": bump_limit()}, "random words"),
+    # the probe array (2**56, 16) fits, the ball's 17 words per point do not
+    ("density", {"probes": 2**56, "layer": bump_limit(n=16)}, "random words"),
+    ("train", _train_with(data={"per_class": 10**20}), "blobs of"),
+    ("train", _train_with(width=10**20), "network of width"),
+    ("train", _train_with(data={"dim": 10**20}), "in dimension"),
+    ("train", _train_with(depth=10**20), "a depth-100000000000000000000 network"),
+    ("spectrum", {"probes": 4, "layers": [dict(reflection_layer(), n=10**20)]},
+     "a layer spec of n ="),
+], ids=["spectrum-probes", "verify-probes", "spectrum-probes-width-32", "density-probes",
+        "density-ball-words", "train-per-class", "train-width", "train-dim", "train-depth",
+        "spectrum-n"])
+def test_sizes_no_array_can_hold_exit_2(tmp_path, capsys, command, config, what):
+    code, out_dir = run(tmp_path, command, config)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert what in err and "bytes one array can hold" in err
+    assert not list(out_dir.iterdir())
+
+
 def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])

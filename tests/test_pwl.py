@@ -320,3 +320,79 @@ def test_non_finite_entries_keep_their_errors():
         PwlScalar((1.0, 0.0), (0.0, 1.0, 0.0), 0.0)
     with pytest.raises(InvalidAssignmentError):
         PwlScalar((0.0,), (0.0, 1.0, 0.0), 0.0)
+
+
+# ±0.0, ±inf, NaN, the smallest subnormals and normal values either side of 0
+RECTIFIER_XS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, -1.5, 0.25, 3.0]
+
+
+def _with_np_where(f):
+    """``f`` with the rectifier rule off, so its slopes come from ``np.where``."""
+    g = PwlScalar(f.breakpoints, f.slopes, f.anchor_value)
+    object.__setattr__(g, "_rectifier", False)
+    return g
+
+
+@pytest.mark.parametrize("x", [np.array(RECTIFIER_XS), np.array(RECTIFIER_XS[:10]).reshape(2, 5)]
+                         + [np.asarray(v) for v in RECTIFIER_XS],
+                         ids=["1-d", "2-d"] + [f"0-d {v!r}" for v in RECTIFIER_XS])
+def test_rectifier_slopes_are_bitwise_np_where(x):
+    f = make_relu_k([0.0])
+    ref = _with_np_where(f)
+    assert f._rectifier and not ref._rectifier
+    with np.errstate(invalid="ignore"):  # slope 0 times -inf
+        value, piece = f.value_and_piece(x)
+        slope = f.slope(piece)
+        assert slope.dtype == np.float64 and np.shape(slope) == x.shape
+        assert np.array_equal(bits(slope), bits(np.where(piece, *f.slopes)))
+        assert not np.any(np.signbit(slope))
+        ref_value, ref_piece = ref.value_and_piece(x)
+        assert np.array_equal(piece, ref_piece)
+        assert np.array_equal(bits(value), bits(ref_value))
+        assert type(f.deriv(x)) is type(ref.deriv(x))
+        assert np.array_equal(bits(f.deriv(x)), bits(ref.deriv(x)))
+        for got, want in zip(f.linearize(x), ref.linearize(x)):
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(bits(got), bits(want))
+
+
+def test_negative_zero_slope_keeps_np_where():
+    f = PwlScalar((0.0,), (-0.0, 1.0), 0.0)
+    # equal to the rectifier as a value, but not by sign bit
+    assert f == make_relu_k([0.0]) and not f._rectifier
+    slope = f.slope(f.value_and_piece(np.array([-2.0, -5e-324, 0.0, 3.0]))[1])
+    assert np.signbit(slope).tolist() == [True, True, False, False]
+    assert np.signbit(f.deriv(-1.0))
+
+
+def test_rectifier_slope_calls_no_np_where(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("np.where was called")
+
+    x = np.array([-1.0, -0.0, 0.0, 2.0, np.nan])
+    relu, leaky = make_relu_k([0.0]), make_two_slope(0.3, 1.0, [0.0])
+    relu_piece, leaky_piece = relu.value_and_piece(x)[1], leaky.value_and_piece(x)[1]
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "where", never)
+        slope = relu.slope(relu_piece)
+        # the patch is seen: another two-slope activation still takes np.where
+        with pytest.raises(AssertionError, match="np.where"):
+            leaky.slope(leaky_piece)
+    assert slope.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+
+
+def test_multi_node_rectifier_keeps_the_table_lookup(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a multi-node rectifier took a one-breakpoint slope rule")
+
+    f = make_relu_k([-1.0, 0.0, 1.0])
+    assert not f._rectifier
+    x = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, np.inf, np.nan])
+    piece = f.value_and_piece(x)[1]
+    assert piece.dtype == np.uint8
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "where", never)
+        patch.setattr(np, "subtract", never)
+        slope = f.slope(piece)
+    assert np.array_equal(bits(slope), bits(np.asarray(f.slopes)[piece]))

@@ -7,10 +7,14 @@ the same order, so the samplers must match them bit for bit and leave the
 stream at the same position.
 """
 
+import sys
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthojac.errors import DimensionError, check_shape
 from orthojac.rng import SplitMix64
 
 _SEEDS = st.integers(0, 2**64 - 1)
@@ -101,3 +105,17 @@ def test_permutation_is_the_fisher_yates_loop(seed, skip, n):
     assert got.dtype == want.dtype == np.int64
     assert np.array_equal(got, want)
     assert got_stream.raw() == want_stream.raw()
+
+
+def test_a_draw_no_array_can_hold_is_refused_before_the_stream_moves():
+    # the size rule's limit: sys.maxsize bytes of 8-byte entries
+    check_shape((sys.maxsize // 8,), "a draw")
+    for shape in ((sys.maxsize // 8 + 1,), (2**31, 2**31, 2), (10**20, 1)):
+        with pytest.raises(DimensionError, match="bytes one array can hold"):
+            check_shape(shape, "a draw")
+    stream = SplitMix64(5)
+    for draw in (lambda: stream.uniform(2**60), lambda: stream.gaussian(10**20),
+                 lambda: stream.ball(2**56, 16, 1.0)):
+        with pytest.raises(DimensionError, match="random words"):
+            draw()
+    assert stream.raw() == SplitMix64(5).raw()
