@@ -1,29 +1,28 @@
 #!/usr/bin/env python3
-"""Alternating benchmark pairs: a parent revision against the working tree.
+"""Alternating benchmark pairs: a parent revision against HEAD.
 
 Usage:
     python3 scripts/bench_pairs.py --parent REV --label NAME --workload W
         --seeds FIRST-LAST --seconds S [--what TEXT] [--scratch DIR]
 
 For each seed from FIRST to LAST, ``perfbench/run.py --workload W --seed N
---seconds S --trace 0`` runs once in a clone of revision REV and once in
-the working tree.  The first pair runs the parent first, the next the
-working tree first, and so on, so a drift in machine speed reaches both
-sides alike.  The clone is made with ``git clone`` under a fresh directory
-of DIR (default: the system temporary directory) and removed at the end.
-The runs import ``perfbench/``'s modules, so Python caches their bytecode in
-``perfbench/__pycache__``; the script removes that directory again if it was
-not there before, so nothing is left under ``perfbench/``.  (A bytecode
-prefix elsewhere would not do: NumPy's modules would then be compiled afresh
-in every process, which multiplies ``setup_s``.)
+--seconds S --trace 0`` runs once in a clone of revision REV and once in a
+clone of HEAD.  The first pair runs the parent first, the next the change
+first, and so on, so a drift in machine speed reaches both sides alike.  Both
+clones are made the same way, with ``git clone`` side by side under a fresh
+directory of DIR (default: the system temporary directory), and removed at
+the end; nothing runs from the working tree.  The record names HEAD by its
+revision, so a working tree whose tracked files have uncommitted changes is
+refused.  (Leave ``PYTHONPYCACHEPREFIX`` unset: NumPy's modules would then be
+compiled afresh in every process, which multiplies ``setup_s``.)
 
 The result is ``BENCH_<NAME>.json`` at the top of the working tree: for each
 end-to-end metric of ``BENCHMARK.json``, both sides' medians and quartiles,
 the ratio of the medians, the parent's interquartile range, and in how many
-pairs the working tree was better; every run's summary line and record; and
-both trees' git revisions with a SHA-256 of each tree's ``src/``.  Running
-the script again with the same label, parent and working tree adds or
-replaces that workload's entries and keeps the other workloads'.
+pairs the change was better; every run's summary line and record; and both
+git revisions with a SHA-256 of each clone's ``src/``.  Running the script
+again with the same label, parent and HEAD adds or replaces that workload's
+entries and keeps the other workloads'.
 """
 
 import argparse
@@ -119,42 +118,42 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", required=True, type=float)
     parser.add_argument("--what", default="", help="what the change does")
     parser.add_argument("--scratch", default=None,
-                        help="where the parent's clone goes (default: system temp dir)")
+                        help="where the two clones go (default: system temp dir)")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    parent_rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    head = git("rev-parse", "HEAD")
-    change = {"git_revision": head,
-              "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-              "src_sha256": src_sha256(ROOT)}
+    if git("status", "--porcelain", "--untracked-files=no"):
+        print("error: the working tree has uncommitted changes to tracked files;"
+              " commit them, since the record names HEAD", file=sys.stderr)
+        return 2
+    revisions = {"parent": git("rev-parse", "--verify", f"{args.parent}^{{commit}}"),
+                 "change": git("rev-parse", "HEAD")}
     out_path = os.path.join(ROOT, f"BENCH_{args.label}.json")
 
-    pycache = os.path.join(ROOT, "perfbench", "__pycache__")
-    pycache_existed = os.path.isdir(pycache)
     work = tempfile.mkdtemp(prefix="bench_pairs_", dir=args.scratch)
     try:
-        parent_tree = os.path.join(work, "parent")
-        subprocess.run(["git", "clone", "--quiet", "--no-checkout", ROOT, parent_tree],
-                       check=True)
-        git("checkout", "--quiet", "--detach", parent_rev, cwd=parent_tree)
-        parent = {"git_revision": parent_rev, "src_sha256": src_sha256(parent_tree)}
+        trees, sides = {}, {}
+        for side, rev in revisions.items():
+            trees[side] = os.path.join(work, side)
+            subprocess.run(["git", "clone", "--quiet", "--no-checkout", ROOT, trees[side]],
+                           check=True)
+            git("checkout", "--quiet", "--detach", rev, cwd=trees[side])
+            sides[side] = {"git_revision": rev, "src_sha256": src_sha256(trees[side])}
 
         bench = {}
         if os.path.exists(out_path):
             with open(out_path, encoding="utf-8") as fh:
                 bench = json.load(fh)
-            if bench.get("parent") != parent or bench.get("change") != change:
-                print(f"error: {out_path} records another parent or working tree;"
+            if any(bench.get(side) != record for side, record in sides.items()):
+                print(f"error: {out_path} records another parent or HEAD;"
                       " choose another label", file=sys.stderr)
                 return 2
-        bench.update(parent=parent, change=change, command=COMMAND,
-                     order="each pair runs both trees; the first pair runs the parent"
-                           " first, the next the working tree first, and so on")
+        bench.update(sides, command=COMMAND,
+                     order="each pair runs both clones; the first pair runs the parent"
+                           " first, the next the change first, and so on")
         if args.what:
             bench["what"] = args.what
-        trees = {"parent": parent_tree, "change": ROOT}
         runs = {"parent": [], "change": []}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -169,8 +168,6 @@ def main(argv=None) -> int:
         return 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
-        if not pycache_existed:
-            shutil.rmtree(pycache, ignore_errors=True)
 
     summary = {name: summarize([r["summary"]["metrics"][name]["value"] for r in runs["parent"]],
                                [r["summary"]["metrics"][name]["value"] for r in runs["change"]],

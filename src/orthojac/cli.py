@@ -27,7 +27,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .layers import LimitLayer, layer_from_json, layers_from_json
-from .linalg import checked
+from .linalg import checked, checked_keys
 from .rng import SplitMix64, derive_seed
 from .train import TrainConfig, check_model, make_network, save_snapshot, train
 # check_dynamical_isometry is not called here, but the probe entry points
@@ -57,16 +57,6 @@ def _config_hash(command: str, config: dict) -> str:
     return hashlib.sha256(
         _canonical({"command": command, **config}).encode()
     ).hexdigest()
-
-
-def _check_keys(obj, context: str, required: tuple, optional: tuple = ()) -> None:
-    checked(obj, context, "a JSON object", ConfigError)
-    unknown = sorted(set(obj) - set(required) - set(optional))
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise ConfigError(f"{context}: missing keys {missing}")
 
 
 def _load_config(path: str) -> dict:
@@ -106,14 +96,14 @@ def _settings(keys: tuple, *sources) -> dict:
 
 
 def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
-    _check_keys(config, "verify config", ("layers",), ("command", *PROBE_KEYS))
+    checked_keys(config, "verify config", ("layers",), ("command", *PROBE_KEYS), ConfigError)
     entries = checked(config["layers"], "layers", "a non-empty list", ConfigError)
 
     # every entry is checked, with its spec standing in for its layer, then
     # every layer is built, before the first probe
     names, requests = [], []
     for entry in entries:
-        _check_keys(entry, "layer entry", ("name", "layer"), PROBE_KEYS)
+        checked_keys(entry, "layer entry", ("name", "layer"), PROBE_KEYS, ConfigError)
         name = entry["name"]
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ConfigError(f"layer entry name {name!r} is not filename-safe")
@@ -144,7 +134,7 @@ def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
 
 def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     keys = ("seed", "probes", "margin", "input_scale")
-    _check_keys(config, "spectrum config", ("layers",), ("command", *keys))
+    checked_keys(config, "spectrum config", ("layers",), ("command", *keys), ConfigError)
     specs = checked(config["layers"], "layers", "a non-empty list", ConfigError)
     # the settings are checked, with the specs standing in for the stack,
     # before any layer is built
@@ -186,8 +176,8 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
 
 
 def cmd_density(config: dict, out_dir: str, digest: str) -> int:
-    _check_keys(config, "density config", ("layer",),
-                ("command", "seed", "probes", "radius", "resolutions"))
+    checked_keys(config, "density config", ("layer",),
+                 ("command", "seed", "probes", "radius", "resolutions"), ConfigError)
     layer = layer_from_json(config["layer"])
     if not isinstance(layer, LimitLayer):
         raise ConfigError("density config: 'layer' must be a limit layer spec")
@@ -220,9 +210,9 @@ FASHION_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")
 
 
 def _load_train_data(section: dict, seed: int, data_root) -> tuple:
-    _check_keys(section, "data section", ("kind",),
-                ("classes", "dim", "per_class", "spread", "val_fraction",
-                 "train_size", "val_size", "seed"))
+    checked_keys(section, "data section", ("kind",),
+                 ("classes", "dim", "per_class", "spread", "val_fraction",
+                  "train_size", "val_size", "seed"), ConfigError)
 
     def setting(key, rule, default):
         return checked(section.get(key, default), f"data.{key}", rule, ConfigError)
@@ -265,8 +255,8 @@ def _load_train_data(section: dict, seed: int, data_root) -> tuple:
 
 def cmd_train(config: dict, out_dir: str, digest: str, data_root) -> int:
     optional = ("batch_size", "alpha", "patience", "seed")
-    _check_keys(config, "train config", ("model", "width", "depth", "lr0",
-                                         "epochs", "data"), ("command", *optional))
+    checked_keys(config, "train config", ("model", "width", "depth", "lr0",
+                                          "epochs", "data"), ("command", *optional), ConfigError)
     # the settings are checked before any data is loaded or layer built
     train_cfg = TrainConfig(**_settings(("lr0", "epochs", *optional), config))
     model = check_model(config["model"])

@@ -46,8 +46,8 @@ from .errors import (
     SlopeMismatchError,
     check_shape,
 )
-from .linalg import (as_matrix, as_vector, checked, frobenius_defect, is_integer,
-                     random_orthogonal_batch)
+from .linalg import (as_matrix, as_vector, checked, checked_keys, frobenius_defect,
+                     is_integer, random_orthogonal_batch)
 from .pwl import SLOPE_TOL, PwlScalar, slope_violation
 from .rng import SplitMix64, derive_seed
 
@@ -185,8 +185,9 @@ class RegionCoeffs:
         return {"ell": self.ell, "c": self.c, "d": self.d, "sigma": self.sigma.to_json()}
 
     @staticmethod
-    def from_json(obj: dict) -> "RegionCoeffs":
-        checked(obj, "a region", "a JSON object")
+    def from_json(obj: dict, context: str = "the default region", keys=()) -> "RegionCoeffs":
+        """A region from its JSON form: ``ell``, ``c``, ``d``, ``sigma`` and ``keys``."""
+        checked_keys(obj, context, (), (*keys, "ell", "c", "d", "sigma"))
         return RegionCoeffs(obj.get("ell"), obj.get("c"), obj.get("d"),
                             PwlScalar.from_json(obj.get("sigma")))
 
@@ -406,37 +407,20 @@ class PartitionedLayer:
         return {"A": self.A, "B": self.B, "b": self.b}
 
     def to_json(self) -> dict:
+        """The spec of the family's constructor: ``type``, ``n``, then its SPEC_KEYS."""
+        spec = {"type": self.family, "n": self.width, "A": self.A.tolist(),
+                "B": self.B.tolist(), "b": self.b.tolist(), "strict": self.strict}
         if self.family == "partitioned":
-            return {
-                "type": "partitioned",
-                "n": self.width,
-                "A": self.A.tolist(),
-                "B": self.B.tolist(),
-                "b": self.b.tolist(),
-                "hyperplanes": [
-                    {"normal": normal.tolist(), "offset": offset}
-                    for normal, offset in self.hyperplanes
-                ],
-                "regions": [
-                    {"signs": list(key), **coeffs.to_json()}
-                    for key, coeffs in sorted(self.regions.items())
-                ],
-                "default": self.default.to_json() if self.default else None,
-                "strict": self.strict,
-            }
-        # the spec of the family's constructor, with its keys in its order
-        co = self.regions[(1,)] if self.family == "gated" else self.regions[()]
-        out = {"type": self.family, "n": self.width}
-        if self.family == "case_i":
-            out["A"] = self.A.tolist()
-        out.update(B=self.B.tolist(), b=self.b.tolist())
-        if self.family == "case_ii":
-            out["ell"] = co.ell
-        if self.family == "gated":
-            out["gate"] = self.hyperplanes[0][0].tolist()
+            spec.update(hyperplanes=[{"normal": normal.tolist(), "offset": offset}
+                                     for normal, offset in self.hyperplanes],
+                        regions=[{"signs": list(key), **coeffs.to_json()}
+                                 for key, coeffs in sorted(self.regions.items())],
+                        default=self.default.to_json() if self.default else None)
         else:
-            out.update(c=co.c, d=co.d)
-        return dict(out, sigma=co.sigma.to_json(), strict=self.strict)
+            # the one region, or a gated layer's on the +1 side of its gate
+            spec.update(self.regions[(1,) * len(self.hyperplanes)].to_json(),
+                        gate=self.hyperplanes[0][0].tolist() if self.hyperplanes else None)
+        return {key: spec[key] for key in ("type", "n", *SPEC_KEYS[self.family])}
 
 
 # The family class names stay as aliases because the benchmark tracer
@@ -610,13 +594,17 @@ def make_mini_net_field(
 def field_from_json(obj: dict) -> SlopeField:
     kind = checked(obj, "a slope field", "a JSON object").get("kind")
     if kind == "constant":
+        checked_keys(obj, "a constant field", ("kind",), ("value",))
         return ConstantField(obj.get("value"))
     if kind == "gaussian_bump":
+        checked_keys(obj, "a gaussian_bump field", ("kind",), ("scale",))
         return GaussianBumpField(obj.get("scale"))
+    if kind == "mini_net" and "seed" in obj:
+        checked_keys(obj, "a seeded mini_net field", ("kind", "seed"), ("n", "hidden", "init_std"))
+        return make_mini_net_field(obj.get("n"), **{key: obj[key] for key in
+                                   ("hidden", "seed", "init_std") if key in obj})
     if kind == "mini_net":
-        if "seed" in obj:
-            return make_mini_net_field(obj.get("n"), **{key: obj[key] for key in
-                                       ("hidden", "seed", "init_std") if key in obj})
+        checked_keys(obj, "a mini_net field", ("kind",), ("w_in", "bias", "w_out"))
         return MiniNetField(obj.get("w_in"), obj.get("bias"), obj.get("w_out"))
     raise DimensionError(f"unknown slope-field kind {kind!r}")
 
@@ -773,21 +761,30 @@ def make_partitioned(A, B, b, hyperplanes, regions, default: RegionCoeffs | None
     return PartitionedLayer(A, B, b, hyperplanes, regions, default, strict)
 
 
-# the keys of each layer type that hold an n x n weight
-_WEIGHT_KEYS = {"case_i": ("A", "B"), "case_ii": ("B",), "gated": ("B",),
-                "composed": ("rotation",), "partitioned": ("A", "B"), "limit": ("B",)}
+# the keys a spec of each layer type may hold after "type" and "n": its constructor's
+# parameters, in their order, which is the order to_json writes them in
+SPEC_KEYS = {
+    "case_i": ("A", "B", "b", "c", "d", "sigma", "strict"),
+    "case_ii": ("B", "b", "ell", "c", "d", "sigma", "strict"),
+    "gated": ("B", "b", "gate", "sigma", "strict"),
+    "composed": ("rotation", "inner", "strict"),
+    "partitioned": ("A", "B", "b", "hyperplanes", "regions", "default", "strict"),
+    "limit": ("B", "b", "m", "q", "strict"),
+}
 
 
 def _spec_seeds(obj: dict) -> list:
-    """The distinct seeds of one spec's seeded weights (``inner`` aside); checks its type."""
+    """The distinct seeds of one spec's seeded weights (``inner`` aside); checks its type
+    and keys, and that each of its weights given as an object is ``{"seed": k}``."""
     kind = obj.get("type")
-    if not isinstance(kind, str) or kind not in _WEIGHT_KEYS:
+    if not isinstance(kind, str) or kind not in SPEC_KEYS:
         raise DimensionError(f"unknown layer type {kind!r}")
+    checked_keys(obj, f"a {kind} spec", ("type", "n"), SPEC_KEYS[kind])
     seeds = {}
-    for key in _WEIGHT_KEYS[kind]:
-        entry = obj.get(key)
-        if isinstance(entry, dict) and "seed" in entry:
-            seeds[checked(entry["seed"], f"{key}.seed", "an integer")] = None
+    for key in ("A", "B", "rotation"):  # the key check left those of its type
+        if isinstance(obj.get(key), dict):
+            seed = checked_keys(obj[key], f"the {key} weight", ("seed",))["seed"]
+            seeds[checked(seed, f"{key}.seed", "an integer")] = None
     return list(seeds)
 
 
@@ -837,7 +834,7 @@ def _layer_from_spec(obj: dict, tables) -> Layer:
 
     def matrix(key: str):
         entry = obj.get(key)
-        return seeded[entry["seed"]] if isinstance(entry, dict) and "seed" in entry else entry
+        return seeded[entry["seed"]] if isinstance(entry, dict) else entry
 
     if kind == "case_i":
         layer = make_case_i(matrix("A"), matrix("B"), b, obj.get("c", 0.0), obj.get("d"),
@@ -851,13 +848,16 @@ def _layer_from_spec(obj: dict, tables) -> Layer:
     elif kind == "composed":
         layer = ComposedLayer(matrix("rotation"), _layer_from_spec(obj["inner"], tables), strict)
     elif kind == "partitioned":
-        # the signs are checked before they key a dict
-        regions = {tuple(checked(entry.get("signs"), "signs", "a list of integers")):
-                   RegionCoeffs.from_json(entry)
-                   for entry in checked(obj.get("regions"), "regions", "a list of JSON objects")}
+        regions = {}
+        for entry in checked(obj.get("regions"), "regions", "a list of JSON objects"):
+            signs = tuple(checked(entry.get("signs"), "signs", "a list of integers"))
+            if signs in regions:
+                raise DimensionError(f"two regions have the signs {list(signs)}")
+            regions[signs] = RegionCoeffs.from_json(entry, "a region", ("signs",))
         default = None if obj.get("default") is None else RegionCoeffs.from_json(obj["default"])
-        planes = [(h.get("normal"), h.get("offset")) for h in
-                  checked(obj.get("hyperplanes", []), "hyperplanes", "a list of JSON objects")]
+        planes = [(h.get("normal"), h.get("offset")) for h in (
+            checked_keys(entry, "a hyperplane", (), ("normal", "offset")) for entry in
+            checked(obj.get("hyperplanes", []), "hyperplanes", "a list of JSON objects"))]
         layer = make_partitioned(matrix("A"), matrix("B"), b, planes, regions, default, strict)
     else:
         layer = LimitLayer(matrix("B"), b, field_from_json(obj.get("m")),

@@ -85,6 +85,18 @@ def checked(value, name: str, rule: str = "a finite number", error=DimensionErro
     return value
 
 
+def checked_keys(obj, context: str, required, optional=(), error=DimensionError) -> dict:
+    """``obj`` itself if it is a JSON object with every ``required`` key and no key outside
+    those and ``optional``, else ``error`` naming ``context`` and the unknown, else missing,
+    keys."""
+    checked(obj, context, "a JSON object", error)
+    for what, keys in (("unknown", set(obj) - set(required) - set(optional)),
+                       ("missing", set(required) - set(obj))):
+        if keys:
+            raise error(f"{context}: {what} keys {sorted(keys)}")
+    return obj
+
+
 def _as_array(obj, shape: tuple, what: str) -> np.ndarray:
     """``obj``, a numeric array or nested lists of numbers, as a C-contiguous finite
     float64 array of ``shape`` (None: any size).  Strings, bools, null, objects, ragged

@@ -20,7 +20,7 @@ from .errors import (
     InvalidAssignmentError,
     InvalidBreakpointsError,
 )
-from .linalg import as_vector, checked
+from .linalg import as_vector, checked, checked_keys
 
 SLOPE_TOL = 1e-12
 
@@ -157,7 +157,7 @@ class PwlScalar:
 
     @staticmethod
     def from_json(obj: dict) -> "PwlScalar":
-        checked(obj, "an activation", "a JSON object")
+        checked_keys(obj, "an activation", (), ("breakpoints", "slopes", "anchor_value"))
         bp, slopes = (tuple(as_vector(obj.get(key))) for key in ("breakpoints", "slopes"))
         return PwlScalar(bp, slopes, checked(obj.get("anchor_value"), "anchor_value"))
 

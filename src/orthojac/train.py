@@ -483,6 +483,8 @@ def train(network: Network, config: TrainConfig, train_set: Dataset,
                 for name, w in network.square_weights().items():
                     value, grad = ortho_regularizer(w, config.alpha)
                     loss += value
+                    if not (np.isfinite(loss) and np.isfinite(grad).all()):  # before Adam
+                        raise TrainingDivergedError(epoch, batch_idx)
                     grads[name] = grads[name] + grad
             lr = cosine_lr(global_step, total_steps, config.lr0)
             adam_step(params, grads, state, lr)

@@ -115,6 +115,103 @@ def test_bad_criterion_duplicate_and_unsafe_names(tmp_path):
     assert run(tmp_path, "verify", unsafe)[0] == 2
 
 
+def _partitioned(n=4):
+    return {"type": "partitioned", "n": n, "A": {"seed": 5}, "B": {"seed": 5},
+            "b": [0.1] * n, "hyperplanes": [{"normal": [1.0] * n, "offset": 0.0}],
+            "regions": [{"signs": [1], "ell": 1.0, "c": 0.0, "d": -2.0, "sigma": RELU}],
+            "default": {"ell": 0.0, "c": 0.0, "d": 1.0, "sigma": ABS}}
+
+
+def _limit(m, n=4):
+    return dict(bump_limit(n=n), m=m)
+
+
+# one spec object of each kind: (the spec, the path to the object in it, the
+# object's name in an error)
+SPEC_OBJECTS = {
+    "case_i": ({"type": "case_i", "n": 4, "A": {"seed": 1}, "B": {"seed": 2},
+                "d": 1.0, "sigma": ABS}, (), "a case_i spec"),
+    "case_ii": (reflection_layer(n=4), (), "a case_ii spec"),
+    "gated": ({"type": "gated", "n": 4, "B": {"seed": 6}, "gate": [1.0, 0.5, 0.5, 0.5],
+               "sigma": RELU}, (), "a gated spec"),
+    "composed": ({"type": "composed", "n": 4, "rotation": {"seed": 7},
+                  "inner": reflection_layer(n=4)}, (), "a composed spec"),
+    "composed-inner": ({"type": "composed", "n": 4, "rotation": {"seed": 7},
+                        "inner": reflection_layer(n=4)}, ("inner",), "a case_ii spec"),
+    "partitioned": (_partitioned(), (), "a partitioned spec"),
+    "limit": (bump_limit(n=4), (), "a limit spec"),
+    "constant-field": (bump_limit(n=4), ("q",), "a constant field"),
+    "bump-field": (bump_limit(n=4), ("m",), "a gaussian_bump field"),
+    "mini-net-field": (_limit({"kind": "mini_net", "w_in": [[0.01] * 4] * 2,
+                               "bias": [0.0] * 2, "w_out": [0.01] * 2}), ("m",),
+                       "a mini_net field"),
+    "seeded-mini-net-field": (_limit({"kind": "mini_net", "n": 4, "seed": 3}), ("m",),
+                              "a seeded mini_net field"),
+    "activation": (reflection_layer(n=4), ("sigma",), "an activation"),
+    "region": (_partitioned(), ("regions", 0), "a region"),
+    "default-region": (_partitioned(), ("default",), "the default region"),
+    "hyperplane": (_partitioned(), ("hyperplanes", 0), "a hyperplane"),
+    "seed-weight": (reflection_layer(n=4), ("B",), "the B weight"),
+}
+
+
+def _stray(spec, path, key, value=0.5):
+    spec = copy.deepcopy(spec)
+    node = spec
+    for step in path:
+        node = node[step]
+    node[key] = value
+    return spec
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_OBJECTS))
+def test_an_unknown_key_in_any_spec_object_exits_2(tmp_path, capsys, kind):
+    spec, path, what = SPEC_OBJECTS[kind]
+    assert run(tmp_path, "spectrum", {"probes": 4, "layers": [spec]}, out="clean")[0] == 0
+    capsys.readouterr()
+    code, out_dir = run(tmp_path, "spectrum",
+                        {"probes": 4, "layers": [_stray(spec, path, "strcit", False)]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {what}: unknown keys ['strcit']\n"
+    assert not list(out_dir.iterdir())
+
+
+def test_the_default_region_refuses_signs(tmp_path, capsys):
+    spec = _stray(_partitioned(), ("default",), "signs", [-1])
+    code, out_dir = run(tmp_path, "spectrum", {"probes": 4, "layers": [spec]})
+    assert code == 2
+    assert capsys.readouterr().err == "error: the default region: unknown keys ['signs']\n"
+    assert not list(out_dir.iterdir())
+
+
+def test_a_misspelt_case_ii_key_no_longer_builds_a_strict_layer(tmp_path, capsys):
+    # the parent commit ran this as a strict layer with c = 0
+    spec = dict(reflection_layer(n=4), cc=0.5, strcit=False)
+    code, out_dir = run(tmp_path, "spectrum", {"probes": 4, "layers": [spec]})
+    assert code == 2
+    assert capsys.readouterr().err == "error: a case_ii spec: unknown keys ['cc', 'strcit']\n"
+    assert not list(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("spec, message", [
+    (dict(reflection_layer(n=4), type="case_iii", cc=0.5), "unknown layer type 'case_iii'"),
+    (_limit({"kind": "minimal", "value": 0.0, "cc": 0.5}), "unknown slope-field kind 'minimal'"),
+])
+def test_an_unknown_type_or_kind_keeps_its_message(tmp_path, capsys, spec, message):
+    assert run(tmp_path, "spectrum", {"probes": 4, "layers": [spec]})[0] == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_repeated_sign_vector_exits_2(tmp_path, capsys):
+    spec = _partitioned()
+    spec["regions"].append({"signs": [1], "ell": 0.0, "c": 0.0, "d": 1.0, "sigma": ABS})
+    code, out_dir = run(tmp_path, "spectrum", {"probes": 4, "layers": [spec]})
+    assert code == 2
+    assert capsys.readouterr().err == "error: two regions have the signs [1]\n"
+    assert not list(out_dir.iterdir())
+
+
 @pytest.mark.parametrize("command, config, what", [
     ("spectrum", {"layers": [5]}, "a layer spec"),
     ("verify", {"layers": [{"name": "a", "layer": 7}]}, "a layer spec"),
@@ -699,6 +796,16 @@ def test_train_divergence_exits_1(tmp_path, capsys):
     assert "diverged at epoch" in capsys.readouterr().err
 
 
+def test_train_with_a_penalty_past_the_float_range_exits_1(tmp_path, capsys):
+    # alpha is finite, so TrainConfig takes it, but its penalty gradient is not:
+    # the run stops before Adam reads it, with no RuntimeWarning and no artifact
+    config = _train_with(width=8, depth=2, batch_size=1000, alpha=1e308)
+    code, out_dir = run(tmp_path, "train", config)
+    assert code == 1
+    assert capsys.readouterr().err == "training diverged at epoch 1, batch 0\n"
+    assert not list(out_dir.iterdir())
+
+
 def test_train_rerun_identical_outputs(tmp_path):
     config = train_config(epochs=4)
     _, out_a = run(tmp_path, "train", config, out="a")
@@ -872,14 +979,18 @@ def _json_type(value):
 @st.composite
 def mutated_configs(draw):
     """A fuzz config with one node, the root included, replaced by a value of
-    another type, or with one key of an object deleted; returns the command,
-    the config and whether a number or a bool was replaced."""
+    another type, with one key of an object deleted, or with a key no object
+    has added to an object; returns the command, the config and whether the
+    run must exit 2 (a number or a bool was replaced, or a key was added)."""
     command = draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
     config = copy.deepcopy(FUZZ_CONFIGS[command])
     path = draw(st.sampled_from(list(_node_paths(config))))
     parent, old = None, config
     for key in path:
         parent, old = old, old[key]
+    if isinstance(old, dict) and draw(st.booleans()):
+        old["stray_key"] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+        return command, config, True
     if isinstance(parent, dict) and draw(st.booleans()):
         del parent[path[-1]]
         return command, config, False
@@ -900,8 +1011,9 @@ def test_fuzz_configs_are_valid(tmp_path):
 @settings(deadline=None, max_examples=300)
 @given(case=mutated_configs())
 def test_config_fuzz_exits_0_1_or_2(case):
-    """Nothing escapes ``main``, and a number or bool of another type is a
-    config error: JSON values are never coerced."""
+    """Nothing escapes ``main``; a number or bool of another type is a config
+    error, as JSON values are never coerced, and so is an unknown key in any
+    object, a spec object included."""
     command, config, typed = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

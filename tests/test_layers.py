@@ -636,6 +636,26 @@ def test_to_json_gives_back_the_explicit_spec(family):
     assert list(back) == list(spec)
 
 
+def test_to_json_writes_its_types_spec_keys_in_order_and_rebuilds():
+    layers = dict(every_family(), partitioned_with_default=three_plane_layer(),
+                  limit_mini_net=ly.LimitLayer(orth(2), bias(3), ly.make_mini_net_field(N, 4, 9),
+                                               ly.GaussianBumpField(0.01)))
+    types, families = set(), set()
+    for name, layer in layers.items():
+        spec = layer.to_json()
+        assert tuple(spec) == ("type", "n", *ly.SPEC_KEYS[spec["type"]]), name
+        types.add(spec["type"])
+        families.add(getattr(layer, "family", None))
+        back = ly.layer_from_json(spec)
+        assert back.to_json() == spec, name
+        params = layer.params()
+        assert sorted(back.params()) == sorted(params), name
+        for key, arr in back.params().items():
+            assert np.array_equal(arr.view(np.int64), params[key].view(np.int64)), (name, key)
+    assert types == set(ly.SPEC_KEYS)
+    assert families - {None} == {"case_i", "case_ii", "gated", "partitioned"}
+
+
 def _set(spec, path, value):
     node = spec
     for key in path[:-1]:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from orthojac import linalg
-from orthojac.errors import ConvergenceError, DimensionError
+from orthojac.errors import ConfigError, ConvergenceError, DimensionError
 from orthojac.rng import SplitMix64, derive_seed
 
 
@@ -602,3 +602,15 @@ def test_checked_names_the_key_and_the_rule():
             linalg.checked(value, "n", rule)
     with pytest.raises(DimensionError, match="signs must be a list of integers"):
         linalg.checked([1, True], "signs", "a list of integers")
+
+
+def test_checked_keys_names_unknown_keys_before_missing_ones():
+    obj = {"a": 1, "b": 2}
+    assert linalg.checked_keys(obj, "x", ("a",), ("b", "c")) is obj
+    with pytest.raises(DimensionError, match=re.escape("x: unknown keys ['b', 'z']")):
+        linalg.checked_keys({"z": 0, "b": 1}, "x", ("a",))
+    with pytest.raises(ValueError, match=re.escape("x: missing keys ['a', 'c']")) as err:
+        linalg.checked_keys({"b": 1}, "x", ("a", "c"), ("b",), ConfigError)
+    assert type(err.value) is ConfigError
+    with pytest.raises(DimensionError, match="^x must be a JSON object, got"):
+        linalg.checked_keys([("a", 1)], "x", ("a",))

@@ -375,11 +375,14 @@ def test_evaluate_rejects_empty_dataset():
 
 def test_every_model_builds_and_runs():
     X = SplitMix64(41).gaussian_matrix(4, 6)
+    assert len(MODEL_NAMES) == 12
     for model in MODEL_NAMES:
         net = make_network(model, 8, 2, 3, 6, seed=42)
         logits = net.forward_batch(X)
         assert logits.shape == (4, 3)
         assert np.all(np.isfinite(logits))
+        # layers_from_json refuses a spec key its type does not take, at any width
+        assert [layer.width for layer in make_network(model, 4, 2, 3, 4, seed=43).layers] == [4, 4]
 
 
 def test_forward_batch_bitwise_matches_forward_cache():
@@ -773,6 +776,20 @@ def test_divergence_raises_with_location():
         train(net, cfg, train_set, val_set)
     assert err.value.epoch >= 1
     assert err.value.batch >= 0
+
+
+def test_a_penalty_past_the_float_range_is_divergence():
+    # 1e308 is finite, but 4 * alpha is not: the penalty gradient is infinite, and
+    # the step stops there, before Adam divides inf by inf
+    train_set, val_set = blobs_split(per_class=10)
+    net = make_network("resnet_relu", 8, 2, 2, 8, seed=3)
+    before = {key: arr.copy() for key, arr in net.params().items()}
+    cfg = TrainConfig(lr0=0.01, total_epochs=1, batch_size=1000, alpha=1e308)
+    with pytest.raises(TrainingDivergedError) as err:
+        train(net, cfg, train_set, val_set)
+    assert (err.value.epoch, err.value.batch) == (1, 0)
+    for key, arr in net.params().items():
+        assert np.array_equal(arr, before[key]), key
 
 
 def test_regularizer_slows_orthogonality_drift():
