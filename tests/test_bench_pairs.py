@@ -28,3 +28,23 @@ def test_a_win_is_a_better_change_in_its_own_pair():
 @pytest.mark.parametrize("text, seeds", [("41-50", list(range(41, 51))), ("7", [7])])
 def test_seed_ranges(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
+
+
+def test_a_tree_with_uncommitted_tracked_changes_is_refused(monkeypatch, capsys):
+    # the record names HEAD, so a tree that is not HEAD is refused before any clone
+    calls = []
+
+    def fake_git(*args, cwd=bench_pairs.ROOT):
+        calls.append(args[0])
+        return " M src/orthojac/layers.py" if args[0] == "status" else ""
+
+    def no_clone(*args, **kwargs):
+        raise AssertionError("cloned a tree")
+
+    monkeypatch.setattr(bench_pairs, "git", fake_git)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_clone)
+    argv = ["--parent", "HEAD", "--label", "x", "--workload", "train_blobs",
+            "--seeds", "1", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 2
+    assert "uncommitted changes to tracked files" in capsys.readouterr().err
+    assert calls == ["status"]
