@@ -8,7 +8,9 @@ Usage:
 For each seed from FIRST to LAST, ``perfbench/run.py --workload W --seed N
 --seconds S --trace 0`` runs once in a clone of revision REV and once in a
 clone of HEAD.  The first pair runs the parent first, the next the change
-first, and so on, so a drift in machine speed reaches both sides alike.  Both
+first, and so on, so a drift in machine speed reaches both sides alike.  With
+``--workload all`` each seed's pair runs every workload of ``BENCHMARK.json``
+in turn, each on both sides in that pair's order, in the same two clones.  Both
 clones are made the same way, with ``git clone`` side by side under a fresh
 directory of DIR (default: the system temporary directory), and removed at
 the end; nothing runs from the working tree.  The record names HEAD by its
@@ -19,10 +21,10 @@ compiled afresh in every process, which multiplies ``setup_s``.)
 The result is ``BENCH_<NAME>.json`` at the top of the working tree: for each
 end-to-end metric of ``BENCHMARK.json``, both sides' medians and quartiles,
 the ratio of the medians, the parent's interquartile range, and in how many
-pairs the change was better; every run's summary line and record; and both
-git revisions with a SHA-256 of each clone's ``src/``.  Running the script
-again with the same label, parent and HEAD adds or replaces that workload's
-entries and keeps the other workloads'.
+pairs the change was better, per workload; every run's summary line and
+record; and both git revisions with a SHA-256 of each clone's ``src/``.
+Running the script again with the same label, parent and HEAD adds or
+replaces the entries of the workloads it runs and keeps the others'.
 """
 
 import argparse
@@ -112,7 +114,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--workload", required=True, help="a perfbench workload")
+    parser.add_argument("--workload", required=True, help="a perfbench workload, or all")
     parser.add_argument("--seeds", required=True, type=parse_seeds,
                         help="FIRST-LAST: one pair per seed")
     parser.add_argument("--seconds", required=True, type=float)
@@ -122,7 +124,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        declared = json.load(fh)
+    metrics = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    workloads = ([w["name"] for w in declared["workloads"]] if args.workload == "all"
+                 else [args.workload])
     if git("status", "--porcelain", "--untracked-files=no"):
         print("error: the working tree has uncommitted changes to tracked files;"
               " commit them, since the record names HEAD", file=sys.stderr)
@@ -154,36 +159,38 @@ def main(argv=None) -> int:
                            " first, the next the change first, and so on")
         if args.what:
             bench["what"] = args.what
-        runs = {"parent": [], "change": []}
+        runs = {workload: {"parent": [], "change": []} for workload in workloads}
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(trees[side], args.workload, seed, args.seconds)
-                runs[side].append({"seed": seed, "first": order[0], **result})
-                values = result["summary"]["metrics"]
-                print(f"{args.workload} seed {seed} {side}: " + ", ".join(
-                    f"{name} {values[name]['value']:.6g}" for name in metrics), flush=True)
+            for workload in workloads:
+                for side in order:
+                    result = run_once(trees[side], workload, seed, args.seconds)
+                    runs[workload][side].append({"seed": seed, "first": order[0], **result})
+                    values = result["summary"]["metrics"]
+                    print(f"{workload} seed {seed} {side}: " + ", ".join(
+                        f"{name} {values[name]['value']:.6g}" for name in metrics), flush=True)
     except (RuntimeError, subprocess.CalledProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    summary = {name: summarize([r["summary"]["metrics"][name]["value"] for r in runs["parent"]],
-                               [r["summary"]["metrics"][name]["value"] for r in runs["change"]],
-                               better)
-               for name, better in metrics.items()}
-    bench.setdefault("summary", {})[args.workload] = summary
-    bench.setdefault("runs", {})[args.workload] = runs
-    record = runs["change"][-1]["record"]
+    for workload, sides_runs in runs.items():
+        summary = {name: summarize(
+            [r["summary"]["metrics"][name]["value"] for r in sides_runs["parent"]],
+            [r["summary"]["metrics"][name]["value"] for r in sides_runs["change"]], better)
+            for name, better in metrics.items()}
+        bench.setdefault("summary", {})[workload] = summary
+        bench.setdefault("runs", {})[workload] = sides_runs
+        for name, row in summary.items():
+            print(f"{workload} {name}: parent {row['parent_median']:.6g},"
+                  f" change {row['change_median']:.6g} ({row['median_ratio']:.3f}x),"
+                  f" change better in {row['change_wins']} of {row['pairs']}")
+    record = runs[workloads[-1]]["change"][-1]["record"]
     bench.update(machine=record["machine"], blas=record["blas"])
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
-    for name, row in summary.items():
-        print(f"{args.workload} {name}: parent {row['parent_median']:.6g},"
-              f" change {row['change_median']:.6g} ({row['median_ratio']:.3f}x),"
-              f" change better in {row['change_wins']} of {row['pairs']}")
     return 0
 
 

@@ -84,15 +84,12 @@ def _write_text(out_dir: str, filename: str, text: str) -> str:
 # the probe settings a verify config or entry may set; each is the entry's
 # value, else the config's, else ProbeRequest's default
 PROBE_KEYS = ("criterion", "probes", "seed", "margin", "input_scale", "tol", "epsilon")
-# config keys whose keyword has another name
-_KEYWORDS = {"probes": "n_probes", "epochs": "total_epochs"}
 
 
 def _settings(keys: tuple, *sources) -> dict:
-    """The ``keys`` that ``sources`` set (a later source wins), as keywords of
+    """The ``keys`` that ``sources`` set (a later source wins), each a keyword of
     ProbeRequest or TrainConfig, which own the defaults of the keys left out."""
-    return {_KEYWORDS.get(key, key): source[key]
-            for source in sources for key in keys if key in source}
+    return {key: source[key] for source in sources for key in keys if key in source}
 
 
 def cmd_verify(config: dict, out_dir: str, digest: str) -> int:
@@ -150,7 +147,7 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     # clipped before the cast: a value past the int64 range would wrap
     bins = np.clip((values + EDGE_SNAP) * scale, 0, HISTOGRAM_BINS - 1).astype(np.int64)
     counts = np.bincount(bins.ravel(), minlength=HISTOGRAM_BINS)
-    skipped = req.n_probes - len(kept)
+    skipped = req.probes - len(kept)
 
     header = f"# config_sha256={digest}\n"
     probe_lines = [header, "probe,sv_min,sv_max\n"]

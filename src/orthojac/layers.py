@@ -108,6 +108,18 @@ def _jacobian_one(self, x, margin: float = DEFAULT_MARGIN):
     return jac[0]
 
 
+def _spec_json(layer, kind: str) -> dict:
+    """The spec of a composed or limit layer: ``type`` (``kind``), ``n``, then the layer's
+    attribute of each of the type's SPEC_KEYS, arrays as nested lists, layers and fields as
+    their specs, and ``strict`` as it is."""
+    spec = {"type": kind, "n": layer.width}
+    for key in SPEC_KEYS[kind]:
+        value = getattr(layer, key)
+        spec[key] = (value if key == "strict" else value.tolist()
+                     if isinstance(value, np.ndarray) else value.to_json())
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # layer families
 # ---------------------------------------------------------------------------
@@ -159,13 +171,7 @@ class ComposedLayer:
         return self.inner.params()
 
     def to_json(self) -> dict:
-        return {
-            "type": "composed",
-            "n": self.width,
-            "rotation": self.rotation.tolist(),
-            "inner": self.inner.to_json(),
-            "strict": self.strict,
-        }
+        return _spec_json(self, "composed")
 
 
 @dataclass(frozen=True)
@@ -210,10 +216,10 @@ class PartitionedLayer:
     (sign(0) = +1); each reachable sign vector needs coefficients (or a
     declared default).  A batched pass goes over a block once, straddling
     a plane or not, and evaluates each distinct activation once.  Strict
-    mode requires A and B orthogonal and enforces, per region, the case-i
-    slope set {-1/d, +1/d} when ell = 0 and the case-ii slope set
-    {(1 - ell)/d, -(1 + ell)/d} plus shared weights when ell != 0, so
-    every Jacobian ell*I + d A^T D B is orthogonal wherever it exists.
+    mode requires A and B orthogonal, d != 0 and, per region, one rule:
+    every slope s has |ell + d s| = 1, that is s in {(1 - ell)/d,
+    -(1 + ell)/d}, and A = B (one shared array) where ell != 0, so every
+    Jacobian ell*I + d A^T D B is orthogonal wherever it exists.
     A and B are shared when they are given as one object, and then train
     as one parameter.  The weights, bias and plane normals may be arrays
     or nested lists of numbers; every array, offset and region key is
@@ -288,18 +294,11 @@ class PartitionedLayer:
             for coeffs in coeff_list:
                 if coeffs.d == 0.0:
                     raise SlopeMismatchError("region needs d != 0", 0.0)
-                if coeffs.ell == 0.0:
-                    allowed = (-1.0 / coeffs.d, 1.0 / coeffs.d)
-                else:
-                    if not self.shared_weights:
-                        raise MixedCaseError(
-                            "regions with a skip term (ell != 0) require A = B"
-                            " (one shared array)"
-                        )
-                    allowed = (
-                        (1.0 - coeffs.ell) / coeffs.d,
-                        -(1.0 + coeffs.ell) / coeffs.d,
-                    )
+                if coeffs.ell != 0.0 and not self.shared_weights:
+                    raise MixedCaseError(
+                        "regions with a skip term (ell != 0) require A = B (one shared array)")
+                # |ell + d s| = 1 for every slope s
+                allowed = ((1.0 - coeffs.ell) / coeffs.d, -(1.0 + coeffs.ell) / coeffs.d)
                 _require_slopes(coeffs.sigma, allowed, "partitioned layer region")
 
     @property
@@ -628,8 +627,8 @@ class LimitLayer:
 
     B: np.ndarray
     b: np.ndarray
-    m_field: SlopeField
-    q_field: SlopeField
+    m: SlopeField
+    q: SlopeField
     strict: bool = True
     reflection: PartitionedLayer = field(init=False, repr=False, compare=False)
 
@@ -640,7 +639,7 @@ class LimitLayer:
         object.__setattr__(self, "reflection", reflection)
         object.__setattr__(self, "B", reflection.B)
         object.__setattr__(self, "b", reflection.b)
-        for f in (self.m_field, self.q_field):
+        for f in (self.m, self.q):
             if isinstance(f, MiniNetField) and f.w_in.shape[1] != self.width:
                 raise DimensionError(f"a mini-net field's w_in must be of shape"
                                      f" (None, {self.width}), got shape {f.w_in.shape}")
@@ -655,8 +654,8 @@ class LimitLayer:
     def with_fields(self, core, X):
         """``core``, the reflection's output rows, plus the field terms of m and q at the rows
         of X; also m and q there and the fields' states ``(H_m, H_q)`` they came from."""
-        H = self.m_field.hidden_batch(X), self.q_field.hidden_batch(X)
-        m_vals, q_vals = self.m_field.eval_batch(X, H[0]), self.q_field.eval_batch(X, H[1])
+        H = self.m.hidden_batch(X), self.q.hidden_batch(X)
+        m_vals, q_vals = self.m.eval_batch(X, H[0]), self.q.eval_batch(X, H[1])
         out = core + q_vals[:, np.newaxis] + (1.0 - m_vals)[:, np.newaxis] * self._bias_pull()
         return out, m_vals, q_vals, H
 
@@ -674,10 +673,10 @@ class LimitLayer:
         # 1 grad_q^T - (B^T b) grad_m^T and the field kinks
         out, jac, dist = self.reflection.linearize_batch(X)
         out, _, _, (H_m, H_q) = self.with_fields(out, X)
-        jac += self.q_field.grad_batch(X, H_q)[:, np.newaxis, :]
-        jac -= self._bias_pull()[:, np.newaxis] * self.m_field.grad_batch(X, H_m)[:, np.newaxis, :]
-        dist = np.minimum(dist, self.m_field.kink_distance_batch(X, H_m))
-        return out, jac, np.minimum(dist, self.q_field.kink_distance_batch(X, H_q))
+        jac += self.q.grad_batch(X, H_q)[:, np.newaxis, :]
+        jac -= self._bias_pull()[:, np.newaxis] * self.m.grad_batch(X, H_m)[:, np.newaxis, :]
+        dist = np.minimum(dist, self.m.kink_distance_batch(X, H_m))
+        return out, jac, np.minimum(dist, self.q.kink_distance_batch(X, H_q))
 
     vjp = _vjp_one
 
@@ -687,22 +686,22 @@ class LimitLayer:
         bias_pull = self._bias_pull()
         v_sum = V.sum(axis=1)
         v_pull = V @ bias_pull
-        dX += v_sum[:, np.newaxis] * self.q_field.grad_batch(X, H_q)
-        dX -= v_pull[:, np.newaxis] * self.m_field.grad_batch(X, H_m)
+        dX += v_sum[:, np.newaxis] * self.q.grad_batch(X, H_q)
+        dX -= v_pull[:, np.newaxis] * self.m.grad_batch(X, H_m)
         one_minus_m = (1.0 - m_vals)[:, np.newaxis] * V
         grads["B"] += np.outer(self.b, one_minus_m.sum(axis=0))
         grads["b"] += (one_minus_m @ self.B.T).sum(axis=0)
-        for name, g in self.m_field.param_grads_batch(X, -v_pull, H_m).items():
+        for name, g in self.m.param_grads_batch(X, -v_pull, H_m).items():
             grads[f"m.{name}"] = g
-        for name, g in self.q_field.param_grads_batch(X, v_sum, H_q).items():
+        for name, g in self.q.param_grads_batch(X, v_sum, H_q).items():
             grads[f"q.{name}"] = g
         return dX, grads
 
     def params(self) -> dict:
         out = {"B": self.B, "b": self.b}
-        for name, arr in self.m_field.params().items():
+        for name, arr in self.m.params().items():
             out[f"m.{name}"] = arr
-        for name, arr in self.q_field.params().items():
+        for name, arr in self.q.params().items():
             out[f"q.{name}"] = arr
         return out
 
@@ -710,20 +709,12 @@ class LimitLayer:
         """Theoretical half-width of the singular-value interval around 1."""
         b_norm = float(np.sqrt(self.b @ self.b))
         return max(
-            2.0 * self.m_field.lipschitz_bound() * b_norm,
-            2.0 * np.sqrt(self.width) * self.q_field.lipschitz_bound(),
+            2.0 * self.m.lipschitz_bound() * b_norm,
+            2.0 * np.sqrt(self.width) * self.q.lipschitz_bound(),
         )
 
     def to_json(self) -> dict:
-        return {
-            "type": "limit",
-            "n": self.width,
-            "B": self.B.tolist(),
-            "b": self.b.tolist(),
-            "m": self.m_field.to_json(),
-            "q": self.q_field.to_json(),
-            "strict": self.strict,
-        }
+        return _spec_json(self, "limit")
 
 
 Layer = Union[ComposedLayer, PartitionedLayer, LimitLayer]
@@ -762,7 +753,7 @@ def make_partitioned(A, B, b, hyperplanes, regions, default: RegionCoeffs | None
 
 
 # the keys a spec of each layer type may hold after "type" and "n": its constructor's
-# parameters, in their order, which is the order to_json writes them in
+# parameter names, in their order, which is the order to_json writes them in
 SPEC_KEYS = {
     "case_i": ("A", "B", "b", "c", "d", "sigma", "strict"),
     "case_ii": ("B", "b", "ell", "c", "d", "sigma", "strict"),

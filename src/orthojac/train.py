@@ -16,7 +16,7 @@ aside).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -38,9 +38,10 @@ MAX_EPOCHS = 400
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# the largest gradient entry whose square, in adam_step, is finite
+ADAM_MAX_GRAD = float(np.sqrt(np.finfo(np.float64).max))
 # rows evaluated per forward pass
 EVAL_CHUNK = 1024
-METRICS_HEADER = "epoch,train_loss,train_acc,val_acc,lr,grad_ratio,ms_per_sample"
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +362,7 @@ class TrainConfig:
     """The settings of one training run, checked on construction (ConfigError)."""
 
     lr0: float
-    total_epochs: int
+    epochs: int
     batch_size: int = 512
     alpha: float = 0.0
     patience: int = 10
@@ -369,9 +370,9 @@ class TrainConfig:
 
     def __post_init__(self):
         checked(self.lr0, "lr0", "a positive finite number", ConfigError)
-        checked(self.total_epochs, "total_epochs", "a positive integer", ConfigError)
-        if self.total_epochs > MAX_EPOCHS:
-            raise ConfigError(f"total_epochs must be at most {MAX_EPOCHS}, got {self.total_epochs}")
+        checked(self.epochs, "epochs", "a positive integer", ConfigError)
+        if self.epochs > MAX_EPOCHS:
+            raise ConfigError(f"epochs must be at most {MAX_EPOCHS}, got {self.epochs}")
         checked(self.batch_size, "batch_size", "a positive integer", ConfigError)
         checked(self.alpha, "alpha", "a non-negative finite number", ConfigError)
         checked(self.patience, "patience", "a positive integer", ConfigError)
@@ -389,15 +390,16 @@ class EpochRow:
     ms_per_sample: float
 
     def csv_row(self) -> str:
-        return (
-            f"{self.epoch},{float(self.train_loss)!r},{float(self.train_acc)!r},"
-            f"{float(self.val_acc)!r},{float(self.lr)!r},{float(self.grad_ratio)!r},"
-            f"{float(self.ms_per_sample)!r}"
-        )
+        epoch, *values = astuple(self)
+        return ",".join([str(epoch), *(repr(float(v)) for v in values)])
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(EpochRow))
 
 
 @dataclass
 class Metrics:
+    # one EpochRow per epoch run, at least one
     rows: list
     best_epoch: int
     best_val_acc: float
@@ -416,17 +418,12 @@ class Metrics:
             "epochs_run": len(self.rows),
             "best_epoch": self.best_epoch,
             "best_val_acc": self.best_val_acc,
-            "final_val_acc": self.rows[-1].val_acc if self.rows else None,
+            "final_val_acc": self.rows[-1].val_acc,
             "stopped_early": self.stopped_early,
-            "weight_defect_initial": self.weight_defects[0] if self.weight_defects else None,
-            "weight_defect_max": max(self.weight_defects) if self.weight_defects else None,
-            "weight_defect_final": self.weight_defects[-1] if self.weight_defects else None,
-            "wall_clock": {
-                "ms_per_sample_mean": (
-                    float(np.mean([r.ms_per_sample for r in self.rows]))
-                    if self.rows else None
-                ),
-            },
+            "weight_defect_initial": self.weight_defects[0],
+            "weight_defect_max": max(self.weight_defects),
+            "weight_defect_final": self.weight_defects[-1],
+            "wall_clock": {"ms_per_sample_mean": float(np.mean([r.ms_per_sample for r in self.rows]))},
         }
 
 
@@ -453,7 +450,7 @@ def train(network: Network, config: TrainConfig, train_set: Dataset,
     params = network.params()
     state = AdamState.for_params(params)
     batches_per_epoch = -(-train_set.size // config.batch_size)
-    total_steps = config.total_epochs * batches_per_epoch
+    total_steps = config.epochs * batches_per_epoch
     global_step = 0
 
     rows: list = []
@@ -464,7 +461,7 @@ def train(network: Network, config: TrainConfig, train_set: Dataset,
     bad_epochs = 0
     stopped_early = False
 
-    for epoch in range(1, config.total_epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         tic = time.perf_counter()
         epoch_lr = cosine_lr(global_step, total_steps, config.lr0)
         loss_sum = 0.0
@@ -483,9 +480,10 @@ def train(network: Network, config: TrainConfig, train_set: Dataset,
                 for name, w in network.square_weights().items():
                     value, grad = ortho_regularizer(w, config.alpha)
                     loss += value
-                    if not (np.isfinite(loss) and np.isfinite(grad).all()):  # before Adam
-                        raise TrainingDivergedError(epoch, batch_idx)
                     grads[name] = grads[name] + grad
+                    # before Adam, whose moment of a larger entry is inf and its step 0
+                    if not (np.isfinite(loss) and (np.abs(grads[name]) <= ADAM_MAX_GRAD).all()):
+                        raise TrainingDivergedError(epoch, batch_idx)
             lr = cosine_lr(global_step, total_steps, config.lr0)
             adam_step(params, grads, state, lr)
             global_step += 1

@@ -130,7 +130,7 @@ class ProbeRequest:
     """One probe run of a layer or stack (``target``) and how to judge it.
 
     Every setting is checked on construction, before any layer is probed:
-    ``criterion`` is one of CRITERIA, ``n_probes`` a positive integer,
+    ``criterion`` is one of CRITERIA, ``probes`` a positive integer,
     ``seed`` an integer, and ``input_scale``, ``margin``, ``tol`` and a
     given ``epsilon`` finite numbers (bools are not numbers here);
     "sv_interval" needs ``epsilon``.  The one rule that needs the built
@@ -140,7 +140,7 @@ class ProbeRequest:
     """
 
     target: object
-    n_probes: int = 1000
+    probes: int = 1000
     seed: int = 0
     input_scale: float = 1.0
     margin: float = DEFAULT_MARGIN
@@ -159,7 +159,7 @@ class ProbeRequest:
             raise DimensionError(
                 f"{where}unknown criterion {self.criterion!r}, expected one of {CRITERIA}"
             )
-        checked(self.n_probes, f"{self.name}.probes" if self.name else "probes",
+        checked(self.probes, f"{self.name}.probes" if self.name else "probes",
                 "a positive integer")
         checked(self.seed, f"{where}seed", "an integer")
         for key in ("input_scale", "margin", "tol", "epsilon"):
@@ -207,7 +207,7 @@ def _judge(request: ProbeRequest, stack: list, band: float | None, jacs: np.ndar
         sv_max=sv_max,
         bound_epsilon=band,
         passed=passed,
-        skipped_near_kink=request.n_probes - len(jacs),
+        skipped_near_kink=request.probes - len(jacs),
         criterion="sv_interval" if criterion == "isometry" else criterion,
         tol=tol,
         seed=request.seed,
@@ -241,7 +241,7 @@ def probe_spectra(requests: list, jacobian) -> list:
     rows: dict[int, int] = {}
     for stack, req in zip(stacks, requests):
         _check_widths(stack, req._where)
-        rows[stack[0].width] = rows.get(stack[0].width, 0) + req.n_probes
+        rows[stack[0].width] = rows.get(stack[0].width, 0) + req.probes
     for width, count in rows.items():
         check_shape((count, width, width), f"{count} probes of width {width}")
     # pages of a buffer's unfilled tail are never touched
@@ -255,17 +255,17 @@ def probe_spectra(requests: list, jacobian) -> list:
         # one draw with the width rounded up to even, minus the padding column
         pad = width + width % 2
         stream = SplitMix64(derive_seed(req.seed, 0x50))
-        X = req.input_scale * stream.gaussian(req.n_probes * pad).reshape(-1, pad)[:, :width]
+        X = req.input_scale * stream.gaussian(req.probes * pad).reshape(-1, pad)[:, :width]
         owner = owners[width]
         start = len(owner)
         step = max(1, PROBE_BLOCK_ENTRIES // width ** 2)
-        for first in range(0, req.n_probes, step):
+        for first in range(0, req.probes, step):
             kept, block = jacobian(stack, X[first:first + step], req.margin)
             buffers[width][len(owner):len(owner) + len(kept)] = block
             owner += [(k, probe) for probe in (first + kept).tolist()]
         if len(owner) == start:
             raise NoValidProbeError(
-                f"{req._where}all {req.n_probes} probes fell within the kink margin {req.margin}")
+                f"{req._where}all {req.probes} probes fell within the kink margin {req.margin}")
         spans.append((width, start, len(owner)))
     values = {}
     for width, buffer in buffers.items():
@@ -302,7 +302,7 @@ def spectrum_probe(requests: list) -> list:
             in zip(requests, stacks, bands, probe_spectra(requests, stack_jacobian))]
 
 
-def check_dynamical_isometry(layer: LimitLayer, n_probes: int, seed: int,
+def check_dynamical_isometry(layer: LimitLayer, probes: int, seed: int,
                              input_scale: float = 1.0, margin: float = DEFAULT_MARGIN,
                              tol: float = ISOMETRY_TOL) -> VerifyReport:
     """Verify all Jacobian singular values sit within the predicted band.
@@ -312,7 +312,7 @@ def check_dynamical_isometry(layer: LimitLayer, n_probes: int, seed: int,
     isometry conditions.  This is ``spectrum_probe`` on one request with
     criterion "isometry".
     """
-    return spectrum_probe([ProbeRequest(layer, n_probes, seed, input_scale, margin,
+    return spectrum_probe([ProbeRequest(layer, probes, seed, input_scale, margin,
                                         criterion="isometry", tol=tol)])[0]
 
 
@@ -321,9 +321,6 @@ class DensityReport:
     """Sup-norm gap between a limit layer and its cell-sampled surrogate."""
 
     resolution: int
-    domain_radius: float
-    n_probes: int
-    seed: int
     measured_gap: float
     theoretical_bound: float
 
@@ -331,34 +328,34 @@ class DensityReport:
 def density_gap(
     layer: LimitLayer,
     resolutions: list,
-    domain_radius: float,
-    n_probes: int,
+    radius: float,
+    probes: int,
     seed: int,
 ) -> list:
     """Compare a limit layer against its piecewise-constant-field surrogates.
 
     The surrogate at each resolution has the layer's coefficient fields
     sampled at the centers of an axis-aligned grid with that many cells per
-    axis over the first two coordinates of the radius-``domain_radius``
-    ball (remaining coordinates unpartitioned).  The measured sup-norm gap
+    axis over the first two coordinates of the radius-``radius`` ball
+    (remaining coordinates unpartitioned).  The measured sup-norm gap
     over ball-uniform probes never exceeds the bound
     ``sup|q - q~| + sup|m - m~| * ||b||``.  The probes are drawn, and the
     layer's reflection part and fields evaluated, once for all resolutions;
     every surrogate shares that reflection output and evaluates each field
     once, at the probes snapped to their cell centers.  Returns one
-    DensityReport per resolution, in ascending order.  A bad argument raises
-    DimensionError.
+    DensityReport per resolution, in ascending order.  A bad argument, a
+    resolution past the float range included, raises DimensionError.
     """
     resolutions = sorted(checked(r, "resolution", "a positive integer")
                          for r in checked(resolutions, "resolutions", "a non-empty list"))
-    checked(domain_radius, "radius", "a positive finite number")
-    checked(n_probes, "probes", "a positive integer")
+    checked(resolutions[-1], "resolution", "a number that fits a float")
+    radius = float(checked(radius, "radius", "a positive finite number"))
+    checked(probes, "probes", "a positive integer")
     checked(seed, "seed", "an integer")
-    X = SplitMix64(derive_seed(seed, 0xD6)).ball(n_probes, layer.width, domain_radius)
+    X = SplitMix64(derive_seed(seed, 0xD6)).ball(probes, layer.width, radius)
     core = layer.reflection.forward_batch(X)[0]
     exact, m_vals, q_vals = layer.with_fields(core, X)[:3]
     b_norm = float(np.sqrt(layer.b @ layer.b))
-    radius = float(domain_radius)
     reports = []
     for resolution in resolutions:
         # the probes snapped to the centers of their cells
@@ -370,9 +367,6 @@ def density_gap(
         gap = np.max(np.abs(exact - surrogate), axis=1)
         reports.append(DensityReport(
             resolution=resolution,
-            domain_radius=domain_radius,
-            n_probes=n_probes,
-            seed=seed,
             measured_gap=float(np.max(gap)),
             theoretical_bound=float(np.max(np.abs(q_vals - q_tilde))
                                     + np.max(np.abs(m_vals - m_tilde)) * b_norm),

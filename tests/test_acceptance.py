@@ -382,7 +382,7 @@ def test_criterion8_fashion_mnist_trainability():
     def run(model: str, alpha: float):
         net = make_network(model, 64, 50, train_set.class_count,
                            train_set.dim, seed)
-        cfg = TrainConfig(lr0=5e-5, total_epochs=60, batch_size=512,
+        cfg = TrainConfig(lr0=5e-5, epochs=60, batch_size=512,
                           alpha=alpha, patience=10, seed=seed)
         return train(net, cfg, train_set, val_set)
 

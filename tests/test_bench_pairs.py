@@ -1,6 +1,7 @@
 """The pair summary of ``scripts/bench_pairs.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,38 @@ def test_a_tree_with_uncommitted_tracked_changes_is_refused(monkeypatch, capsys)
     assert bench_pairs.main(argv) == 2
     assert "uncommitted changes to tracked files" in capsys.readouterr().err
     assert calls == ["status"]
+
+
+def test_all_runs_every_workload_on_both_sides_of_each_pair(monkeypatch, tmp_path):
+    # a fake run_once records its calls, so no clone runs a benchmark
+    declared = (_PATH.parents[1] / "BENCHMARK.json").read_text()
+    (tmp_path / "BENCHMARK.json").write_text(declared)
+    workloads = [w["name"] for w in json.loads(declared)["workloads"]]
+    calls = []
+
+    def fake_run_once(tree, workload, seed, seconds):
+        calls.append((Path(tree).name, workload, seed))
+        values = {name: {"value": float(seed)} for name in
+                  ("items_per_s", "setup_s", "peak_rss_mb")}
+        return {"summary": {"metrics": values}, "record": {"machine": "m", "blas": "b"}}
+
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, cwd=None: "" if args[0] == "status"
+                        else "rev-" + args[-1])
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *args, **kwargs: None)
+    monkeypatch.setattr(bench_pairs, "src_sha256", lambda tree: Path(tree).name)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    argv = ["--parent", "p", "--label", "x", "--workload", "all", "--seeds", "1-3",
+            "--seconds", "1", "--scratch", str(tmp_path)]
+    assert bench_pairs.main(argv) == 0
+
+    for i, seed in enumerate([1, 2, 3]):
+        first, second = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = [(side, w, seed) for w in workloads for side in (first, second)]
+        assert calls[len(pair) * i:len(pair) * (i + 1)] == pair
+    assert len(calls) == 3 * 2 * len(workloads) == 24
+    bench = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert list(bench["summary"]) == list(bench["runs"]) == workloads
+    for runs in bench["runs"].values():
+        assert [r["seed"] for r in runs["change"]] == [r["seed"] for r in runs["parent"]]
+        assert [r["first"] for r in runs["parent"]] == ["parent", "change", "parent"]

@@ -748,6 +748,9 @@ def test_density_rejects_non_limit_layer(tmp_path):
     ({"probes": 0}, "probes must be a positive integer"),
     ({"resolutions": []}, "resolutions must be a non-empty list"),
     ({"resolutions": [4, "2"]}, "resolution must be a positive integer"),
+    # the cell width 2 * radius / resolution needs the resolution as a float
+    ({"resolutions": [2, 10**400]}, "resolution must be a number that fits a float"),
+    ({"resolutions": [2**1100, 2]}, "resolution must be a number that fits a float"),
 ])
 def test_density_bad_radius_or_seed_exits_2(tmp_path, capsys, bad, message):
     config = dict({"seed": 7, "probes": 50, "radius": 1.5, "layer": bump_limit()}, **bad)
@@ -804,6 +807,24 @@ def test_train_with_a_penalty_past_the_float_range_exits_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "training diverged at epoch 1, batch 0\n"
     assert not list(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("alpha", [1e306, 1e200])
+def test_train_with_a_penalty_gradient_adam_cannot_square_exits_1(tmp_path, capsys, alpha):
+    # the penalty gradient is finite, but its square in Adam is not: its second moment
+    # would be inf and its step 0, so the run stops before Adam reads it
+    config = _train_with(width=8, depth=2, batch_size=1000, alpha=alpha)
+    code, out_dir = run(tmp_path, "train", config)
+    assert code == 1
+    assert capsys.readouterr().err == "training diverged at epoch 1, batch 0\n"
+    assert not list(out_dir.iterdir())
+
+
+def test_train_with_a_large_penalty_adam_can_square_exits_0(tmp_path):
+    code, out_dir = run(tmp_path, "train", _train_with(width=8, depth=2, batch_size=1000,
+                                                        alpha=1e160))
+    assert code == 0
+    assert (out_dir / "snapshot.bin").exists()
 
 
 def test_train_rerun_identical_outputs(tmp_path):
@@ -870,6 +891,9 @@ def test_train_unknown_model_exits_2(tmp_path):
     ({"model": ["resnet_relu"]}, "unknown model ['resnet_relu']"),
     ({"width": 0}, "width must be a positive integer"),
     ({"depth": -1}, "depth must be a non-negative integer"),
+    # the messages name the config key
+    ({"epochs": 0}, "error: epochs must be a positive integer, got 0\n"),
+    ({"epochs": 401}, "error: epochs must be at most 400, got 401\n"),
 ])
 def test_train_bad_setting_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, bad, message):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthojac import layers as ly
@@ -229,7 +229,7 @@ def test_limit_jacobian_structure():
     z = lim.B @ x + lim.b
     core = np.eye(N) - 2.0 * (lim.B.T * (z >= 0.0)) @ lim.B
     X = x[np.newaxis]
-    grad_m = lim.m_field.grad_batch(X, lim.m_field.hidden_batch(X))[0]
+    grad_m = lim.m.grad_batch(X, lim.m.hidden_batch(X))[0]
     expect = core - np.outer(lim.B.T @ lim.b, grad_m)
     assert np.max(np.abs(jac - expect)) < 1e-14
 
@@ -381,6 +381,49 @@ def test_partitioned_mixed_case_requires_shared_weights():
         ly.make_partitioned(orth(1), orth(2), np.zeros(N), [], regions)
     # shared weights fine
     ly.make_partitioned(orth(2), orth(2), np.zeros(N), [], regions)
+
+
+def _two_formula_rule(ell, d, shared):
+    """The oracle: the strict region rule as two slope formulas, the case-i set where
+    ell == 0 and the case-ii set, with one shared array, elsewhere.  None stands for
+    MixedCaseError."""
+    if ell == 0.0:
+        return (-1.0 / d, 1.0 / d)
+    if not shared:
+        return None
+    return ((1.0 - ell) / d, -(1.0 + ell) / d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ell=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0)),
+       d=st.floats(-4.0, 4.0).filter(lambda d: abs(d) >= 1e-3),
+       shared=st.booleans(),
+       picks=st.lists(st.one_of(st.sampled_from([0, 1]), st.floats(-5.0, 5.0)),
+                      min_size=2, max_size=2))
+def test_one_region_rule_accepts_and_refuses_what_the_two_formula_rule_does(
+        ell, d, shared, picks):
+    # each slope is one of the two allowed (an index) or any number
+    allowed = _two_formula_rule(ell, d, shared)
+    candidates = allowed or ((1.0 - ell) / d, -(1.0 + ell) / d)
+    slopes = [candidates[p] if isinstance(p, int) else p for p in picks]
+    assume(abs(slopes[0] - slopes[1]) > pwl.SLOPE_TOL)
+    sigma = pwl.make_two_slope(*slopes, [0.0])
+    B = orth(2, 4)
+    regions = {(): ly.RegionCoeffs(ell, 0.0, d, sigma)}
+    build = lambda: ly.make_partitioned(B if shared else orth(1, 4), B, np.zeros(4), [], regions)
+    if allowed is None:
+        with pytest.raises(MixedCaseError, match=re.escape(
+                "regions with a skip term (ell != 0) require A = B (one shared array)")):
+            build()
+        return
+    bad = pwl.slope_violation(sigma, allowed)
+    if bad is None:
+        build()
+        return
+    with pytest.raises(SlopeMismatchError) as exc:
+        build()
+    assert str(exc.value) == (f"partitioned layer region: activation slopes must lie in"
+                              f" {sorted(set(allowed))} (offending slope {bad!r})")
 
 
 def test_partitioned_nearly_equal_weights_are_not_shared():
@@ -656,6 +699,14 @@ def test_to_json_writes_its_types_spec_keys_in_order_and_rebuilds():
     assert families - {None} == {"case_i", "case_ii", "gated", "partitioned"}
 
 
+@pytest.mark.parametrize("kind, constructor", [
+    ("case_i", ly.make_case_i), ("case_ii", ly.make_case_ii), ("gated", ly.make_gated),
+    ("composed", ly.ComposedLayer), ("partitioned", ly.make_partitioned),
+    ("limit", ly.LimitLayer)])
+def test_spec_keys_are_the_constructor_parameters(kind, constructor):
+    assert ly.SPEC_KEYS[kind] == tuple(inspect.signature(constructor).parameters)
+
+
 def _set(spec, path, value):
     node = spec
     for key in path[:-1]:
@@ -814,7 +865,7 @@ def single_jacobian(layer, x):
     if isinstance(layer, ly.LimitLayer):
         jac = -2.0 * ((layer.B.T * (z >= 0.0).astype(np.float64)) @ layer.B)
         jac[np.diag_indices_from(jac)] += 1.0
-        m, q, X = layer.m_field, layer.q_field, x[np.newaxis]
+        m, q, X = layer.m, layer.q, x[np.newaxis]
         jac += np.outer(np.ones(layer.width), q.grad_batch(X, q.hidden_batch(X))[0])
         jac -= np.outer(layer.B.T @ layer.b, m.grad_batch(X, m.hidden_batch(X))[0])
         return jac
@@ -833,7 +884,7 @@ def single_kink_distance(layer, x):
         return single_kink_distance(layer.inner, x)
     z = layer.B @ x + layer.b
     if isinstance(layer, ly.LimitLayer):
-        field = layer.m_field
+        field = layer.m
         return min(float(np.min(np.abs(z))),
                    float(np.min(np.abs(field.w_in @ x + field.bias))))
     planes = [float(normal @ x) - offset for normal, offset in layer.hyperplanes]
@@ -1100,8 +1151,8 @@ def array_args(n=4):
         ly.PartitionedLayer: dict(A=orth(1, n), B=B, b=b,
                                   hyperplanes=((SplitMix64(11).gaussian(n), 0.25),),
                                   regions=regions),
-        ly.LimitLayer: dict(B=B, b=b, m_field=ly.ConstantField(0.5),
-                            q_field=ly.ConstantField(0.0)),
+        ly.LimitLayer: dict(B=B, b=b, m=ly.ConstantField(0.5),
+                            q=ly.ConstantField(0.0)),
         ly.MiniNetField: dict(w_in=SplitMix64(12).gaussian_matrix(3, n), bias=bias(13, 3),
                               w_out=bias(14, 3)),
     }

@@ -1,5 +1,7 @@
 """Tests for the network container, optimizer pieces, and training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,7 @@ from orthojac.train import (
     METRICS_HEADER,
     MODEL_NAMES,
     AdamState,
+    EpochRow,
     InputAdapter,
     Network,
     TrainConfig,
@@ -407,7 +410,7 @@ def _recomputed_vjp(layer, X, V):
         return _recomputed_vjp(layer.inner, X, V @ layer.rotation)
     if isinstance(layer, LimitLayer):
         dX, grads = _recomputed_vjp(layer.reflection, X, V)
-        m, q = layer.m_field, layer.q_field
+        m, q = layer.m, layer.q
         v_sum, v_pull = V.sum(axis=1), V @ (layer.B.T @ layer.b)
         H_m, H_q = m.hidden_batch(X), q.hidden_batch(X)
         dX += v_sum[:, np.newaxis] * q.grad_batch(X, H_q)
@@ -709,14 +712,14 @@ def blobs_split(classes=2, dim=8, per_class=100, spread=0.1, seed=5):
 
 
 def test_config_validation():
-    good = dict(lr0=0.1, total_epochs=5)
+    good = dict(lr0=0.1, epochs=5)
     TrainConfig(**good)
     with pytest.raises(ConfigError):
         TrainConfig(**{**good, "lr0": 0.0})
     with pytest.raises(ConfigError):
-        TrainConfig(**{**good, "total_epochs": 0})
+        TrainConfig(**{**good, "epochs": 0})
     with pytest.raises(ConfigError):
-        TrainConfig(**{**good, "total_epochs": 401})
+        TrainConfig(**{**good, "epochs": 401})
     with pytest.raises(ConfigError):
         TrainConfig(**{**good, "batch_size": 0})
     with pytest.raises(ConfigError):
@@ -728,7 +731,7 @@ def test_config_validation():
 def test_head_only_learns_separable_blobs():
     train_set, val_set = blobs_split()
     net = make_network("resnet_relu", 8, 0, 2, 8, seed=7)
-    cfg = TrainConfig(lr0=0.05, total_epochs=20, batch_size=32, seed=8)
+    cfg = TrainConfig(lr0=0.05, epochs=20, batch_size=32, seed=8)
     metrics = train(net, cfg, train_set, val_set)
     assert metrics.best_val_acc >= 0.99
 
@@ -738,7 +741,7 @@ def test_training_deterministic():
 
     def run():
         net = make_network("resnet_relu", 8, 3, 3, 8, seed=13)
-        cfg = TrainConfig(lr0=0.01, total_epochs=4, batch_size=64,
+        cfg = TrainConfig(lr0=0.01, epochs=4, batch_size=64,
                           seed=14, alpha=0.001)
         return train(net, cfg, train_set, val_set)
 
@@ -753,7 +756,7 @@ def test_training_deterministic():
 def test_early_stopping_and_best_restore():
     train_set, val_set = blobs_split(per_class=60, seed=17)
     net = make_network("resnet_relu", 8, 1, 2, 8, seed=18)
-    cfg = TrainConfig(lr0=0.05, total_epochs=200, batch_size=32,
+    cfg = TrainConfig(lr0=0.05, epochs=200, batch_size=32,
                       seed=19, patience=5)
     metrics = train(net, cfg, train_set, val_set)
     assert metrics.stopped_early
@@ -771,7 +774,7 @@ def test_early_stopping_and_best_restore():
 def test_divergence_raises_with_location():
     train_set, val_set = blobs_split(seed=23)
     net = make_network("resnet_AB_baseline", 8, 30, 2, 8, seed=24)
-    cfg = TrainConfig(lr0=1e6, total_epochs=3, batch_size=32, seed=25)
+    cfg = TrainConfig(lr0=1e6, epochs=3, batch_size=32, seed=25)
     with pytest.raises(TrainingDivergedError) as err:
         train(net, cfg, train_set, val_set)
     assert err.value.epoch >= 1
@@ -784,7 +787,7 @@ def test_a_penalty_past_the_float_range_is_divergence():
     train_set, val_set = blobs_split(per_class=10)
     net = make_network("resnet_relu", 8, 2, 2, 8, seed=3)
     before = {key: arr.copy() for key, arr in net.params().items()}
-    cfg = TrainConfig(lr0=0.01, total_epochs=1, batch_size=1000, alpha=1e308)
+    cfg = TrainConfig(lr0=0.01, epochs=1, batch_size=1000, alpha=1e308)
     with pytest.raises(TrainingDivergedError) as err:
         train(net, cfg, train_set, val_set)
     assert (err.value.epoch, err.value.batch) == (1, 0)
@@ -797,7 +800,7 @@ def test_regularizer_slows_orthogonality_drift():
         ds = synthetic_blobs(3, 8, 80, 0.1, seed=27)
         train_set, val_set = train_val_split(ds, 0.2, seed=28)
         net = make_network("resnet_relu", 8, 3, 3, 8, seed=28)
-        cfg = TrainConfig(lr0=1e-3, total_epochs=12, batch_size=32,
+        cfg = TrainConfig(lr0=1e-3, epochs=12, batch_size=32,
                           seed=29, alpha=alpha)
         return train(net, cfg, train_set, val_set)
 
@@ -807,10 +810,14 @@ def test_regularizer_slows_orthogonality_drift():
     assert held.weight_defects[-1] < 0.5 * plain.weight_defects[-1]
 
 
+def test_metrics_header_is_the_epoch_row_fields():
+    assert METRICS_HEADER == ",".join(f.name for f in dataclasses.fields(EpochRow))
+
+
 def test_metrics_csv_shape():
     train_set, val_set = blobs_split(seed=31)
     net = make_network("ff_sigma1", 8, 1, 2, 8, seed=32)
-    cfg = TrainConfig(lr0=0.01, total_epochs=3, batch_size=64, seed=33)
+    cfg = TrainConfig(lr0=0.01, epochs=3, batch_size=64, seed=33)
     metrics = train(net, cfg, train_set, val_set)
     lines = metrics.to_csv().splitlines()
     assert lines[0] == METRICS_HEADER
@@ -824,7 +831,7 @@ def test_metrics_csv_shape():
 def test_single_batch_epoch_grad_ratio_at_init():
     train_set, val_set = blobs_split(classes=4, dim=8, per_class=40, seed=35)
     net = make_network("resnet_relu3", 16, 25, 4, 8, seed=36)
-    cfg = TrainConfig(lr0=1e-5, total_epochs=1, batch_size=1024,
+    cfg = TrainConfig(lr0=1e-5, epochs=1, batch_size=1024,
                       seed=37)
     metrics = train(net, cfg, train_set, val_set)
     assert abs(metrics.rows[0].grad_ratio - 1.0) <= 1e-8
@@ -835,7 +842,7 @@ def test_train_rejects_empty_dataset():
     net = make_network("resnet_relu", 8, 1, 2, 8, seed=38)
     empty = Dataset(np.zeros((0, 8)), np.zeros(0, np.int64), 2)
     full = synthetic_blobs(2, 8, 5, 0.1, 39)
-    cfg = TrainConfig(lr0=0.01, total_epochs=1)
+    cfg = TrainConfig(lr0=0.01, epochs=1)
     with pytest.raises(DimensionError):
         train(net, cfg, empty, full)
     with pytest.raises(DimensionError):

@@ -441,11 +441,11 @@ def _surrogate_layer_gap(layer, resolution, radius, n_probes, seed):
     """(measured gap, bound) of one resolution from a surrogate LimitLayer with
     cell-sampled fields: the reference form of one density_gap report."""
     X = SplitMix64(derive_seed(seed, 0xD6)).ball(n_probes, layer.width, radius)
-    m_tilde = _CellQuantizedField(layer.m_field, resolution, radius)
-    q_tilde = _CellQuantizedField(layer.q_field, resolution, radius)
+    m_tilde = _CellQuantizedField(layer.m, resolution, radius)
+    q_tilde = _CellQuantizedField(layer.q, resolution, radius)
     surrogate = LimitLayer(layer.B, layer.b, m_tilde, q_tilde, strict=False)
     gap = np.max(np.abs(layer.forward_batch(X)[0] - surrogate.forward_batch(X)[0]), axis=1)
-    m, q = layer.m_field, layer.q_field
+    m, q = layer.m, layer.q
     m_err = np.abs(m.eval_batch(X, m.hidden_batch(X)) - m_tilde.eval_batch(X, None))
     q_err = np.abs(q.eval_batch(X, q.hidden_batch(X)) - q_tilde.eval_batch(X, None))
     b_norm = float(np.sqrt(layer.b @ layer.b))
