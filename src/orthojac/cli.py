@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 check, solver or training failure, 2 usage/config error
 """
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -46,7 +47,21 @@ HISTOGRAM_RANGE = 2.0
 # values this close to a bin edge count toward the upper bin, so spectra
 # sitting exactly on an edge (orthogonal stacks at 1.0) pool into one bin
 EDGE_SNAP = 1e-9
+# the "bin_low,bin_high" text of each histogram row
+HISTOGRAM_EDGES = tuple(f"{k * HISTOGRAM_RANGE / HISTOGRAM_BINS!r},"
+                        f"{(k + 1) * HISTOGRAM_RANGE / HISTOGRAM_BINS!r}"
+                        for k in range(HISTOGRAM_BINS))
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+# glibc unmaps a freed block above its mmap threshold (128 KiB by default) and
+# trims the heap top past its trim threshold, so each probe block's and training
+# step's large NumPy temporaries fault their pages in afresh on every call.  Raised
+# thresholds keep those pages in the process, at the cost of up to 64 MiB of freed
+# heap held.  main sets them through mallopt (glibc only; 32 MiB is glibc's largest
+# mmap threshold on 64-bit); importing orthojac leaves the allocator alone
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 64 << 20
+# mallopt's parameter numbers in glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _canonical(obj) -> str:
@@ -141,8 +156,8 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
     # stack_jacobian is looked up here per block, so a wrapper put on or taken off
     # this binding mid-run (perfbench's first-item marker) sees only its own calls
     [(kept, _, values)] = probe_spectra([req], lambda *args: stack_jacobian(*args))
-    rows = [(index, float(sv.min()), float(sv.max()))
-            for index, sv in zip(kept, values)]
+    # each row of values is sorted descending
+    lows, highs = values[:, -1].tolist(), values[:, 0].tolist()
     scale = HISTOGRAM_BINS / HISTOGRAM_RANGE
     # clipped before the cast: a value past the int64 range would wrap
     bins = np.clip((values + EDGE_SNAP) * scale, 0, HISTOGRAM_BINS - 1).astype(np.int64)
@@ -151,19 +166,15 @@ def cmd_spectrum(config: dict, out_dir: str, digest: str) -> int:
 
     header = f"# config_sha256={digest}\n"
     probe_lines = [header, "probe,sv_min,sv_max\n"]
-    probe_lines += [f"{i},{lo!r},{hi!r}\n" for i, lo, hi in rows]
+    probe_lines += [f"{i},{lo!r},{hi!r}\n" for i, lo, hi in zip(kept, lows, highs)]
     _write_text(out_dir, "spectrum_probes.csv", "".join(probe_lines))
 
     hist_lines = [header, "bin_low,bin_high,count\n"]
-    for k in range(HISTOGRAM_BINS):
-        low = k * HISTOGRAM_RANGE / HISTOGRAM_BINS
-        high = (k + 1) * HISTOGRAM_RANGE / HISTOGRAM_BINS
-        hist_lines.append(f"{low!r},{high!r},{counts[k]}\n")
+    hist_lines += [f"{edges},{count}\n" for edges, count in zip(HISTOGRAM_EDGES, counts.tolist())]
     _write_text(out_dir, "spectrum_histogram.csv", "".join(hist_lines))
 
-    print(f"spectrum: {len(rows)} probes ({skipped} skipped near kinks),"
-          f" sv range [{min(r[1] for r in rows):.6e},"
-          f" {max(r[2] for r in rows):.6e}]")
+    print(f"spectrum: {len(kept)} probes ({skipped} skipped near kinks),"
+          f" sv range [{min(lows):.6e}, {max(highs):.6e}]")
     return 0
 
 
@@ -311,8 +322,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_pages() -> None:
+    """Raise glibc's mmap and trim thresholds; elsewhere, do nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    # no C library to load by that name (OSError, or TypeError on Windows), or one
+    # without mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _keep_freed_pages()
     try:
         config = _load_config(args.config)
         declared = config.get("command")

@@ -471,8 +471,10 @@ def train(network: Network, config: TrainConfig, train_set: Dataset,
         epoch_seed = derive_seed(config.seed, 0xE9, epoch)
         for batch_idx, (X, y) in enumerate(batches(train_set, config.batch_size,
                                                    epoch_seed)):
-            logits, stack_out, cache = network.forward_cache(X)
-            loss, dlogits = softmax_cross_entropy_batch(logits, y)
+            # a diverging run overflows here; the loss check reports it, not NumPy
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits, stack_out, cache = network.forward_cache(X)
+                loss, dlogits = softmax_cross_entropy_batch(logits, y)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, batch_idx)
             grads, cot_in, cot_out = network.backward_batch(cache, stack_out, dlogits)

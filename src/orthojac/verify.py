@@ -22,10 +22,11 @@ from .rng import SplitMix64, derive_seed
 PASS_TOL = 1e-10
 ISOMETRY_TOL = 1e-8
 CRITERIA = ("orthogonal", "partial", "sv_interval", "isometry", "none")
-# entries of the (rows, n, n) Jacobian stack of one probe block (256 KiB of
-# float64): each layer call's fixed cost argues for more rows, the allocator
-# for fewer (larger fresh per-layer stacks fault in their pages each call)
-PROBE_BLOCK_ENTRIES = 32 * 32 * 32
+# entries of the (rows, n, n) Jacobian stack of one probe block (512 KiB of
+# float64): each layer call's fixed cost argues for more rows.  With the pages of
+# freed stacks kept (cli.main's allocator setting), 128 rows at width 32 were no
+# faster than 64 and held more memory; without it, 64 rows were slower than 32
+PROBE_BLOCK_ENTRIES = 64 * 32 * 32
 
 
 def orthogonality_defect(jac: np.ndarray):
@@ -225,7 +226,7 @@ def probe_spectra(requests: list, jacobian) -> list:
     ``margin`` of a kink are dropped.  The probes go through
     ``jacobian(stack, X, margin)``, which is ``stack_jacobian`` through the
     caller's own binding of it, in blocks of ``PROBE_BLOCK_ENTRIES // n**2``
-    rows at width ``n`` (at least one): 32 at width 32, 128 at width 16, 8 at
+    rows at width ``n`` (at least one): 64 at width 32, 256 at width 16, 16 at
     width 64.  A region-affine Jacobian is the same in any block.  The kept
     Jacobians of all requests of one width fill one buffer, whose singular
     values come from one ``svd_values`` call once every request is probed;

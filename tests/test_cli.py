@@ -1,11 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
 import copy
+import ctypes
 import json
 import re
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -790,13 +792,15 @@ def test_train_blobs_smoke(tmp_path, capsys):
     assert (out_dir / "snapshot.bin").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_1(tmp_path, capsys):
+    # the forward pass of batch 1 overflows; the loss check reports it, with no
+    # RuntimeWarning (which the test configuration makes an error)
     config = train_config(model="resnet_AB_baseline", depth=30, lr0=1e6,
                           epochs=3)
-    code, _ = run(tmp_path, "train", config)
+    code, out_dir = run(tmp_path, "train", config)
     assert code == 1
-    assert "diverged at epoch" in capsys.readouterr().err
+    assert capsys.readouterr().err == "training diverged at epoch 1, batch 1\n"
+    assert not list(out_dir.iterdir())
 
 
 def test_train_with_a_penalty_past_the_float_range_exits_1(tmp_path, capsys):
@@ -921,6 +925,41 @@ def test_train_bad_data_setting_exits_2(tmp_path, capsys, key, value):
     assert code == 2
     assert f"data.{key} must be" in capsys.readouterr().err
     assert not list(out_dir.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# allocator setting
+# ---------------------------------------------------------------------------
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                         ids=["no-library", "no-mallopt"])
+def test_main_without_mallopt_writes_the_same_artifacts(tmp_path, monkeypatch, cdll):
+    code, want = run(tmp_path, "spectrum", spectrum_config(probes=10), out="libc")
+    assert code == 0
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    code, got = run(tmp_path, "spectrum", spectrum_config(probes=10), out="none")
+    assert code == 0
+    for name in ("spectrum_probes.csv", "spectrum_histogram.csv"):
+        assert (got / name).read_bytes() == (want / name).read_bytes()
+
+
+def test_main_sets_the_allocator_thresholds_before_loading_the_config(tmp_path,
+                                                                       monkeypatch):
+    log = []
+    load = cli._load_config
+    libc = SimpleNamespace(mallopt=lambda param, value: log.append(("mallopt", param, value)))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(cli, "_load_config", lambda path: log.append("load") or load(path))
+    assert run(tmp_path, "spectrum", spectrum_config(probes=4))[0] == 0
+    # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
+    assert log == [("mallopt", -3, cli.MMAP_THRESHOLD), ("mallopt", -1, cli.TRIM_THRESHOLD),
+                   "load"]
+    assert (cli.MMAP_THRESHOLD, cli.TRIM_THRESHOLD) == (32 << 20, 64 << 20)
 
 
 # ---------------------------------------------------------------------------

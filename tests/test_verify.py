@@ -728,8 +728,8 @@ def test_limit_layer_spectra_move_only_in_the_low_bits_with_the_block(monkeypatc
 
 
 def test_probe_blocks_are_sized_by_entries():
-    # 32 rows at width 32, 128 at width 16 and 8 at width 64, in one call
-    blocks_of = {32: (70, [32, 32, 6]), 16: (130, [128, 2]), 64: (20, [8, 8, 4])}
+    # 64 rows at width 32, 256 at width 16 and 16 at width 64, in one call
+    blocks_of = {32: (140, [64, 64, 12]), 16: (260, [256, 4]), 64: (40, [16, 16, 8])}
     requests = [ProbeRequest([strict_case_ii(n, 122)], probes, 123, margin=0.0)
                 for n, (probes, _) in blocks_of.items()]
     blocks = {n: [] for n in blocks_of}
