@@ -57,9 +57,13 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 # step's large NumPy temporaries fault their pages in afresh on every call.  Raised
 # thresholds keep those pages in the process, at the cost of up to 64 MiB of freed
 # heap held.  main sets them through mallopt (glibc only; 32 MiB is glibc's largest
-# mmap threshold on 64-bit); importing orthojac leaves the allocator alone
+# mmap threshold on 64-bit) for the commands below; importing orthojac leaves the
+# allocator alone.  density is not one: its few probes-by-width arrays sit below
+# the default threshold at its default sizes, and the setting saved it only about
+# 5 % of a call
 MMAP_THRESHOLD = 32 << 20
 TRIM_THRESHOLD = 64 << 20
+KEEP_FREED_PAGES = ("verify", "spectrum", "train")
 # mallopt's parameter numbers in glibc's malloc.h
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
@@ -336,7 +340,8 @@ def _keep_freed_pages() -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    _keep_freed_pages()
+    if args.command in KEEP_FREED_PAGES:
+        _keep_freed_pages()
     try:
         config = _load_config(args.config)
         declared = config.get("command")

@@ -962,6 +962,16 @@ def test_main_sets_the_allocator_thresholds_before_loading_the_config(tmp_path,
     assert (cli.MMAP_THRESHOLD, cli.TRIM_THRESHOLD) == (32 << 20, 64 << 20)
 
 
+def test_density_leaves_the_allocator_alone(tmp_path, monkeypatch):
+    log = []
+    libc = SimpleNamespace(mallopt=lambda param, value: log.append((param, value)))
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    config = {"seed": 7, "probes": 50, "radius": 1.5, "layer": bump_limit()}
+    assert run(tmp_path, "density", config)[0] == 0
+    assert log == []
+    assert cli.KEEP_FREED_PAGES == ("verify", "spectrum", "train")
+
+
 # ---------------------------------------------------------------------------
 # config fuzz
 # ---------------------------------------------------------------------------
