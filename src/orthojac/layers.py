@@ -31,6 +31,7 @@ deliberately broken layers can be probed.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, fields
 from typing import Sequence, Union
 
@@ -752,16 +753,14 @@ def make_partitioned(A, B, b, hyperplanes, regions, default: RegionCoeffs | None
     return PartitionedLayer(A, B, b, hyperplanes, regions, default, strict)
 
 
-# the keys a spec of each layer type may hold after "type" and "n": its constructor's
-# parameter names, in their order, which is the order to_json writes them in
-SPEC_KEYS = {
-    "case_i": ("A", "B", "b", "c", "d", "sigma", "strict"),
-    "case_ii": ("B", "b", "ell", "c", "d", "sigma", "strict"),
-    "gated": ("B", "b", "gate", "sigma", "strict"),
-    "composed": ("rotation", "inner", "strict"),
-    "partitioned": ("A", "B", "b", "hyperplanes", "regions", "default", "strict"),
-    "limit": ("B", "b", "m", "q", "strict"),
-}
+# each spec type's constructor; its parameter names, in their order, are the keys a spec
+# of the type may hold after "type" and "n", which is the order to_json writes them in
+CONSTRUCTORS = {"case_i": make_case_i, "case_ii": make_case_ii, "gated": make_gated,
+                "composed": ComposedLayer, "partitioned": make_partitioned, "limit": LimitLayer}
+SPEC_KEYS = {kind: tuple(inspect.signature(make).parameters)
+             for kind, make in CONSTRUCTORS.items()}
+# the keys whose value may be a seeded weight, {"seed": k}
+WEIGHT_KEYS = ("A", "B", "rotation")
 
 
 def _spec_seeds(obj: dict) -> list:
@@ -772,7 +771,7 @@ def _spec_seeds(obj: dict) -> list:
         raise DimensionError(f"unknown layer type {kind!r}")
     checked_keys(obj, f"a {kind} spec", ("type", "n"), SPEC_KEYS[kind])
     seeds = {}
-    for key in ("A", "B", "rotation"):  # the key check left those of its type
+    for key in WEIGHT_KEYS:  # the key check left those of its type
         if isinstance(obj.get(key), dict):
             seed = checked_keys(obj[key], f"the {key} weight", ("seed",))["seed"]
             seeds[checked(seed, f"{key}.seed", "an integer")] = None
@@ -814,45 +813,41 @@ def layer_from_json(obj: dict) -> Layer:
     return layers_from_json([obj])[0]
 
 
+def _regions_from_json(entries) -> dict:
+    regions = {}
+    for entry in checked(entries, "regions", "a list of JSON objects"):
+        signs = tuple(checked(entry.get("signs"), "signs", "a list of integers"))
+        if signs in regions:
+            raise DimensionError(f"two regions have the signs {list(signs)}")
+        regions[signs] = RegionCoeffs.from_json(entry, "a region", ("signs",))
+    return regions
+
+
+# how a spec's value of each key becomes its constructor's argument (the weights' and
+# ``inner``'s readers need the spec's seeded weights); any other value passes as it is
+_READERS = {
+    "sigma": PwlScalar.from_json, "m": field_from_json, "q": field_from_json,
+    "regions": _regions_from_json,
+    "hyperplanes": lambda entries: [(h.get("normal"), h.get("offset")) for h in (
+        checked_keys(entry, "a hyperplane", (), ("normal", "offset"))
+        for entry in checked(entries, "hyperplanes", "a list of JSON objects"))],
+    "default": lambda entry: None if entry is None else RegionCoeffs.from_json(entry),
+}
+
+
 def _layer_from_spec(obj: dict, tables) -> Layer:
-    """Build one spec (``layers_from_json`` checked its type and ``n``); ``tables``
-    yields each spec's seeded weights, outer spec first.  The layer classes check
-    the spec's values, and the built layer's width must be the spec's ``n``."""
+    """One call of the spec's constructor on its value of each parameter, read by _READERS;
+    ``tables`` yields each spec's seeded weights, outer spec first.  The layer classes check
+    the values (``layers_from_json`` the type, keys and ``n``) and the width against ``n``."""
     seeded = next(tables)
     kind, n = obj["type"], obj["n"]
-    b = obj.get("b", np.zeros(n))
-    strict = obj.get("strict", True)
-
-    def matrix(key: str):
-        entry = obj.get(key)
-        return seeded[entry["seed"]] if isinstance(entry, dict) else entry
-
-    if kind == "case_i":
-        layer = make_case_i(matrix("A"), matrix("B"), b, obj.get("c", 0.0), obj.get("d"),
-                            PwlScalar.from_json(obj.get("sigma")), strict)
-    elif kind == "case_ii":
-        layer = make_case_ii(matrix("B"), b, obj.get("ell"), obj.get("c", 0.0), obj.get("d"),
-                             PwlScalar.from_json(obj.get("sigma")), strict)
-    elif kind == "gated":
-        layer = make_gated(matrix("B"), b, obj.get("gate"), PwlScalar.from_json(obj.get("sigma")),
-                           strict)
-    elif kind == "composed":
-        layer = ComposedLayer(matrix("rotation"), _layer_from_spec(obj["inner"], tables), strict)
-    elif kind == "partitioned":
-        regions = {}
-        for entry in checked(obj.get("regions"), "regions", "a list of JSON objects"):
-            signs = tuple(checked(entry.get("signs"), "signs", "a list of integers"))
-            if signs in regions:
-                raise DimensionError(f"two regions have the signs {list(signs)}")
-            regions[signs] = RegionCoeffs.from_json(entry, "a region", ("signs",))
-        default = None if obj.get("default") is None else RegionCoeffs.from_json(obj["default"])
-        planes = [(h.get("normal"), h.get("offset")) for h in (
-            checked_keys(entry, "a hyperplane", (), ("normal", "offset")) for entry in
-            checked(obj.get("hyperplanes", []), "hyperplanes", "a list of JSON objects"))]
-        layer = make_partitioned(matrix("A"), matrix("B"), b, planes, regions, default, strict)
-    else:
-        layer = LimitLayer(matrix("B"), b, field_from_json(obj.get("m")),
-                           field_from_json(obj.get("q")), strict)
+    readers = dict(_READERS, inner=lambda inner: _layer_from_spec(inner, tables), **dict.fromkeys(
+        WEIGHT_KEYS, lambda entry: seeded[entry["seed"]] if isinstance(entry, dict) else entry))
+    # what an absent key reads as; any other reads as None, which a type that needs it rejects
+    absent = {"b": np.zeros(n), "c": 0.0, "strict": True, "hyperplanes": []}
+    values = [obj.get(key, absent.get(key)) for key in SPEC_KEYS[kind]]
+    layer = CONSTRUCTORS[kind](*(readers[key](value) if key in readers else value
+                                 for key, value in zip(SPEC_KEYS[kind], values)))
     if layer.width != n:
         raise DimensionError(f"a layer spec of n = {n} has weights of width {layer.width}")
     return layer

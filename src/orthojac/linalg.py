@@ -18,7 +18,7 @@ singular values (Demmel & Veselic 1992); a row of R below rounding level of
 the matrix's norm is deflated to zero.
 
 A stack goes through ``svd_values`` and ``per_matrix`` in blocks of as many
-matrices as fit in ``JACOBI_BLOCK_ENTRIES`` entries: 16 of width 64, 64 of
+matrices as fit in ``BLOCK_ENTRIES`` entries: 16 of width 64, 64 of
 width 32.  Each matrix's values are the same in a block of any make-up, so
 the block size sets only the cost per NumPy call and the temporaries' size.
 """
@@ -36,9 +36,12 @@ from .rng import SplitMix64
 
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 60
-# entries of the matrices of a stack rotated or measured together (16 matrices
-# of 64 x 64); bounds long stacks' temporaries, whatever the matrix size
-JACOBI_BLOCK_ENTRIES = 16 * 64 * 64
+# entries of the matrices of a stack handled together (512 KiB of float64): rotated or
+# measured here, or chained as one probe block by verify.probe_spectra.  It bounds long
+# stacks' temporaries, and each NumPy call's fixed cost argues for more.  With the pages
+# of freed stacks kept (cli.main's allocator setting), 128 probe rows at width 32 were no
+# faster than 64 and held more memory; without it, 64 rows were slower than 32
+BLOCK_ENTRIES = 64 * 32 * 32
 # columns of a Householder panel: reflected one by one, then applied to the
 # trailing columns and to Q as one block reflector
 QR_BLOCK = 16
@@ -130,11 +133,16 @@ def as_vector(obj, size: int | None = None) -> np.ndarray:
     return _as_array(obj, (size,), "vector")
 
 
+def block_length(entries: int) -> int:
+    """How many matrices of ``entries`` entries one block holds: as many as fit in
+    ``BLOCK_ENTRIES`` entries, and at least one."""
+    return max(1, BLOCK_ENTRIES // max(1, entries))
+
+
 def _blocks(stack: np.ndarray):
     """``(start, stack[start:start + size])`` for consecutive blocks of an ``(L, r, c)``
-    stack, each holding as many matrices as fit in ``JACOBI_BLOCK_ENTRIES`` entries,
-    and at least one."""
-    size = max(1, JACOBI_BLOCK_ENTRIES // max(1, stack.shape[1] * stack.shape[2]))
+    stack, each ``block_length(r * c)`` matrices long (the last may be shorter)."""
+    size = block_length(stack.shape[1] * stack.shape[2])
     for start in range(0, len(stack), size):
         yield start, stack[start:start + size]
 
@@ -144,7 +152,7 @@ def per_matrix(values_of, m: np.ndarray):
     stack, giving ``(L,)`` values, each the same as for the matrix alone.
 
     ``values_of`` maps a ``(B, n, n)`` block to its ``(B,)`` values; a stack goes
-    through in blocks of at most ``JACOBI_BLOCK_ENTRIES`` entries (and at least
+    through in blocks of at most ``BLOCK_ENTRIES`` entries (and at least
     one matrix), which bounds the temporaries.  Raises DimensionError unless
     ``m`` is square."""
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -448,7 +456,7 @@ def svd_values(m: np.ndarray) -> np.ndarray:
     zero, so a rank-deficient matrix converges; its value is then 0.  The
     first test deflates nothing: an exact tiny value is kept.
     The stack is processed in blocks of as many matrices as fit in
-    ``JACOBI_BLOCK_ENTRIES`` entries (and at least one), so a width-32 stack
+    ``BLOCK_ENTRIES`` entries (and at least one), so a width-32 stack
     rotates up to 64 matrices in each NumPy call and a width-64 stack 16.
     Each matrix is scaled by the power of two that brings its largest entry
     into [0.5, 1), and its values are scaled back, so entries far outside

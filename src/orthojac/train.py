@@ -28,7 +28,7 @@ from .errors import (
     TrainingDivergedError,
     check_shape,
 )
-from .layers import layers_from_json
+from .layers import SPEC_KEYS, layers_from_json
 from .linalg import checked, frobenius_defect, random_orthogonal
 from .pwl import make_relu_k, make_sigma_k, make_two_slope
 from .rng import SplitMix64, derive_seed
@@ -150,49 +150,21 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InputAdapter:
-    """Fixed (non-trainable) map from raw input dim to the network width.
-
-    kind "identity" passes through, "pad" appends zeros, and "project"
-    applies the first ``width`` rows of a seeded random orthogonal
-    matrix so the projection is an exact partial isometry.
-    """
-
-    kind: str
-    raw_dim: int
-    width: int
-    matrix: np.ndarray | None = None
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        if X.ndim != 2 or X.shape[1] != self.raw_dim:
-            raise DimensionError(
-                f"adapter expects (*, {self.raw_dim}) inputs, got {X.shape}"
-            )
-        if self.kind == "identity":
-            return X
-        if self.kind == "pad":
-            out = np.zeros((X.shape[0], self.width))
-            out[:, : self.raw_dim] = X
-            return out
-        return X @ self.matrix.T
-
-
-def make_input_adapter(raw_dim: int, width: int, seed: int = 0) -> InputAdapter:
-    if width == raw_dim:
-        return InputAdapter("identity", raw_dim, width)
-    if width > raw_dim:
-        return InputAdapter("pad", raw_dim, width)
-    matrix = random_orthogonal(raw_dim, derive_seed(seed, 0xAD))[:width]
-    return InputAdapter("project", raw_dim, width, matrix)
+def make_input_adapter(raw_dim: int, width: int, seed: int = 0) -> np.ndarray:
+    """The fixed ``(width, raw_dim)`` input map: ``np.eye(width, raw_dim)``, which passes
+    the inputs through and pads them with zeros, or, where ``width < raw_dim``, the first
+    ``width`` rows of a seeded random orthogonal matrix, an exact partial isometry."""
+    if width >= raw_dim:
+        return np.eye(width, raw_dim)
+    return random_orthogonal(raw_dim, derive_seed(seed, 0xAD))[:width]
 
 
 class Network:
     """Layer stack plus a trainable linear classifier head."""
 
-    def __init__(self, adapter: InputAdapter, layers: list, head_w: np.ndarray,
+    def __init__(self, adapter: np.ndarray, layers: list, head_w: np.ndarray,
                  head_b: np.ndarray):
-        width = adapter.width
+        width = len(adapter)
         for layer in layers:
             if layer.width != width:
                 raise DimensionError(
@@ -209,7 +181,7 @@ class Network:
 
     @property
     def width(self) -> int:
-        return self.adapter.width
+        return len(self.adapter)
 
     @property
     def class_count(self) -> int:
@@ -229,11 +201,19 @@ class Network:
                 for i, layer in enumerate(self.layers)
                 for name, arr in layer.params().items() if name in ("A", "B")}
 
+    def adapt(self, X_raw) -> np.ndarray:
+        """The stack's input: the raw rows through the input adapter."""
+        X = np.asarray(X_raw, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.adapter.shape[1]:
+            raise DimensionError(
+                f"adapter expects (*, {self.adapter.shape[1]}) inputs, got {X.shape}")
+        return X @ self.adapter.T
+
     def forward_cache(self, X_raw: np.ndarray):
         """Forward pass for ``backward_batch``: ``(logits, stack output, cache)``, where
         the cache holds one ``(X, kept)`` per layer, its input and the ``kept`` of its
         ``forward_batch(X)``, which its ``vjp_batch`` reads."""
-        cur = self.adapter.apply(np.asarray(X_raw, dtype=np.float64))
+        cur = self.adapt(X_raw)
         cache = []
         for layer in self.layers:
             out, kept = layer.forward_batch(cur)
@@ -244,7 +224,7 @@ class Network:
 
     def forward_batch(self, X_raw: np.ndarray) -> np.ndarray:
         """Logits only: each layer's ``kept`` is dropped as soon as it is made."""
-        cur = self.adapter.apply(np.asarray(X_raw, dtype=np.float64))
+        cur = self.adapt(X_raw)
         for layer in self.layers:
             cur = layer.forward_batch(cur)[0]
         return cur @ self.head_w.T + self.head_b
@@ -330,7 +310,7 @@ def _layer_spec(model: str, width: int, seed: int) -> dict:
         W = SplitMix64(derive_seed(seed, 3)).gaussian_matrix(width, width)
         W /= np.sqrt(width)
         spec.update(A=np.eye(width), B=W)
-    elif spec["type"] in ("case_i", "partitioned"):
+    elif "A" in SPEC_KEYS[spec["type"]]:
         spec["A"] = {"seed": derive_seed(seed, 1)}
     elif model == "limit_m3":
         spec["m"] = dict(spec["m"], n=width, seed=derive_seed(seed, 2))

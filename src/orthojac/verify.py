@@ -16,17 +16,12 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, NoValidProbeError, check_shape
 from .layers import DEFAULT_MARGIN, LimitLayer
-from .linalg import checked, frobenius_defect, per_matrix, svd_values
+from .linalg import block_length, checked, frobenius_defect, per_matrix, svd_values
 from .rng import SplitMix64, derive_seed
 
 PASS_TOL = 1e-10
 ISOMETRY_TOL = 1e-8
 CRITERIA = ("orthogonal", "partial", "sv_interval", "isometry", "none")
-# entries of the (rows, n, n) Jacobian stack of one probe block (512 KiB of
-# float64): each layer call's fixed cost argues for more rows.  With the pages of
-# freed stacks kept (cli.main's allocator setting), 128 rows at width 32 were no
-# faster than 64 and held more memory; without it, 64 rows were slower than 32
-PROBE_BLOCK_ENTRIES = 64 * 32 * 32
 
 
 def orthogonality_defect(jac: np.ndarray):
@@ -225,9 +220,9 @@ def probe_spectra(requests: list, jacobian) -> list:
     derived from its ``seed``, times its ``input_scale``; probes within its
     ``margin`` of a kink are dropped.  The probes go through
     ``jacobian(stack, X, margin)``, which is ``stack_jacobian`` through the
-    caller's own binding of it, in blocks of ``PROBE_BLOCK_ENTRIES // n**2``
-    rows at width ``n`` (at least one): 64 at width 32, 256 at width 16, 16 at
-    width 64.  A region-affine Jacobian is the same in any block.  The kept
+    caller's own binding of it, in blocks of ``linalg.block_length(n**2)``
+    rows at width ``n``: 64 at width 32, 256 at width 16, 16 at width 64.
+    A region-affine Jacobian is the same in any block.  The kept
     Jacobians of all requests of one width fill one buffer, whose singular
     values come from one ``svd_values`` call once every request is probed;
     each matrix gets the same values as in a call of its own.
@@ -259,7 +254,7 @@ def probe_spectra(requests: list, jacobian) -> list:
         X = req.input_scale * stream.gaussian(req.probes * pad).reshape(-1, pad)[:, :width]
         owner = owners[width]
         start = len(owner)
-        step = max(1, PROBE_BLOCK_ENTRIES // width ** 2)
+        step = block_length(width ** 2)
         for first in range(0, req.probes, step):
             kept, block = jacobian(stack, X[first:first + step], req.margin)
             buffers[width][len(owner):len(owner) + len(kept)] = block
@@ -326,6 +321,8 @@ class DensityReport:
     theoretical_bound: float
 
 
+# a radius near the float range overflows; the finiteness check at the end reports it
+@np.errstate(over="ignore", invalid="ignore")
 def density_gap(
     layer: LimitLayer,
     resolutions: list,
@@ -345,7 +342,8 @@ def density_gap(
     every surrogate shares that reflection output and evaluates each field
     once, at the probes snapped to their cell centers.  Returns one
     DensityReport per resolution, in ascending order.  A bad argument, a
-    resolution past the float range included, raises DimensionError.
+    resolution past the float range included, raises DimensionError, and so
+    does a radius whose gap or bound overflows.
     """
     resolutions = sorted(checked(r, "resolution", "a positive integer")
                          for r in checked(resolutions, "resolutions", "a non-empty list"))
@@ -372,4 +370,9 @@ def density_gap(
             theoretical_bound=float(np.max(np.abs(q_vals - q_tilde))
                                     + np.max(np.abs(m_vals - m_tilde)) * b_norm),
         ))
+    for rep in reports:
+        if not np.isfinite([rep.measured_gap, rep.theoretical_bound]).all():
+            raise DimensionError(
+                f"radius {radius!r} overflows: at resolution {rep.resolution} the measured"
+                f" gap is {rep.measured_gap!r} and the bound {rep.theoretical_bound!r}")
     return reports

@@ -19,9 +19,9 @@ from orthojac.data import load_idx
 from orthojac.linalg import random_orthogonal
 from orthojac.rng import SplitMix64, derive_seed
 from orthojac.train import (
-    InputAdapter,
     Network,
     TrainConfig,
+    make_input_adapter,
     make_network,
     ortho_regularizer,
     softmax_cross_entropy_batch,
@@ -313,7 +313,7 @@ def _param_gradient_worst_error() -> float:
                       ly.ConstantField(0.0), strict=False),
     ]
     head_w = SplitMix64(9).gaussian_matrix(classes, n) / np.sqrt(n)
-    net = Network(InputAdapter("identity", n, n), layers, head_w,
+    net = Network(make_input_adapter(n, n), layers, head_w,
                   np.zeros(classes))
     X = SplitMix64(10).gaussian_matrix(rows, n)
     y = np.array([0, 1, 2, 1, 0])

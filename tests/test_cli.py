@@ -762,6 +762,26 @@ def test_density_bad_radius_or_seed_exits_2(tmp_path, capsys, bad, message):
     assert not list(out_dir.iterdir())
 
 
+def test_density_radius_that_overflows_exits_2(tmp_path, capsys):
+    layer = dict(bump_limit(), m={"kind": "mini_net", "n": 8, "seed": 3},
+                 q={"kind": "mini_net", "n": 8, "seed": 4})
+    config = {"seed": 7, "probes": 50, "radius": 1e308, "layer": layer}
+    code, out_dir = run(tmp_path, "density", config)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: radius 1e+308 overflows: at resolution 2 the measured gap is nan"
+        " and the bound nan"]
+    assert not list(out_dir.iterdir())
+    # a radius still in range measures as it did before the check
+    code, out_dir = run(tmp_path, "density", dict(config, radius=1e300), out="in_range")
+    assert code == 0
+    assert (out_dir / "density.csv").read_text().splitlines()[2:] == [
+        "2,1.4650379437282088e+298,1.5421864224390558e+298",
+        "4,6.920731549546331e+297,7.393611552301892e+297",
+        "8,3.147765971376399e+297,3.3890595543555306e+297",
+        "16,1.379547645134617e+297,1.5303583776047334e+297"]
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------

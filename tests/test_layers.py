@@ -707,6 +707,52 @@ def test_spec_keys_are_the_constructor_parameters(kind, constructor):
     assert ly.SPEC_KEYS[kind] == tuple(inspect.signature(constructor).parameters)
 
 
+def minimal_specs(n=4):
+    """A spec of each type without the keys it may leave out: b, c, strict, hyperplanes
+    and default."""
+    B = orth(2, n).tolist()
+    case_ii = {"type": "case_ii", "n": n, "B": {"seed": 5}, "ell": 1.0, "d": -2.0,
+               "sigma": RELU3.to_json()}
+    constant = {"kind": "constant", "value": 1.0}
+    return {
+        "case_i": {"type": "case_i", "n": n, "A": orth(1, n).tolist(), "B": B, "d": 1.0,
+                   "sigma": ABS.to_json()},
+        "case_ii": case_ii,
+        "gated": {"type": "gated", "n": n, "B": B, "gate": SplitMix64(11).gaussian(n).tolist(),
+                  "sigma": RELU.to_json()},
+        "composed": {"type": "composed", "n": n, "rotation": {"seed": 6}, "inner": case_ii},
+        "partitioned": {"type": "partitioned", "n": n, "A": {"seed": 7}, "B": {"seed": 7},
+                        "regions": [{"signs": [], "ell": 1.0, "c": 0.5, "d": -2.0,
+                                     "sigma": RELU.to_json()}]},
+        "limit": {"type": "limit", "n": n, "B": B, "m": constant,
+                  "q": dict(constant, value=0.0)},
+    }
+
+
+def written_out(spec):
+    """``spec`` with each key it left out written as what it reads as."""
+    absent = {"b": [0.0] * spec["n"], "c": 0.0, "hyperplanes": [], "default": None,
+              "strict": True}
+    out = dict(spec, **{key: absent[key] for key in ly.SPEC_KEYS[spec["type"]]
+                        if key in absent and key not in spec})
+    if "inner" in spec:
+        out["inner"] = written_out(spec["inner"])
+    return out
+
+
+@pytest.mark.parametrize("kind", list(ly.SPEC_KEYS))
+def test_a_left_out_key_reads_as_its_written_out_value(kind):
+    spec = minimal_specs()[kind]
+    full = written_out(spec)
+    left_out = {"b", "c", "strict", "hyperplanes", "default"} & set(ly.SPEC_KEYS[kind])
+    assert left_out and not left_out & set(spec) and left_out <= set(full)
+    got, want = ly.layer_from_json(spec), ly.layer_from_json(full)
+    assert got.to_json() == want.to_json()
+    assert list(got.params()) == list(want.params())
+    for key, arr in got.params().items():
+        assert np.array_equal(arr.view(np.int64), want.params()[key].view(np.int64)), key
+
+
 def _set(spec, path, value):
     node = spec
     for key in path[:-1]:

@@ -307,7 +307,7 @@ def test_svd_values_zero_and_rank_deficient():
 
 def test_svd_values_stack_longer_than_a_block(monkeypatch):
     # blocks of 4 matrices of 6 x 6, so the stack spans two full blocks and a short one
-    monkeypatch.setattr(linalg, "JACOBI_BLOCK_ENTRIES", 4 * 36)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4 * 36)
     gen = SplitMix64(33)
     _assert_stack_matches_singles(np.stack([gen.gaussian_matrix(6, 6) for _ in range(11)]))
 
@@ -337,7 +337,7 @@ def test_a_block_holds_as_many_matrices_as_fit_its_entries(monkeypatch):
         assert _block_sizes("_gram_defects",
                             lambda: linalg.frobenius_defect(stack)) == want
     # a matrix larger than the bound still gets a block of its own
-    monkeypatch.setattr(linalg, "JACOBI_BLOCK_ENTRIES", 10)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 10)
     assert _block_sizes("_jacobi_block",
                         lambda: linalg.svd_values(q32[:3])) == [1, 1, 1]
 
@@ -496,7 +496,7 @@ def test_svd_values_orthogonal_inputs_take_the_gram_skip(seed, n, count):
 
 def test_svd_values_one_unconverged_matrix_in_a_stack(monkeypatch):
     # blocks of 16 matrices of 8 x 8, so the unconverged matrix is in the second
-    monkeypatch.setattr(linalg, "JACOBI_BLOCK_ENTRIES", 16 * 64)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 16 * 64)
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
     count = 20
     stack = np.stack([linalg.random_orthogonal(8, k) for k in range(count)])

@@ -38,7 +38,6 @@ from orthojac.train import (
     MODEL_NAMES,
     AdamState,
     EpochRow,
-    InputAdapter,
     Network,
     TrainConfig,
     adam_step,
@@ -247,43 +246,56 @@ def test_adam_step_bitwise_matches_reference_over_several_steps():
 # ---------------------------------------------------------------------------
 
 
+def _adapted(adapter, X):
+    """The stack input of the rows of X in a layerless network with this adapter."""
+    return Network(adapter, [], np.zeros((1, len(adapter))), np.zeros(1)).adapt(X)
+
+
+# finite rows of every scale: subnormals, +-1e+-300 and +0.0 among them
+EDGE_ROWS = np.array([[5e-324, -5e-324, 1e-300, -1e-300, 0.0],
+                      [1e300, -1e300, 2.2e-308, -3.7e-310, 1.5],
+                      [0.0, 0.0, 0.0, 0.0, 0.0]])
+
+
 def test_adapter_identity_passthrough():
     adapter = make_input_adapter(5, 5)
-    X = SplitMix64(21).gaussian_matrix(3, 5)
-    assert adapter.kind == "identity"
-    assert adapter.apply(X) is X
+    assert np.array_equal(adapter, np.eye(5))
+    for X in (EDGE_ROWS, SplitMix64(21).gaussian_matrix(3, 5)):
+        assert_same_bits(_adapted(adapter, X), X)
 
 
 def test_adapter_pad_appends_zeros():
-    adapter = make_input_adapter(3, 6)
-    X = SplitMix64(22).gaussian_matrix(4, 3)
-    out = adapter.apply(X)
-    assert adapter.kind == "pad"
-    assert np.array_equal(out[:, :3], X)
-    assert np.all(out[:, 3:] == 0.0)
+    adapter = make_input_adapter(5, 8)
+    assert np.array_equal(adapter, np.eye(8, 5))
+    for X in (EDGE_ROWS, SplitMix64(22).gaussian_matrix(4, 5)):
+        out = _adapted(adapter, X)
+        assert out.shape == (len(X), 8)
+        assert_same_bits(out[:, :5], X)
+        assert_same_bits(out[:, 5:], np.zeros((len(X), 3)))
 
 
 def test_adapter_projection_is_partial_isometry():
     adapter = make_input_adapter(16, 6, seed=23)
-    assert adapter.kind == "project"
-    gram = adapter.matrix @ adapter.matrix.T
+    assert_same_bits(adapter, random_orthogonal(16, derive_seed(23, 0xAD))[:6])
+    gram = adapter @ adapter.T
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
     X = SplitMix64(24).gaussian_matrix(5, 16)
-    out = adapter.apply(X)
-    assert out.shape == (5, 6)
+    out = _adapted(adapter, X)
+    assert_same_bits(out, X @ adapter.T)
     assert np.all(np.linalg.norm(out, axis=1) <= np.linalg.norm(X, axis=1) + 1e-12)
 
 
 def test_adapter_deterministic():
-    a = make_input_adapter(12, 4, seed=25)
-    b = make_input_adapter(12, 4, seed=25)
-    assert np.array_equal(a.matrix, b.matrix)
+    assert_same_bits(make_input_adapter(12, 4, seed=25), make_input_adapter(12, 4, seed=25))
 
 
 def test_adapter_rejects_wrong_input_dim():
-    adapter = make_input_adapter(4, 4)
-    with pytest.raises(DimensionError):
-        adapter.apply(np.zeros((2, 5)))
+    # identity, padding and projection
+    for raw_dim, width in ((4, 4), (4, 6), (6, 4)):
+        adapter = make_input_adapter(raw_dim, width)
+        for X in (np.zeros((2, raw_dim + 1)), np.zeros(raw_dim), np.zeros((1, 2, raw_dim))):
+            with pytest.raises(DimensionError, match=rf"adapter expects \(\*, {raw_dim}\)"):
+                _adapted(adapter, X)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +462,7 @@ def _uncached_backward(net, X_raw, dlogits):
     """``backward_batch``'s gradients and input cotangent, chained by hand through
     ``vjp_batch``, each layer given the kept values of a fresh ``forward_batch`` of its
     own input; each layer's VJP is also checked against ``_recomputed_vjp``."""
-    inputs, cur = [], net.adapter.apply(X_raw)
+    inputs, cur = [], net.adapt(X_raw)
     for layer in net.layers:
         inputs.append(cur)
         cur = layer.forward_batch(cur)[0]

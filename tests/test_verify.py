@@ -692,7 +692,7 @@ def strict_families(n: int, seed: int) -> list:
 def spectra_in_blocks_of(monkeypatch, rows, request):
     """``probe_spectra`` of one request with its probes chained ``rows`` at a time."""
     n = request.target[0].width
-    monkeypatch.setattr(verify, "PROBE_BLOCK_ENTRIES", rows * n * n)
+    monkeypatch.setattr(linalg, "BLOCK_ENTRIES", rows * n * n)
     [result] = probe_spectra([request], stack_jacobian)
     return result
 
